@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-typed lint-selftest cover cover-update fuzz-smoke ingest-smoke bench bench-parallel bench-flat bench-flat-smoke serve e2e chaos cluster-e2e
+.PHONY: all build test race vet lint lint-typed lint-selftest cover cover-update fuzz-smoke ingest-smoke bench bench-test bench-parallel bench-flat bench-flat-smoke serve e2e chaos cluster-e2e
 
 all: build vet lint test
 
@@ -77,7 +77,13 @@ ingest-smoke:
 	INGEST_SMOKE=1 GOMEMLIMIT=2GiB $(GO) test -run TestSmokeLargeNetlist -v ./internal/verilog
 
 bench:
-	$(GO) test -run xxx -bench . -benchmem .
+	$(GO) test -run xxx -bench . -benchmem . ./internal/sta
+
+# Tests of the layered benchmark (cmd/sstabench): its output schema and
+# every workload at tiny scale. It is its own module, so `go test ./...`
+# at the root never reaches it.
+bench-test:
+	cd cmd/sstabench && $(GO) test ./...
 
 # Serial-vs-parallel engine comparison; writes BENCH_parallel.json with
 # ns/op, speedup, and the host core count (speedup is bounded by it).

@@ -173,12 +173,16 @@ type Gate struct {
 // Circuit is a combinational netlist. The zero value is an empty circuit
 // ready for AddGate/Connect.
 type Circuit struct {
-	Name    string
-	Gates   []Gate
-	Outputs []GateID // primary outputs, in declaration order
+	Name  string
+	Gates []Gate
+	// Outputs lists the primary outputs in declaration order. It grows
+	// only through MarkOutput, which keeps the IsOutput index in step;
+	// code outside this package reads it and never appends to it.
+	Outputs []GateID
 
 	byName map[string]GateID
 	inputs []GateID // cache of Input gates in declaration order
+	isOut  []bool   // isOut[id] reports id ∈ Outputs; grown by AddGate, set by MarkOutput
 
 	topo      []GateID // cached topological order; nil = dirty
 	level     []int32  // cached levels; nil = dirty
@@ -247,6 +251,7 @@ func (c *Circuit) AddGate(name string, fn Fn) (GateID, error) {
 	id := GateID(len(c.Gates))
 	c.Gates = append(c.Gates, Gate{ID: id, Name: name, Fn: fn, CellRef: -1})
 	c.byName[name] = id
+	c.isOut = append(c.isOut, false)
 	if fn == Input {
 		c.inputs = append(c.inputs, id)
 	}
@@ -296,14 +301,17 @@ func (c *Circuit) MarkOutput(id GateID) error {
 	if !c.valid(id) {
 		return fmt.Errorf("circuit %q: output gate id %d out of range", c.Name, id)
 	}
-	for _, o := range c.Outputs {
-		if o == id {
-			return fmt.Errorf("circuit %q: gate %q already marked as output", c.Name, c.Gates[id].Name)
-		}
+	if c.isOut[id] {
+		return fmt.Errorf("circuit %q: gate %q already marked as output", c.Name, c.Gates[id].Name)
 	}
+	c.isOut[id] = true
 	c.Outputs = append(c.Outputs, id)
 	return nil
 }
+
+// IsOutput reports, in O(1), whether the net driven by id is a primary
+// output. An id outside the circuit is not an output.
+func (c *Circuit) IsOutput(id GateID) bool { return c.valid(id) && c.isOut[id] }
 
 // MustMarkOutput is MarkOutput that panics on error.
 func (c *Circuit) MustMarkOutput(id GateID) {
@@ -327,9 +335,13 @@ func (c *Circuit) Revision() int { return c.revisions }
 // Validate checks structural invariants: fanin arities match functions,
 // every non-input gate has at least one fanin, the fanout lists mirror the
 // fanin lists, every output is marked on an existing gate, and the graph is
-// acyclic.
+// acyclic. It runs in O(gates + edges). When several edges break the
+// fanin/fanout mirror, it reports the first one in gate-ID order.
 func (c *Circuit) Validate() error {
-	fanoutCount := make(map[[2]GateID]int)
+	n := len(c.Gates)
+	// start[s] first counts the fanin entries naming driver s; the
+	// reverse-fanin pass below turns it into the offset of s's run in rev.
+	start := make([]int32, n+1)
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		if min := g.Fn.minFanin(); len(g.Fanin) < min {
@@ -347,28 +359,56 @@ func (c *Circuit) Validate() error {
 			if !c.valid(s) {
 				return fmt.Errorf("circuit %q: gate %q fanin id %d out of range", c.Name, g.Name, s)
 			}
-			fanoutCount[[2]GateID{s, g.ID}]++
+			start[s]++
 		}
 	}
+	// Reverse fanin in CSR form: rev[start[s]:start[s+1]] lists, in
+	// ascending gate-ID order, every gate that names s as a fanin, once
+	// per occurrence. Prefix sums make start[s] the end of s's run; the
+	// backward fill then moves it to the run's beginning.
+	for s := 1; s <= n; s++ {
+		start[s] += start[s-1]
+	}
+	rev := make([]GateID, start[n])
+	for i := n - 1; i >= 0; i-- {
+		fanin := c.Gates[i].Fanin
+		for j := len(fanin) - 1; j >= 0; j-- {
+			s := fanin[j]
+			start[s]--
+			rev[start[s]] = GateID(i)
+		}
+	}
+	// Each driver's fanout list must be the same multiset as its run in
+	// rev; pending counts the run's sinks not yet matched by a fanout
+	// entry, and is all zero again between drivers.
+	pending := make([]int32, n)
+	var unmirrored error
 	for i := range c.Gates {
 		g := &c.Gates[i]
+		sinks := rev[start[i]:start[i+1]]
+		for _, d := range sinks {
+			pending[d]++
+		}
 		for _, d := range g.Fanout {
 			if !c.valid(d) {
 				return fmt.Errorf("circuit %q: gate %q fanout id %d out of range", c.Name, g.Name, d)
 			}
-			key := [2]GateID{g.ID, d}
-			if fanoutCount[key] == 0 {
+			if pending[d] == 0 {
 				return fmt.Errorf("circuit %q: fanout edge %q -> %q has no matching fanin",
 					c.Name, g.Name, c.Gates[d].Name)
 			}
-			fanoutCount[key]--
+			pending[d]--
+		}
+		for _, d := range sinks {
+			if pending[d] != 0 && unmirrored == nil {
+				unmirrored = fmt.Errorf("circuit %q: fanin edge %q -> %q not mirrored in fanout",
+					c.Name, g.Name, c.Gates[d].Name)
+			}
+			pending[d] = 0
 		}
 	}
-	for key, n := range fanoutCount {
-		if n != 0 {
-			return fmt.Errorf("circuit %q: fanin edge %q -> %q not mirrored in fanout",
-				c.Name, c.Gates[key[0]].Name, c.Gates[key[1]].Name)
-		}
+	if unmirrored != nil {
+		return unmirrored
 	}
 	for _, o := range c.Outputs {
 		if !c.valid(o) {
@@ -572,6 +612,7 @@ func (c *Circuit) Clone() *Circuit {
 		Outputs:   append([]GateID(nil), c.Outputs...),
 		byName:    make(map[string]GateID, len(c.byName)),
 		inputs:    append([]GateID(nil), c.inputs...),
+		isOut:     append([]bool(nil), c.isOut...),
 		revisions: c.revisions,
 	}
 	for i := range c.Gates {

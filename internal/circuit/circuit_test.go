@@ -72,6 +72,69 @@ func TestMarkOutputTwice(t *testing.T) {
 	}
 }
 
+// Validate checks that fanout lists mirror fanin lists as multisets and
+// names the first broken edge in gate-ID order, the same one on every
+// call. The cases corrupt Gates directly, past Connect's bookkeeping.
+func TestValidateMirrorErrors(t *testing.T) {
+	// parallel builds a, b inputs and n = AND(a, a, b): a drives n twice.
+	parallel := func(*testing.T) *Circuit {
+		c := New("par")
+		a := c.MustAddGate("a", Input)
+		b := c.MustAddGate("b", Input)
+		n := c.MustAddGate("n", And)
+		c.MustConnect(a, n)
+		c.MustConnect(a, n)
+		c.MustConnect(b, n)
+		c.MustMarkOutput(n)
+		return c
+	}
+	cases := []struct {
+		name  string
+		build func(*testing.T) *Circuit
+		want  string // "" = valid
+	}{
+		{"fanout without fanin", func(t *testing.T) *Circuit {
+			c := buildSmall(t)
+			a := c.Gate(c.MustLookup("a"))
+			a.Fanout = append(a.Fanout, c.MustLookup("n2"))
+			return c
+		}, `circuit "small": fanout edge "a" -> "n2" has no matching fanin`},
+		{"two unmirrored fanins", func(t *testing.T) *Circuit {
+			c := buildSmall(t)
+			c.Gate(c.MustLookup("c")).Fanout = nil
+			c.Gate(c.MustLookup("b")).Fanout = nil
+			return c
+		}, `circuit "small": fanin edge "b" -> "n1" not mirrored in fanout`},
+		{"parallel edges balance", parallel, ""},
+		{"parallel edge missing from fanout", func(t *testing.T) *Circuit {
+			c := parallel(t)
+			a := c.Gate(c.MustLookup("a"))
+			a.Fanout = a.Fanout[:1]
+			return c
+		}, `circuit "par": fanin edge "a" -> "n" not mirrored in fanout`},
+		{"parallel edge extra in fanout", func(t *testing.T) *Circuit {
+			c := parallel(t)
+			a := c.Gate(c.MustLookup("a"))
+			a.Fanout = append(a.Fanout, c.MustLookup("n"))
+			return c
+		}, `circuit "par": fanout edge "a" -> "n" has no matching fanin`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.build(t)
+			for call := 0; call < 20; call++ {
+				got := ""
+				if err := c.Validate(); err != nil {
+					got = err.Error()
+				}
+				if got != tc.want {
+					t.Fatalf("call %d: Validate() = %q, want %q", call, got, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestLookup(t *testing.T) {
 	c := buildSmall(t)
 	if _, ok := c.Lookup("n1"); !ok {

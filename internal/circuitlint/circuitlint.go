@@ -354,13 +354,9 @@ func LintCircuit(c *circuit.Circuit) []Diagnostic {
 	if _, err := c.TopoOrder(); err != nil {
 		diags = append(diags, Diagnostic{Check: CheckCycle, Severity: SeverityError, Msg: err.Error()})
 	}
-	outSet := make(map[circuit.GateID]bool, len(c.Outputs))
-	for _, o := range c.Outputs {
-		outSet[o] = true
-	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
-		if g.Fn.IsLogic() && len(g.Fanout) == 0 && !outSet[g.ID] {
+		if g.Fn.IsLogic() && len(g.Fanout) == 0 && !c.IsOutput(g.ID) {
 			diags = append(diags, Diagnostic{
 				Check: CheckDangling, Severity: SeverityWarning, Gate: g.Name,
 				Msg: fmt.Sprintf("gate %q drives nothing and is not an output", g.Name),

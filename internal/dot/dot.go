@@ -36,17 +36,13 @@ func Write(w io.Writer, c *circuit.Circuit, opts Options) error {
 	for _, id := range opts.Highlight {
 		hi[id] = true
 	}
-	poSet := make(map[circuit.GateID]bool, len(c.Outputs))
-	for _, po := range c.Outputs {
-		poSet[po] = true
-	}
 	for i := range c.Gates {
 		g := &c.Gates[i]
 		attrs := fmt.Sprintf("label=%q", g.Name+"\\n"+g.Fn.String())
 		switch {
 		case g.Fn == circuit.Input:
 			attrs += ", shape=invtriangle, fillcolor=lightblue"
-		case poSet[g.ID]:
+		case c.IsOutput(g.ID):
 			attrs += ", peripheries=2"
 		}
 		if opts.Heat != nil && int(g.ID) < len(opts.Heat) && g.Fn.IsLogic() {

@@ -145,12 +145,8 @@ func extract(d *synth.Design, full *ssta.Result, vm *variation.Model, target cir
 	// the sibling paths through those drivers would otherwise never be
 	// priced, letting the optimizer underestimate the mean cost of every
 	// upsizing move.
-	poSet := make(map[circuit.GateID]bool, len(c.Outputs))
-	for _, po := range c.Outputs {
-		poSet[po] = true
-	}
 	for _, id := range members {
-		escapes := poSet[id] || len(c.Gate(id).Fanout) == 0
+		escapes := c.IsOutput(id) || len(c.Gate(id).Fanout) == 0
 		for _, fo := range c.Gate(id).Fanout {
 			if _, ok := s.inS[fo]; !ok {
 				escapes = true

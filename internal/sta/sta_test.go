@@ -224,3 +224,23 @@ func TestDeepCircuitHasLargerDelay(t *testing.T) {
 		t.Fatalf("ripple (%g ps) not slower than lookahead (%g ps)", rd.MaxArrival, rs.MaxArrival)
 	}
 }
+
+var sinkResult *Result
+
+// BenchmarkAnalyzeManyOutputs times one full STA pass over a ~15k-gate
+// design with ~1.3k primary outputs. Every per-gate electrical query is
+// O(fanout), so ns/gate stays flat as outputs grow; a per-gate scan of
+// the output list would multiply it by the output count.
+func BenchmarkAnalyzeManyOutputs(b *testing.B) {
+	c := gen.Compose("many", gen.SEC("sec", 1024, true), gen.ALU("alu", 256))
+	d, err := synth.Map(c, cells.Default90nm())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkResult = Analyze(d)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(d.Circuit.NumGates()), "ns/gate")
+}

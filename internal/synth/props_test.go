@@ -50,11 +50,11 @@ func TestMapInvariantsProperty(t *testing.T) {
 }
 
 // Load is additive: the load on a gate equals the sum of its fanout pin
-// caps plus the PO load if marked.
+// caps plus the PO load if marked. The composed SEC+ALU design adds a
+// case with hundreds of outputs.
 func TestLoadAdditivityProperty(t *testing.T) {
 	lib := cells.Default90nm()
-	prop := func(seed int64) bool {
-		c := gen.RandomDAG("r", 5, 40, 4, seed)
+	loadAdditive := func(c *circuit.Circuit) bool {
 		d, err := Map(c, lib)
 		if err != nil {
 			return false
@@ -78,8 +78,16 @@ func TestLoadAdditivityProperty(t *testing.T) {
 		}
 		return true
 	}
+	prop := func(seed int64) bool { return loadAdditive(gen.RandomDAG("r", 5, 40, 4, seed)) }
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+	many := gen.Compose("many", gen.SEC("sec", 128, true), gen.ALU("alu", 32))
+	if len(many.Outputs) < 100 {
+		t.Fatalf("composed design has only %d outputs", len(many.Outputs))
+	}
+	if !loadAdditive(many) {
+		t.Fatal("Load is not additive on the composed SEC+ALU design")
 	}
 }
 

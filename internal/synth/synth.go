@@ -48,17 +48,15 @@ func (d *Design) CellAt(id circuit.GateID, sizeIdx int) *cells.Cell {
 // Load returns the capacitive load on the gate's output: the input-pin
 // capacitances of all fanout cells, plus the primary-output load if the
 // net is a PO. Interconnect capacitance is ignored (paper assumption).
+// It costs O(fanout).
 func (d *Design) Load(id circuit.GateID) float64 {
 	g := d.Circuit.Gate(id)
 	load := 0.0
 	for _, fo := range g.Fanout {
 		load += d.Cell(fo).InputCap
 	}
-	for _, po := range d.Circuit.Outputs {
-		if po == id {
-			load += d.Lib.PrimaryOutputLoad
-			break
-		}
+	if d.Circuit.IsOutput(id) {
+		load += d.Lib.PrimaryOutputLoad
 	}
 	return load
 }
