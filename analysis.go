@@ -201,11 +201,12 @@ func (d *Design) WhatIfBatch(cands [][]WhatIfEdit, opts RunOptions) ([]WhatIfRep
 		}
 	}
 	f := ssta.NewFlat(d.d, d.vm, opts.ssta())
+	clean := f.Result()
 	outs := f.BatchWhatIf(changes, 0, opts.ssta().Workers)
 	reps := make([]WhatIfReport, len(outs))
 	for i, o := range outs {
 		reps[i] = WhatIfReport{
-			MeanBefore: f.Mean(), SigmaBefore: f.Sigma(),
+			MeanBefore: clean.Mean, SigmaBefore: clean.Sigma,
 			MeanAfter: o.Mean, SigmaAfter: o.Sigma,
 			NodesRepaired: int64(o.Touched),
 			Gates:         d.d.Circuit.NumGates(),

@@ -118,7 +118,7 @@ func benchFULLSSTA(b *testing.B, name string) {
 	}
 }
 
-// --- Parallel engines (cmd/benchpar turns these into BENCH_parallel.json) ---
+// --- Parallel engines (worker-count scaling of FULLSSTA and Monte Carlo) ---
 
 func BenchmarkFULLSSTAParallel1(b *testing.B) { benchFULLSSTAWorkers(b, 1) }
 func BenchmarkFULLSSTAParallel4(b *testing.B) { benchFULLSSTAWorkers(b, 4) }

@@ -9,16 +9,20 @@
 //	repro engines [circuit ...]         Engine accuracy/speed comparison
 //	repro correlation [circuit ...]     Correlation-aware engine vs independence
 //	repro all                           Everything above in sequence
+//	repro scoreboard                    Cross-optimizer scoreboard -> BENCH_optimizers.json
 //
 // See DESIGN.md for the experiment index and EXPERIMENTS.md for a
 // recorded reference run.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
+	"time"
 
 	"repro/internal/circuitlint"
 	"repro/internal/cliutil"
@@ -51,6 +55,8 @@ func main() {
 		err = runEngines(args)
 	case "correlation":
 		err = runCorrelation(args)
+	case "scoreboard":
+		err = runScoreboard(args)
 	case "all":
 		for _, c := range []func([]string) error{runTable1, runFig1, runFig3, runFig4, runErf, runEngines, runCorrelation} {
 			if err = c(nil); err != nil {
@@ -69,7 +75,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: repro <table1|fig1|fig3|fig4|erf|engines|correlation|all> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: repro <table1|fig1|fig3|fig4|erf|engines|correlation|all|scoreboard> [flags]`)
 }
 
 // workersFlag registers the shared -workers knob on a subcommand's flag
@@ -345,4 +351,49 @@ func runEngines(args []string) error {
 			r.MCTime.Round(1e6), r.FullTime.Round(1e6), r.FastTime.Round(1e3))
 	}
 	return tab.Write(os.Stdout)
+}
+
+// scoreboardReport is the schema of BENCH_optimizers.json: the
+// cross-optimizer scoreboard (see internal/experiments.Scoreboard).
+// Workers is 1 so the runtimes compare algorithms, not host parallelism.
+type scoreboardReport struct {
+	HostCPUs   int                         `json:"host_cpus"`
+	GOMAXPROCS int                         `json:"gomaxprocs"`
+	Lambda     float64                     `json:"lambda"`
+	Rows       []experiments.ScoreboardRow `json:"rows"`
+}
+
+// runScoreboard writes BENCH_optimizers.json: the mean-delay,
+// statistical-greedy and sensitivity backends from the same
+// mean-delay-optimized start on alu1, alu2 and c432 at lambda 9, each
+// to its own convergence.
+func runScoreboard(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("scoreboard takes no arguments")
+	}
+	const lambda, out = 9, "BENCH_optimizers.json"
+	rows, err := experiments.Scoreboard([]string{"alu1", "alu2", "c432"},
+		[]string{"meandelay", "statgreedy", "sensitivity"}, lambda,
+		experiments.Config{Workers: 1})
+	if err != nil {
+		return err
+	}
+	rep := scoreboardReport{
+		HostCPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Lambda: lambda, Rows: rows,
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	for _, r := range rows {
+		fmt.Printf("%-6s %-12s cost %8.1f -> %8.1f  area %6.0f -> %6.0f  %3d iters (%s)  %8d evals  %v\n",
+			r.Circuit, r.Optimizer, r.CostBefore, r.CostAfter,
+			r.AreaBefore, r.AreaAfter, r.Iterations, r.StoppedBy, r.Evals, r.Runtime.Round(time.Millisecond))
+	}
+	fmt.Printf("host: %d CPUs (GOMAXPROCS %d), lambda=%g -> %s\n", rep.HostCPUs, rep.GOMAXPROCS, rep.Lambda, out)
+	return nil
 }

@@ -338,8 +338,8 @@ type Result struct {
 	Runtime    time.Duration
 	// AnalysisTime is the wall time spent in whole-circuit timing
 	// analysis (full recomputes, or the initial analysis plus dirty-cone
-	// repairs when Options.Incremental is set) — the quantity the
-	// full-vs-incremental benchmark in cmd/benchpar compares.
+	// repairs when Options.Incremental is set), reported by the layered
+	// benchmark's core.analysis_share row.
 	AnalysisTime time.Duration
 	// StoppedBy explains termination: "converged", "target", "max-iters".
 	StoppedBy string

@@ -1,8 +1,8 @@
 // Package difftest is the differential test harness for the
 // incremental timing engines: it drives seeded random resize sequences
-// against ssta.Incremental, fassta.Incremental and the exact-mode
-// sta.Incremental, asserting after every step that the repaired
-// analysis is bit-identical — every node, not just the circuit summary
+// against ssta.Incremental and the exact-mode sta.Incremental,
+// asserting after every step that the repaired analysis is
+// bit-identical — every node, not just the circuit summary
 // — to a from-scratch analysis of the same sizes, and that Rollback
 // restores the exact prior state.
 //
@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/circuit"
-	"repro/internal/fassta"
 	"repro/internal/ssta"
 	"repro/internal/sta"
 	"repro/internal/synth"
@@ -75,24 +74,6 @@ func CompareSSTA(got, want *ssta.Result) error {
 	return nil
 }
 
-// CompareFASSTA checks two global moments analyses for bit-exact
-// equality on every node and the circuit summary.
-func CompareFASSTA(got, want *fassta.GlobalResult) error {
-	if err := CompareSTA(got.STA, want.STA); err != nil {
-		return err
-	}
-	for i := range want.Node {
-		if got.Node[i] != want.Node[i] {
-			return fmt.Errorf("fassta.Node[%d]: got %+v, want %+v", i, got.Node[i], want.Node[i])
-		}
-	}
-	if got.Mean != want.Mean || got.Sigma != want.Sigma {
-		return fmt.Errorf("fassta summary: got (%v, %v), want (%v, %v)",
-			got.Mean, got.Sigma, want.Mean, want.Sigma)
-	}
-	return nil
-}
-
 func eqFloats(what string, got, want []float64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: length %d vs %d", what, len(got), len(want))
@@ -134,7 +115,7 @@ func (m *mutator) pick() (circuit.GateID, int) {
 	return g, m.rng.IntN(n)
 }
 
-// engine abstracts the three incremental engines for the shared driver.
+// engine abstracts the incremental engines for the shared driver.
 type engine interface {
 	Resize(g circuit.GateID, size int) int
 	Sync() int
@@ -210,28 +191,6 @@ func (e *sstaEngine) Verify() error {
 	return CompareSSTA(e.inc.Result(), ssta.Analyze(e.d, e.vm, e.opts))
 }
 
-// fasstaEngine adapts fassta.Incremental to the driver.
-type fasstaEngine struct {
-	d      *synth.Design
-	vm     *variation.Model
-	approx bool
-	inc    *fassta.Incremental
-}
-
-func (e *fasstaEngine) Resize(g circuit.GateID, size int) int { return e.inc.Resize(g, size) }
-func (e *fasstaEngine) Sync() int                             { return e.inc.Sync() }
-func (e *fasstaEngine) Rollback()                             { e.inc.Rollback() }
-func (e *fasstaEngine) ResizeBatch(changes []sizeChange) int {
-	batch := make([]fassta.SizeChange, len(changes))
-	for i, ch := range changes {
-		batch[i] = fassta.SizeChange{Gate: ch.gate, Size: ch.size}
-	}
-	return e.inc.ResizeAll(batch)
-}
-func (e *fasstaEngine) Verify() error {
-	return CompareFASSTA(e.inc.Result(), fassta.AnalyzeGlobal(e.d, e.vm, e.approx))
-}
-
 // staEngine adapts the exact-mode deterministic sta.Incremental. It has
 // no transactional Rollback; the driver's rollback step is emulated by
 // resizing back, which must land on the identical state.
@@ -266,14 +225,6 @@ func (e *staEngine) Verify() error {
 // incremental engine on d, verifying bit-exactness after every step.
 func DriveSSTA(d *synth.Design, vm *variation.Model, opts ssta.Options, steps int, seed uint64) error {
 	eng := &sstaEngine{d: d, vm: vm, opts: opts, inc: ssta.NewIncremental(d, vm, opts)}
-	return newMutator(d, seed).drive(eng, steps)
-}
-
-// DriveFASSTA runs a seeded random resize sequence against a global
-// moments incremental engine on d, verifying bit-exactness after every
-// step.
-func DriveFASSTA(d *synth.Design, vm *variation.Model, approx bool, steps int, seed uint64) error {
-	eng := &fasstaEngine{d: d, vm: vm, approx: approx, inc: fassta.NewIncremental(d, vm, approx)}
 	return newMutator(d, seed).drive(eng, steps)
 }
 

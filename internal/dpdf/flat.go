@@ -43,6 +43,17 @@ func NewArena(nodes, stride int) *Arena {
 	}
 }
 
+// Grow extends the arena to at least nodes slots. Existing slots keep
+// their contents; new ones start empty. Views taken before a Grow may
+// no longer alias the arena.
+func (a *Arena) Grow(nodes int) {
+	if k := nodes - len(a.n); k > 0 {
+		a.xs = append(a.xs, make([]float64, k*a.stride)...)
+		a.ps = append(a.ps, make([]float64, k*a.stride)...)
+		a.n = append(a.n, make([]int32, k)...)
+	}
+}
+
 // Nodes returns the number of slots.
 func (a *Arena) Nodes() int { return len(a.n) }
 

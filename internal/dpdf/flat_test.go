@@ -209,3 +209,27 @@ func TestScratchFromSamplesAndFromNormal(t *testing.T) {
 		t.Fatalf("Scratch.FromSamples allocates %v per run, want <= 2", n)
 	}
 }
+
+func TestArenaGrowKeepsSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	ar := NewArena(1, 16)
+	var want []PDF
+	for i := 0; i < 40; i++ {
+		ar.Grow(i + 1)
+		if ar.Nodes() != i+1 || ar.Len(i) != 0 {
+			t.Fatalf("Grow(%d): %d slots, new slot len %d", i+1, ar.Nodes(), ar.Len(i))
+		}
+		p := flatPDF(rng, 2+rng.Intn(14))
+		ar.Set(i, p)
+		want = append(want, p)
+	}
+	ar.Grow(3) // never shrinks
+	if ar.Nodes() != 40 {
+		t.Fatalf("Grow shrank the arena to %d slots", ar.Nodes())
+	}
+	for i, p := range want {
+		if !equalPDF(ar.View(i), p) {
+			t.Fatalf("slot %d changed across Grow", i)
+		}
+	}
+}

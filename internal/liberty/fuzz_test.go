@@ -54,6 +54,7 @@ func FuzzLiberty(f *testing.F) {
 	f.Add(`library (d) { cell (INV_X1) { pin (A) { pin (B) { pin (C) { } } } } }`)
 	f.Add("library (c) { /* unterminated\n")
 	f.Add(`library (s) { key : "unterminated`)
+	f.Add(mismatchedTables)
 	f.Fuzz(func(t *testing.T, src string) {
 		lim := fuzzLimits()
 		lib, err := ParseOpts(strings.NewReader(src), lim)

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -177,11 +178,7 @@ func (p *parser) fail(err error) error {
 		return err
 	}
 	line, col := p.lx.Pos()
-	msg := err
-	var pe *posError
-	if errors.As(err, &pe) {
-		line, col, msg = pe.Line, pe.Col, pe.Err
-	}
+	line, col, msg := positioned(err, line, col)
 	check := ingest.CheckSyntax
 	if ingest.IsBudgetSentinel(err) {
 		check = ingest.CheckBudget
@@ -195,6 +192,16 @@ func (p *parser) fail(err error) error {
 	}
 	p.lx.ClearErr()
 	return nil
+}
+
+// positioned splits a positioned error into its own position and
+// message; an error without one is placed at (line, col).
+func positioned(err error, line, col int) (int, int, error) {
+	var pe *posError
+	if errors.As(err, &pe) {
+		return pe.Line, pe.Col, pe.Err
+	}
+	return line, col, err
 }
 
 // semantic files a structural diagnostic; false means the error budget
@@ -297,8 +304,7 @@ func (p *parser) statement(name token) (*stmt, error) {
 			return st, nil
 		case tok.Kind == tokPunct && tok.Text == "{":
 			if p.depth >= p.lim.MaxDepth {
-				return nil, &posError{Line: tok.Line, Col: tok.Col, Err:
-					ingest.Budgetf("group nesting exceeds the depth budget of %d", p.lim.MaxDepth)}
+				return nil, &posError{Line: tok.Line, Col: tok.Col, Err: ingest.Budgetf("group nesting exceeds the depth budget of %d", p.lim.MaxDepth)}
 			}
 			p.depth++
 			st.kind = stmtGroup
@@ -505,7 +511,8 @@ loop:
 				}
 				cell, err := parseCell(g)
 				if err != nil {
-					if !p.semantic(g.line, g.col, err.Error()) {
+					line, col, msg := positioned(err, g.line, g.col)
+					if !p.semantic(line, col, msg.Error()) {
 						return nil, p.diag.Err()
 					}
 					continue
@@ -583,11 +590,15 @@ func parseCell(g *group) (*cells.Cell, error) {
 					}
 					switch tab.name {
 					case "cell_rise", "cell_fall":
-						c.Delay = averageTables(c.Delay, t, haveDelay)
+						err = averageTables(&c.Delay, t, haveDelay)
 						haveDelay++
 					case "rise_transition", "fall_transition":
-						c.OutSlew = averageTables(c.OutSlew, t, haveSlew)
+						err = averageTables(&c.OutSlew, t, haveSlew)
 						haveSlew++
+					}
+					if err != nil {
+						return nil, &posError{Line: tab.line, Col: tab.col,
+							Err: fmt.Errorf("liberty: cell %s: %s: %v", c.Name, tab.name, err)}
 					}
 				}
 			}
@@ -611,18 +622,23 @@ func parseCell(g *group) (*cells.Cell, error) {
 }
 
 // averageTables merges rise/fall tables into one (this module models a
-// single delay per cell): the n-th incoming table is averaged in with
-// weight 1/(n+1).
-func averageTables(acc, t cells.Table2D, n int) cells.Table2D {
+// single delay per cell): the n-th incoming table is averaged into acc
+// with weight 1/(n+1). Only tables on the same index grid can be
+// averaged point by point; any other pair is an error.
+func averageTables(acc *cells.Table2D, t cells.Table2D, n int) error {
 	if n == 0 {
-		return t
+		*acc = t
+		return nil
+	}
+	if !slices.Equal(acc.Slews, t.Slews) || !slices.Equal(acc.Loads, t.Loads) {
+		return fmt.Errorf("index_1/index_2 differ from the cell's earlier table of the same kind")
 	}
 	for i := range acc.Values {
 		for j := range acc.Values[i] {
 			acc.Values[i][j] = (acc.Values[i][j]*float64(n) + t.Values[i][j]) / float64(n+1)
 		}
 	}
-	return acc
+	return nil
 }
 
 func parseTable(g *group) (cells.Table2D, error) {

@@ -158,6 +158,56 @@ func TestParseAveragesRiseFall(t *testing.T) {
 	}
 }
 
+// mismatchedTables is TestParseAveragesRiseFall's first cell with a 3x2
+// cell_rise against a 2x2 cell_fall: the two cannot be averaged point
+// by point.
+const mismatchedTables = `library (mini) {
+  cell (INV_X1) {
+    area : 1; drive_strength : 1;
+    pin (A) { direction : input; capacitance : 2; }
+    pin (Y) {
+      direction : output;
+      timing () {
+        cell_rise (tmpl) { index_1 ("0, 10, 20"); index_2 ("0, 100"); values ("10, 20", "30, 40", "50, 60"); }
+        cell_fall (tmpl) { index_1 ("0, 10"); index_2 ("0, 100"); values ("20, 30", "40, 50"); }
+        rise_transition (tmpl) { index_1 ("0, 10"); index_2 ("0, 100"); values ("1, 2", "3, 4"); }
+        fall_transition (tmpl) { index_1 ("0, 10"); index_2 ("0, 100"); values ("1, 2", "3, 4"); }
+      }
+    }
+  }
+}`
+
+// TestParseRejectsMismatchedRiseFall pins that rise/fall tables on
+// different index grids are a positioned semantic diagnostic, not an
+// index-out-of-range panic while averaging them.
+func TestParseRejectsMismatchedRiseFall(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"shape", mismatchedTables},
+		{"index values", strings.Replace(mismatchedTables,
+			`index_1 ("0, 10, 20"); index_2 ("0, 100"); values ("10, 20", "30, 40", "50, 60");`,
+			`index_1 ("0, 5"); index_2 ("0, 100"); values ("10, 20", "30, 40");`, 1)},
+		{"transition", strings.Replace(mismatchedTables,
+			`fall_transition (tmpl) { index_1 ("0, 10"); index_2 ("0, 100");`,
+			`fall_transition (tmpl) { index_1 ("0, 10"); index_2 ("0, 50");`, 1)},
+	} {
+		_, err := Parse(strings.NewReader(tc.src))
+		ie, ok := ingest.As(err)
+		if !ok {
+			t.Fatalf("%s: want *ingest.Error, got %v", tc.name, err)
+		}
+		if len(ie.Diags) != 1 {
+			t.Fatalf("%s: want 1 diagnostic, got %v", tc.name, ie.Diags)
+		}
+		d := ie.Diags[0]
+		if d.Check != ingest.CheckSemantic || d.Line < 9 || d.Line > 11 || d.Col == 0 {
+			t.Fatalf("%s: diagnostic not a positioned semantic one at the table: %+v", tc.name, d)
+		}
+		if !strings.Contains(d.Msg, "index_1/index_2 differ") {
+			t.Fatalf("%s: diagnostic message %q", tc.name, d.Msg)
+		}
+	}
+}
+
 func TestLexerHandlesCommentsAndContinuations(t *testing.T) {
 	lim := ingest.Default()
 	src := "a /* x\ny */ : 1; // trailing\nb \\\n: 2;"

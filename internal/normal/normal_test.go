@@ -272,3 +272,15 @@ func TestSigmaOfNonPositiveVariance(t *testing.T) {
 		t.Error("zero variance should give sigma 0")
 	}
 }
+
+// TestClarkMaxClampsRoundOff pins the variance guard deterministically:
+// with means far above the spread, nu2 - nu1^2 cancels catastrophically
+// and must clamp at zero instead of going negative.
+func TestClarkMaxClampsRoundOff(t *testing.T) {
+	a := Moments{Mean: 1e6, Var: 1e-6}
+	for _, m := range []Moments{MaxExact(a, a), MaxApprox(a, a)} {
+		if m.Var < 0 || math.IsNaN(m.Sigma()) {
+			t.Fatalf("max of two near-deterministic arrivals: %+v", m)
+		}
+	}
+}

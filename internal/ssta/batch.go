@@ -7,14 +7,11 @@ import (
 	"repro/internal/dpdf"
 	"repro/internal/normal"
 	"repro/internal/parallel"
-	"repro/internal/sta"
-	"repro/internal/synth"
-	"repro/internal/variation"
 )
 
 // WhatIfOutcome is the circuit-level summary of one hypothetical sizing,
-// bit-identical to what applying the changes (Incremental.ResizeAll) and
-// reading Result would produce — without the engine ever moving.
+// bit-identical to what applying the changes (ResizeAll) and reading
+// Result would produce — without the engine ever moving.
 type WhatIfOutcome struct {
 	// Mean and Sigma are the circuit-delay PDF moments under the
 	// candidate sizing.
@@ -30,55 +27,76 @@ type WhatIfOutcome struct {
 	Changed bool
 }
 
-// batchRunner is the shared core of the BatchWhatIf entry points: a
-// read-only clean analysis plus per-worker overlay state. Candidates are
-// evaluated against the clean state only — the shared engine, circuit
-// sizes, and clean result are never written — so K candidates fan out
-// over workers with bit-deterministic results at any worker count.
-type batchRunner struct {
-	d      *synth.Design
-	vm     *variation.Model
-	pts    int
-	lambda float64
-	level  []int32
-
-	// Clean-state accessors. cleanSTA is read directly; cleanPDF and
-	// cleanNode abstract over heap-PDF (Incremental) and arena (Flat)
-	// storage.
-	cleanSTA  *sta.Result
-	cleanPDF  func(circuit.GateID) dpdf.PDF
-	cleanNode func(circuit.GateID) normal.Moments
-	clean     WhatIfOutcome
+// BatchWhatIf evaluates K candidate sizings against the engine's current
+// analysis in one pass, sharing the clean cone prefix: the clean arena is
+// read-only, each candidate repairs only its dirty cone into a per-worker
+// overlay arena, and neither the circuit nor the engine moves. Outcome
+// summaries are bit-identical to applying each candidate via ResizeAll
+// and reading Result (the differential tests pin this). Sizes in each
+// candidate are absolute target size indices; gates already at the
+// target are ignored. workers <= 0 means one per CPU; results do not
+// depend on the worker count.
+//
+// The circuit's sizes must match the engine state (call Sync first if
+// they were edited externally); BatchWhatIf panics otherwise, because the
+// clean analysis it shares would silently be stale.
+func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []WhatIfOutcome {
+	f.checkRev()
+	c := f.d.Circuit
+	for id := range f.sizes {
+		if c.Gate(circuit.GateID(id)).SizeIdx != f.sizes[id] {
+			panic("ssta: circuit sizes diverge from engine state; Sync before BatchWhatIf")
+		}
+	}
+	r := f.r
+	clean := WhatIfOutcome{
+		Mean:       r.Mean,
+		Sigma:      r.Sigma,
+		Cost:       r.Cost(f.d, lambda),
+		MaxArrival: r.STA.MaxArrival,
+	}
+	outs := make([]WhatIfOutcome, len(cands))
+	workers = min(parallel.Resolve(workers), len(cands))
+	state := make([]*whatIfWorker, workers)
+	parallel.ForEachWorker(workers, len(cands), func(wi, i int) {
+		if state[wi] == nil {
+			state[wi] = f.newWhatIfWorker()
+		}
+		outs[i] = state[wi].evaluate(cands[i], lambda, clean)
+	})
+	return outs
 }
 
-// whatIfWorker is one worker's overlay: sparse copy-on-write views of
-// the deterministic arrays, the arrival-PDF arena, node moments, and
-// size overrides. Overlay slots shadow the clean analysis; everything
-// not marked dirty reads through to it. Reset is O(touched).
+// whatIfWorker is one worker's overlay over the engine's clean
+// analysis: sparse copy-on-write views of the deterministic arrays, the
+// arrival-PDF arena, node moments, and size overrides. Overlay slots
+// shadow the clean analysis; everything not marked dirty reads through
+// to it. Reset is O(touched).
 type whatIfWorker struct {
-	kern  dpdf.Scratch
-	ops   []dpdf.PDF
+	f     *Flat
+	sc    flatScratch
 	queue *circuit.LevelQueue
 	over  *dpdf.Arena // arrival PDFs; slot n = candidate circuit PDF
 	// An overlay arena slot with Len > 0 shadows the clean arrival PDF;
 	// staDirty marks shadowed deterministic values. Input gates set only
 	// the latter (their statistical arrival is pinned at Point(0)).
-	staDirty          []bool
-	arr, slew, inSlew []float64
-	mom               []normal.Moments
-	touched           []circuit.GateID
-	sizeOv            []int32 // -1 = no override
-	sizeTouched       []circuit.GateID
+	staDirty    []bool
+	arr, slew   []float64
+	mom         []normal.Moments
+	touched     []circuit.GateID
+	sizeOv      []int32 // -1 = no override
+	sizeTouched []circuit.GateID
 }
 
-func newWhatIfWorker(n, pts int) *whatIfWorker {
+func (f *Flat) newWhatIfWorker() *whatIfWorker {
+	n := f.d.Circuit.NumGates()
 	w := &whatIfWorker{
+		f:        f,
 		queue:    circuit.NewLevelQueue(n),
-		over:     dpdf.NewArena(n+1, pts),
+		over:     dpdf.NewArena(n+1, f.pts),
 		staDirty: make([]bool, n),
 		arr:      make([]float64, n),
 		slew:     make([]float64, n),
-		inSlew:   make([]float64, n),
 		mom:      make([]normal.Moments, n),
 		sizeOv:   make([]int32, n),
 	}
@@ -101,64 +119,69 @@ func (w *whatIfWorker) reset() {
 	w.sizeTouched = w.sizeTouched[:0]
 }
 
-func (w *whatIfWorker) staArr(b *batchRunner, id circuit.GateID) float64 {
+func (w *whatIfWorker) staArrival(id circuit.GateID) float64 {
 	if w.staDirty[id] {
 		return w.arr[id]
 	}
-	return b.cleanSTA.Arrival[id]
+	return w.f.r.STA.Arrival[id]
 }
 
-func (w *whatIfWorker) staSlew(b *batchRunner, id circuit.GateID) float64 {
+func (w *whatIfWorker) staSlew(id circuit.GateID) float64 {
 	if w.staDirty[id] {
 		return w.slew[id]
 	}
-	return b.cleanSTA.Slew[id]
+	return w.f.r.STA.Slew[id]
 }
 
-func (w *whatIfWorker) pdf(b *batchRunner, id circuit.GateID) dpdf.PDF {
+func (w *whatIfWorker) arrival(id circuit.GateID) dpdf.PDF {
 	if w.over.Len(int(id)) > 0 {
 		return w.over.View(int(id))
 	}
-	return b.cleanPDF(id)
+	return w.f.arena.View(int(id))
 }
 
-func (w *whatIfWorker) nodeMoments(b *batchRunner, id circuit.GateID) normal.Moments {
+func (w *whatIfWorker) moments(id circuit.GateID) normal.Moments {
 	if w.over.Len(int(id)) > 0 {
 		return w.mom[id]
 	}
-	return b.cleanNode(id)
+	return w.f.r.Node[id]
 }
 
-func (w *whatIfWorker) size(b *batchRunner, id circuit.GateID) int {
+func (w *whatIfWorker) size(id circuit.GateID) int {
 	if s := w.sizeOv[id]; s >= 0 {
 		return int(s)
 	}
-	return b.d.Circuit.Gate(id).SizeIdx
+	return w.f.d.Circuit.Gate(id).SizeIdx
 }
 
 // load mirrors synth.Design.Load under the candidate's size overrides:
-// same traversal order, same additions, bit-identical when no override
-// applies.
-func (w *whatIfWorker) load(b *batchRunner, id circuit.GateID) float64 {
-	d := b.d
-	g := d.Circuit.Gate(id)
+// fanout input caps in fanout order, then the PO load — bit-identical
+// when no override applies.
+func (w *whatIfWorker) load(id circuit.GateID) float64 {
+	d := w.f.d
 	load := 0.0
-	for _, fo := range g.Fanout {
-		load += d.CellAt(fo, w.size(b, fo)).InputCap
+	for _, fo := range d.Circuit.Gate(id).Fanout {
+		load += d.CellAt(fo, w.size(fo)).InputCap
 	}
-	for _, po := range d.Circuit.Outputs {
-		if po == id {
-			load += d.Lib.PrimaryOutputLoad
-			break
-		}
+	if d.Circuit.IsOutput(id) {
+		load += d.Lib.PrimaryOutputLoad
 	}
 	return load
 }
 
+// markDirty shadows id's deterministic values in the overlay.
+func (w *whatIfWorker) markDirty(id circuit.GateID) {
+	if !w.staDirty[id] {
+		w.staDirty[id] = true
+		w.touched = append(w.touched, id)
+	}
+}
+
 // evaluate runs one candidate through the overlay: seed the dirty set,
-// repair level-ordered with the exact Incremental cutoff, summarize.
-func (b *batchRunner) evaluate(w *whatIfWorker, changes []SizeChange) WhatIfOutcome {
-	c := b.d.Circuit
+// repair level-ordered with the engine's exact cutoff, summarize.
+func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean WhatIfOutcome) WhatIfOutcome {
+	f := w.f
+	c := f.d.Circuit
 	for _, ch := range changes {
 		if c.Gate(ch.Gate).SizeIdx == ch.Size && w.sizeOv[ch.Gate] < 0 {
 			continue
@@ -167,9 +190,9 @@ func (b *batchRunner) evaluate(w *whatIfWorker, changes []SizeChange) WhatIfOutc
 			w.sizeTouched = append(w.sizeTouched, ch.Gate)
 		}
 		w.sizeOv[ch.Gate] = int32(ch.Size)
-		w.queue.Push(ch.Gate, b.level[ch.Gate])
-		for _, f := range c.Gate(ch.Gate).Fanin {
-			w.queue.Push(f, b.level[f])
+		w.queue.Push(ch.Gate, f.level[ch.Gate])
+		for _, fid := range c.Gate(ch.Gate).Fanin {
+			w.queue.Push(fid, f.level[fid])
 		}
 	}
 	touched := 0
@@ -180,207 +203,62 @@ func (b *batchRunner) evaluate(w *whatIfWorker, changes []SizeChange) WhatIfOutc
 			break
 		}
 		touched++
-		if b.recompute(w, id) {
+		if w.recompute(id) {
 			anyChanged = true
 			for _, fo := range c.Gate(id).Fanout {
-				w.queue.Push(fo, b.level[fo])
+				w.queue.Push(fo, f.level[fo])
 			}
 		}
 	}
-	out := b.clean
+	out := clean
 	out.Touched = touched
 	out.Changed = anyChanged
 	if anyChanged {
-		// Mirror refreshSummary / Result.Cost through the overlay.
-		maxArr := math.Inf(-1)
-		for _, po := range c.Outputs {
-			if a := w.staArr(b, po); a > maxArr {
-				maxArr = a
-			}
-		}
-		if len(c.Outputs) == 0 {
-			maxArr = 0
-		}
-		w.ops = w.ops[:0]
-		for _, po := range c.Outputs {
-			w.ops = append(w.ops, w.pdf(b, po))
-		}
-		top := c.NumGates()
-		w.over.MaxNInto(&w.kern, top, w.ops, b.pts)
-		m := w.over.Moments(top)
+		maxArr, _, m := f.summarize(w, &w.sc, w.over, c.NumGates())
 		out.Mean = m.Mean
 		out.Sigma = math.Sqrt(m.Var)
 		out.MaxArrival = maxArr
-		out.Cost = b.poCost(func(po circuit.GateID) normal.Moments { return w.nodeMoments(b, po) })
+		out.Cost = cost(c.Outputs, w, lambda)
 	}
 	w.reset()
 	return out
 }
 
-// recompute re-derives one node into the overlay, mirroring
-// Incremental.recompute operation for operation; "changed" compares
-// against the clean analysis (each node is visited at most once per
-// candidate, so the clean value IS the previous value).
-func (b *batchRunner) recompute(w *whatIfWorker, id circuit.GateID) bool {
-	d := b.d
+// recompute re-derives one node into the overlay through the engine's
+// eval; "changed" compares against the clean analysis (each node is
+// visited at most once per candidate, so the clean value IS the
+// previous value).
+func (w *whatIfWorker) recompute(id circuit.GateID) bool {
+	f := w.f
+	d := f.d
 	g := d.Circuit.Gate(id)
-
 	if g.Fn == circuit.Input {
-		newArr := d.Lib.PrimaryInputRes * w.load(b, id)
+		newArr := d.Lib.PrimaryInputRes * w.load(id)
 		newSlew := d.Lib.PrimaryInputSlew
-		changed := newArr != w.staArr(b, id) || newSlew != w.staSlew(b, id)
-		if !w.staDirty[id] {
-			w.staDirty[id] = true
-			w.touched = append(w.touched, id)
-		}
+		changed := newArr != w.staArrival(id) || newSlew != w.staSlew(id)
+		w.markDirty(id)
 		w.arr[id] = newArr
 		w.slew[id] = newSlew
 		return changed
 	}
-
 	var fArr, fSlew float64
-	for _, f := range g.Fanin {
-		if a := w.staArr(b, f); a > fArr {
+	w.sc.ops = w.sc.ops[:0]
+	for _, fid := range g.Fanin {
+		if a := w.staArrival(fid); a > fArr {
 			fArr = a
 		}
-		if s := w.staSlew(b, f); s > fSlew {
+		if s := w.staSlew(fid); s > fSlew {
 			fSlew = s
 		}
-	}
-	cell := d.CellAt(id, w.size(b, id))
-	load := w.load(b, id)
-	newDelay := cell.Delay.Lookup(fSlew, load)
-	newSlew := cell.OutSlew.Lookup(fSlew, load)
-	newArr := fArr + newDelay
-	changed := newArr != w.staArr(b, id) || newSlew != w.staSlew(b, id)
-	if !w.staDirty[id] {
-		w.staDirty[id] = true
-		w.touched = append(w.touched, id)
-	}
-	w.inSlew[id] = fSlew
-	w.slew[id] = newSlew
-	w.arr[id] = newArr
-
-	sigma := b.vm.Sigma(cell, newDelay)
-
-	w.ops = w.ops[:0]
-	for _, f := range g.Fanin {
-		w.ops = append(w.ops, w.pdf(b, f))
+		w.sc.ops = append(w.sc.ops, w.arrival(fid))
 	}
 	slot := int(id)
-	temp := w.kern.TempNormal(newDelay, sigma, b.pts)
-	if len(w.ops) == 1 {
-		w.over.SumInto(&w.kern, slot, w.ops[0], temp, b.pts)
-	} else {
-		w.over.MaxNInto(&w.kern, slot, w.ops, b.pts)
-		w.over.SumInto(&w.kern, slot, w.over.View(slot), temp, b.pts)
-	}
-	if !w.over.Equal(slot, b.cleanPDF(id)) {
-		changed = true
-	}
-	w.mom[id] = w.over.Moments(slot)
+	e := f.eval(&w.sc, w.over, slot, d.CellAt(id, w.size(id)), w.load(id), fArr, fSlew)
+	changed := e.arrival != w.staArrival(id) || e.slew != w.staSlew(id) ||
+		!w.over.Equal(slot, f.arena.View(slot))
+	w.markDirty(id)
+	w.arr[id] = e.arrival
+	w.slew[id] = e.slew
+	w.mom[id] = e.node
 	return changed
-}
-
-// poCost is Result.Cost over an arbitrary moments accessor.
-func (b *batchRunner) poCost(node func(circuit.GateID) normal.Moments) float64 {
-	worst := math.Inf(-1)
-	for _, po := range b.d.Circuit.Outputs {
-		m := node(po)
-		if c := m.Mean + b.lambda*m.Sigma(); c > worst {
-			worst = c
-		}
-	}
-	if len(b.d.Circuit.Outputs) == 0 {
-		return 0
-	}
-	return worst
-}
-
-// run fans the candidates out over workers, each with its own overlay.
-func (b *batchRunner) run(cands [][]SizeChange, workers int) []WhatIfOutcome {
-	b.clean.Cost = b.poCost(b.cleanNode)
-	n := b.d.Circuit.NumGates()
-	outs := make([]WhatIfOutcome, len(cands))
-	workers = parallel.Resolve(workers)
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	state := make([]*whatIfWorker, workers)
-	parallel.ForEachWorker(workers, len(cands), func(wi, i int) {
-		if state[wi] == nil {
-			state[wi] = newWhatIfWorker(n, b.pts)
-		}
-		outs[i] = b.evaluate(state[wi], cands[i])
-	})
-	return outs
-}
-
-// BatchWhatIf evaluates K candidate sizings against the engine's current
-// analysis in one pass, sharing the clean cone prefix: the clean state is
-// read-only, each candidate repairs only its dirty cone into a per-worker
-// overlay arena, and neither the circuit nor the engine moves. Outcome
-// summaries are bit-identical to applying each candidate via ResizeAll
-// and reading Result (the differential tests pin this). Sizes in each
-// candidate are absolute target size indices; gates already at the
-// target are ignored. workers <= 0 means one per CPU; results do not
-// depend on the worker count.
-//
-// The circuit's sizes must match the engine state (call Sync first if
-// they were edited externally); BatchWhatIf panics otherwise, because the
-// "clean" analysis it shares would silently be stale.
-func (inc *Incremental) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []WhatIfOutcome {
-	inc.checkRev()
-	c := inc.d.Circuit
-	for id := 0; id < c.NumGates(); id++ {
-		if c.Gate(circuit.GateID(id)).SizeIdx != inc.sizes[id] {
-			panic("ssta: circuit sizes diverge from engine state; Sync before BatchWhatIf")
-		}
-	}
-	b := &batchRunner{
-		d:         inc.d,
-		vm:        inc.vm,
-		pts:       inc.pts,
-		lambda:    lambda,
-		level:     inc.level,
-		cleanSTA:  inc.r.STA,
-		cleanPDF:  func(id circuit.GateID) dpdf.PDF { return inc.r.Arrival[id] },
-		cleanNode: func(id circuit.GateID) normal.Moments { return inc.r.Node[id] },
-		clean: WhatIfOutcome{
-			Mean:       inc.r.Mean,
-			Sigma:      inc.r.Sigma,
-			MaxArrival: inc.r.STA.MaxArrival,
-		},
-	}
-	return b.run(cands, workers)
-}
-
-// BatchWhatIf on the flat engine: identical semantics, with the clean
-// arrival PDFs read straight out of the arena.
-func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []WhatIfOutcome {
-	c := f.d.Circuit
-	if f.rev != c.Revision() {
-		panic("ssta: circuit structure changed under Flat; rebuild it")
-	}
-	for id := 0; id < c.NumGates(); id++ {
-		if c.Gate(circuit.GateID(id)).SizeIdx != f.sizes[id] {
-			panic("ssta: circuit sizes diverge from engine state; Recompute before BatchWhatIf")
-		}
-	}
-	b := &batchRunner{
-		d:         f.d,
-		vm:        f.vm,
-		pts:       f.pts,
-		lambda:    lambda,
-		level:     f.level,
-		cleanSTA:  f.sta,
-		cleanPDF:  func(id circuit.GateID) dpdf.PDF { return f.arena.View(int(id)) },
-		cleanNode: func(id circuit.GateID) normal.Moments { return f.node[id] },
-		clean: WhatIfOutcome{
-			Mean:       f.mean,
-			Sigma:      f.sigma,
-			MaxArrival: f.sta.MaxArrival,
-		},
-	}
-	return b.run(cands, workers)
 }

@@ -3,6 +3,7 @@ package ssta
 import (
 	"math"
 
+	"repro/internal/cells"
 	"repro/internal/circuit"
 	"repro/internal/dpdf"
 	"repro/internal/normal"
@@ -12,41 +13,46 @@ import (
 	"repro/internal/variation"
 )
 
-// Flat is the flat-array FULLSSTA engine: the same analysis as Analyze,
-// bit for bit, but with every node PDF stored in one contiguous
-// dpdf.Arena (structure-of-arrays, fixed stride) and the propagation
-// walking precomputed level buckets front to back — no per-gate PDF
-// allocation, no pointer chasing through heap-scattered slices. After
-// construction, Recompute re-runs the full analysis at the circuit's
-// current sizes with zero steady-state allocations (workers <= 1), which
-// is what makes it the engine of choice for loops that re-analyze the
-// same circuit many times (optimizer probes, batched what-if).
+// Flat is the FULLSSTA engine. Every node PDF is stored in one
+// contiguous dpdf.Arena (structure-of-arrays, fixed stride) and the full
+// analysis walks precomputed level buckets front to back — no per-gate
+// PDF allocation, no pointer chasing through heap-scattered slices. One
+// per-gate step (step, eval) serves the full recompute, the dirty-cone
+// repair of Resize/ResizeAll/Sync with its Rollback journal
+// (incremental.go), and the what-if overlays of BatchWhatIf (batch.go).
 //
-// A Flat is bound to the circuit structure at construction; like
-// Incremental it panics if the structure changes. It is not safe for
-// concurrent use, but Recompute with Workers > 1 parallelizes internally
-// over level barriers with bit-identical results.
+// A Flat is bound to the circuit structure at construction and panics
+// if the structure changes. It is not safe for concurrent use, but
+// Recompute with Workers > 1 parallelizes internally over level
+// barriers with bit-identical results.
 type Flat struct {
 	d       *synth.Design
 	vm      *variation.Model
-	opts    Options
 	pts     int
 	workers int
 	rev     int
 
-	sta       *sta.Result
-	arena     *dpdf.Arena // NumGates()+1 slots; the last is the circuit PDF
-	node      []normal.Moments
-	gateDelay []normal.Moments
-	sigmas    []float64
-	sizes     []int // sizes as of the last Recompute (BatchWhatIf guard)
+	r     *Result     // engine-owned, updated in place
+	arena *dpdf.Arena // NumGates()+1 slots; the last is the circuit PDF
+	sizes []int       // the sizes the analysis reflects
 
-	topo    []circuit.GateID
 	level   []int32
-	buckets [][]circuit.GateID // non-input gates by topological level
+	buckets [][]circuit.GateID // every gate, by topological level
+	sc      []flatScratch      // one per worker
 
-	sc          []flatScratch
-	mean, sigma float64
+	// Dirty-cone repair state, allocated by the first transaction.
+	queue      *circuit.LevelQueue
+	evals      []int64
+	totalEvals int64
+
+	// Transaction journal: every repaired node's prior state, in repair
+	// order, with its arrival PDF in jarena slot index+1 (slot 0 holds
+	// the circuit PDF), plus the size edits and the circuit summary.
+	journal []nodeSave
+	jarena  *dpdf.Arena
+	sizeLog []sizeSave
+	summary summarySave
+	hasTxn  bool
 }
 
 // flatScratch is one worker's reusable state: kernel buffers plus a
@@ -56,213 +62,176 @@ type flatScratch struct {
 	ops  []dpdf.PDF
 }
 
-// NewFlat builds the flat engine and runs the first full analysis.
+// NewFlat builds the engine and runs the first full analysis.
 func NewFlat(d *synth.Design, vm *variation.Model, opts Options) *Flat {
 	pts := opts.points()
 	workers := parallel.Resolve(opts.Workers)
 	c := d.Circuit
 	n := c.NumGates()
 	lv, depth := c.Levels()
-	topo := c.MustTopoOrder()
 	f := &Flat{
 		d:       d,
 		vm:      vm,
-		opts:    opts,
 		pts:     pts,
 		workers: workers,
 		rev:     c.Revision(),
-		sta: &sta.Result{
-			Arrival: make([]float64, n),
-			Slew:    make([]float64, n),
-			Delay:   make([]float64, n),
-			InSlew:  make([]float64, n),
-			WorstPO: circuit.None,
+		r: &Result{
+			STA: &sta.Result{
+				Arrival: make([]float64, n),
+				Slew:    make([]float64, n),
+				Delay:   make([]float64, n),
+				InSlew:  make([]float64, n),
+				WorstPO: circuit.None,
+			},
+			Arrival:   make([]dpdf.PDF, n),
+			Node:      make([]normal.Moments, n),
+			GateDelay: make([]normal.Moments, n),
 		},
-		arena:     dpdf.NewArena(n+1, pts),
-		node:      make([]normal.Moments, n),
-		gateDelay: make([]normal.Moments, n),
-		sigmas:    make([]float64, n),
-		sizes:     make([]int, n),
-		topo:      topo,
-		level:     lv,
-		buckets:   make([][]circuit.GateID, depth+1),
-		sc:        make([]flatScratch, workers),
+		arena:   dpdf.NewArena(n+1, pts),
+		sizes:   make([]int, n),
+		level:   lv,
+		buckets: make([][]circuit.GateID, depth+1),
+		sc:      make([]flatScratch, workers),
 	}
-	for _, id := range topo {
+	for _, id := range c.MustTopoOrder() {
+		f.buckets[lv[id]] = append(f.buckets[lv[id]], id)
 		if c.Gate(id).Fn == circuit.Input {
 			// The statistical arrival at a PI is Point(0), always.
 			f.arena.SetPoint(int(id), 0)
-		} else {
-			f.buckets[lv[id]] = append(f.buckets[lv[id]], id)
+			f.r.Arrival[id] = f.arena.View(int(id))
 		}
 	}
 	f.Recompute()
 	return f
 }
 
+// Result returns the up-to-date analysis, owned by the engine and
+// updated in place by every recompute, repair and rollback.
+func (f *Flat) Result() *Result { return f.r }
+
 // Recompute re-runs the full analysis at the circuit's current sizes,
-// in place. Results are bit-identical to a fresh Analyze; with
-// workers <= 1 the steady state allocates nothing.
+// in place, committing any open transaction. Results are bit-identical
+// to a fresh Analyze; with workers <= 1 the steady state allocates
+// nothing.
 func (f *Flat) Recompute() {
-	if f.rev != f.d.Circuit.Revision() {
-		panic("ssta: circuit structure changed under Flat; rebuild it")
-	}
-	f.recomputeSTA()
+	f.checkRev()
+	f.commit()
 	c := f.d.Circuit
-	for _, id := range f.topo {
-		if c.Gate(id).Fn == circuit.Input {
-			continue
-		}
-		mean := f.sta.Delay[id]
-		sigma := f.vm.Sigma(f.d.Cell(id), mean)
-		f.sigmas[id] = sigma
-		f.gateDelay[id] = normal.Moments{Mean: mean, Var: sigma * sigma}
+	for id := range f.sizes {
+		f.sizes[id] = c.Gate(circuit.GateID(id)).SizeIdx
 	}
 	if f.workers <= 1 {
 		sc := &f.sc[0]
 		for _, bucket := range f.buckets {
 			for _, id := range bucket {
-				f.propagate(sc, id)
+				f.step(sc, id)
 			}
 		}
 	} else {
 		parallel.Levels(f.workers, f.buckets, func(w int, id circuit.GateID) {
-			f.propagate(&f.sc[w], id)
+			f.step(&f.sc[w], id)
 		})
 	}
-	// Circuit PDF: Max over all POs, into the arena's extra slot.
-	sc := &f.sc[0]
-	sc.ops = sc.ops[:0]
-	for _, po := range c.Outputs {
-		sc.ops = append(sc.ops, f.arena.View(int(po)))
-	}
-	top := c.NumGates()
-	f.arena.MaxNInto(&sc.kern, top, sc.ops, f.pts)
-	m := f.arena.Moments(top)
-	f.mean = m.Mean
-	f.sigma = math.Sqrt(m.Var)
-	for id := 0; id < c.NumGates(); id++ {
-		f.sizes[id] = c.Gate(circuit.GateID(id)).SizeIdx
+	f.refreshSummary()
+}
+
+func (f *Flat) checkRev() {
+	if f.rev != f.d.Circuit.Revision() {
+		panic("ssta: circuit structure changed under the engine; rebuild it")
 	}
 }
 
-// recomputeSTA mirrors sta.Analyze in place: same topological order,
-// same operations, bit-identical values.
-func (f *Flat) recomputeSTA() {
-	c := f.d.Circuit
-	r := f.sta
-	for _, id := range f.topo {
-		g := c.Gate(id)
-		if g.Fn == circuit.Input {
-			r.Arrival[id] = f.d.Lib.PrimaryInputRes * f.d.Load(id)
-			r.Slew[id] = f.d.Lib.PrimaryInputSlew
-			continue
-		}
-		var arr, slew float64
-		for _, fid := range g.Fanin {
-			if r.Arrival[fid] > arr {
-				arr = r.Arrival[fid]
-			}
-			if r.Slew[fid] > slew {
-				slew = r.Slew[fid]
-			}
-		}
-		r.InSlew[id] = slew
-		cell := f.d.Cell(id)
-		load := f.d.Load(id)
-		r.Delay[id] = cell.Delay.Lookup(slew, load)
-		r.Slew[id] = cell.OutSlew.Lookup(slew, load)
-		r.Arrival[id] = arr + r.Delay[id]
+// step re-derives one gate of the engine's own analysis in place, from
+// its fanins' current values.
+func (f *Flat) step(sc *flatScratch, id circuit.GateID) {
+	d, r := f.d, f.r
+	g := d.Circuit.Gate(id)
+	if g.Fn == circuit.Input {
+		// Finite source drive: a loaded input arrives later. Only the
+		// deterministic view moves; the statistical arrival stays Point(0).
+		r.STA.Arrival[id] = d.Lib.PrimaryInputRes * d.Load(id)
+		r.STA.Slew[id] = d.Lib.PrimaryInputSlew
+		return
 	}
-	r.MaxArrival = math.Inf(-1)
-	r.WorstPO = circuit.None
-	for _, po := range c.Outputs {
-		if r.Arrival[po] > r.MaxArrival {
-			r.MaxArrival = r.Arrival[po]
-			r.WorstPO = po
-		}
-	}
-	if len(c.Outputs) == 0 {
-		r.MaxArrival = 0
-	}
-}
-
-// propagate computes one gate's arrival PDF into its arena slot —
-// Analyze's propagate with the kernels running in place.
-func (f *Flat) propagate(sc *flatScratch, id circuit.GateID) {
-	g := f.d.Circuit.Gate(id)
+	var fArr, fSlew float64
 	sc.ops = sc.ops[:0]
 	for _, fid := range g.Fanin {
+		if a := r.STA.Arrival[fid]; a > fArr {
+			fArr = a
+		}
+		if s := r.STA.Slew[fid]; s > fSlew {
+			fSlew = s
+		}
 		sc.ops = append(sc.ops, f.arena.View(int(fid)))
 	}
-	slot := int(id)
-	temp := sc.kern.TempNormal(f.gateDelay[id].Mean, f.sigmas[id], f.pts)
+	e := f.eval(sc, f.arena, int(id), d.Cell(id), d.Load(id), fArr, fSlew)
+	r.STA.InSlew[id] = fSlew
+	r.STA.Delay[id] = e.delay
+	r.STA.Slew[id] = e.slew
+	r.STA.Arrival[id] = e.arrival
+	r.GateDelay[id] = e.gateDelay
+	r.Node[id] = e.node
+	r.Arrival[id] = f.arena.View(int(id))
+}
+
+// gateEval is one logic gate's re-derived timing.
+type gateEval struct {
+	delay, slew, arrival float64
+	gateDelay, node      normal.Moments
+}
+
+// eval is FULLSSTA's per-gate computation, shared by every path through
+// the engine. From the worst fanin arrival and slew and the gate's cell
+// and load it derives the nominal timing with sta.Analyze's arithmetic,
+// then writes the arrival PDF Sum(MaxN(sc.ops), N(delay, sigma)) into
+// slot of a.
+func (f *Flat) eval(sc *flatScratch, a *dpdf.Arena, slot int, cell *cells.Cell, load, fArr, fSlew float64) gateEval {
+	delay := cell.Delay.Lookup(fSlew, load)
+	sigma := f.vm.Sigma(cell, delay)
+	temp := sc.kern.TempNormal(delay, sigma, f.pts)
 	if len(sc.ops) == 1 {
 		// MaxN over one fanin is that fanin verbatim; fuse into the Sum.
-		f.arena.SumInto(&sc.kern, slot, sc.ops[0], temp, f.pts)
+		a.SumInto(&sc.kern, slot, sc.ops[0], temp, f.pts)
 	} else {
-		f.arena.MaxNInto(&sc.kern, slot, sc.ops, f.pts)
-		f.arena.SumInto(&sc.kern, slot, f.arena.View(slot), temp, f.pts)
+		a.MaxNInto(&sc.kern, slot, sc.ops, f.pts)
+		a.SumInto(&sc.kern, slot, a.View(slot), temp, f.pts)
 	}
-	f.node[id] = f.arena.Moments(slot)
+	return gateEval{
+		delay:     delay,
+		slew:      cell.OutSlew.Lookup(fSlew, load),
+		arrival:   fArr + delay,
+		gateDelay: normal.Moments{Mean: delay, Var: sigma * sigma},
+		node:      a.Moments(slot),
+	}
 }
 
-// Mean and Sigma are the circuit-delay moments of the last Recompute.
-func (f *Flat) Mean() float64  { return f.mean }
-func (f *Flat) Sigma() float64 { return f.sigma }
-
-// STA returns the engine-owned deterministic analysis (updated in place
-// by Recompute).
-func (f *Flat) STA() *sta.Result { return f.sta }
-
-// NodeMoments returns the arrival moments at a node.
-func (f *Flat) NodeMoments(id circuit.GateID) normal.Moments { return f.node[id] }
-
-// CircuitPDF returns a copy of the circuit-delay PDF.
-func (f *Flat) CircuitPDF() dpdf.PDF { return f.arena.PDF(f.d.Circuit.NumGates()) }
-
-// Arrival returns a copy of the arrival PDF at a node.
-func (f *Flat) Arrival(id circuit.GateID) dpdf.PDF { return f.arena.PDF(int(id)) }
-
-// Cost evaluates the paper's objective exactly like Result.Cost.
-func (f *Flat) Cost(lambda float64) float64 {
-	worst := math.Inf(-1)
-	for _, po := range f.d.Circuit.Outputs {
-		m := f.node[po]
-		if c := m.Mean + lambda*m.Sigma(); c > worst {
-			worst = c
+// summarize computes the circuit-level summary from v's per-node
+// values: the deterministic circuit delay and worst PO (sta.Analyze's
+// scan) and the circuit PDF, Max over all POs, written into slot dst of
+// a, with its moments.
+func (f *Flat) summarize(v timingView, sc *flatScratch, a *dpdf.Arena, dst int) (maxArr float64, worstPO circuit.GateID, m normal.Moments) {
+	outs := f.d.Circuit.Outputs
+	maxArr, worstPO = math.Inf(-1), circuit.None
+	sc.ops = sc.ops[:0]
+	for _, po := range outs {
+		if arr := v.staArrival(po); arr > maxArr {
+			maxArr, worstPO = arr, po
 		}
+		sc.ops = append(sc.ops, v.arrival(po))
 	}
-	if len(f.d.Circuit.Outputs) == 0 {
-		return 0
+	if len(outs) == 0 {
+		maxArr = 0
 	}
-	return worst
+	a.MaxNInto(&sc.kern, dst, sc.ops, f.pts)
+	return maxArr, worstPO, a.Moments(dst)
 }
 
-// Result materializes a full, independently owned *Result from the
-// engine state — an allocation per node, so this is for inspection and
-// differential tests, not the hot loop.
-func (f *Flat) Result() *Result {
-	c := f.d.Circuit
-	n := c.NumGates()
-	r := &Result{
-		STA: &sta.Result{
-			Arrival:    append([]float64(nil), f.sta.Arrival...),
-			Slew:       append([]float64(nil), f.sta.Slew...),
-			Delay:      append([]float64(nil), f.sta.Delay...),
-			InSlew:     append([]float64(nil), f.sta.InSlew...),
-			MaxArrival: f.sta.MaxArrival,
-			WorstPO:    f.sta.WorstPO,
-		},
-		Arrival:    make([]dpdf.PDF, n),
-		Node:       append([]normal.Moments(nil), f.node...),
-		GateDelay:  append([]normal.Moments(nil), f.gateDelay...),
-		CircuitPDF: f.CircuitPDF(),
-		Mean:       f.mean,
-		Sigma:      f.sigma,
-	}
-	for id := 0; id < n; id++ {
-		r.Arrival[id] = f.arena.PDF(id)
-	}
-	return r
+// refreshSummary re-derives the engine Result's circuit-level fields.
+func (f *Flat) refreshSummary() {
+	r := f.r
+	top := f.d.Circuit.NumGates()
+	var m normal.Moments
+	r.STA.MaxArrival, r.STA.WorstPO, m = f.summarize(r, &f.sc[0], f.arena, top)
+	r.CircuitPDF = f.arena.View(top)
+	r.Mean, r.Sigma = m.Mean, math.Sqrt(m.Var)
 }

@@ -1,6 +1,7 @@
 package ssta
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -59,15 +60,21 @@ func requireSameResult(t *testing.T, ctx string, got, want *Result) {
 	}
 }
 
+// TestFlatBitIdenticalToAnalyze pins the arena engine to the heap-PDF
+// oracle on every node and on the circuit PDF, for every Table-1
+// circuit, at several worker counts and sampling rates.
 func TestFlatBitIdenticalToAnalyze(t *testing.T) {
-	for _, name := range flatFamily {
+	for _, name := range gen.ISCASNames() {
 		d, vm := setupISCAS(t, name)
-		want := Analyze(d, vm, Options{Workers: 1})
-		for _, workers := range []int{1, 4} {
-			f := NewFlat(d, vm, Options{Workers: workers})
-			requireSameResult(t, name, f.Result(), want)
-			if f.Cost(3) != want.Cost(d, 3) {
-				t.Fatalf("%s workers=%d: Cost differs", name, workers)
+		for _, pts := range []int{8, 12} {
+			want := oracle(d, vm, pts)
+			for _, workers := range []int{1, 2, 4} {
+				ctx := fmt.Sprintf("%s pts=%d workers=%d", name, pts, workers)
+				got := Analyze(d, vm, Options{Points: pts, Workers: workers})
+				requireSameResult(t, ctx, got, want)
+				if got.Cost(d, 3) != want.Cost(d, 3) {
+					t.Fatalf("%s: Cost differs", ctx)
+				}
 			}
 		}
 	}
@@ -85,7 +92,7 @@ func TestFlatRecomputeTracksResizes(t *testing.T) {
 			d.Circuit.Gate(id).SizeIdx = rng.Intn(n)
 		}
 		f.Recompute()
-		requireSameResult(t, "recompute", f.Result(), Analyze(d, vm, Options{Workers: 1}))
+		requireSameResult(t, "recompute", f.Result(), oracle(d, vm, 12))
 	}
 }
 
@@ -145,13 +152,24 @@ func applySequentially(d *synth.Design, inc *Incremental, lambda float64, ch []S
 	return out
 }
 
+// whatIfDesigns is the BatchWhatIf sweep: the Table-1 slice plus a
+// composed design with many primary outputs, where the overlay's load
+// lookup runs on PO-heavy nets.
+func whatIfDesigns(t *testing.T) map[string]*synth.Design {
+	ds := map[string]*synth.Design{}
+	for _, name := range flatFamily {
+		ds[name], _ = setupISCAS(t, name)
+	}
+	ds["sec+alu"], _ = setup(t, gen.Compose("sec+alu", gen.SEC("sec", 32, true), gen.ALU("alu", 8)))
+	return ds
+}
+
 func TestBatchWhatIfMatchesSequentialResizes(t *testing.T) {
 	const lambda = 3.0
-	for _, name := range flatFamily {
-		d, vm := setupISCAS(t, name)
+	for name, d := range whatIfDesigns(t) {
+		vm := variation.Default(d.Lib)
 		rng := rand.New(rand.NewSource(int64(len(name)) * 31))
 		inc := NewIncremental(d, vm, Options{Workers: 1})
-		flat := NewFlat(d, vm, Options{Workers: 1})
 		cands := randomCandidates(rng, d, 12)
 
 		want := make([]WhatIfOutcome, len(cands))
@@ -159,20 +177,16 @@ func TestBatchWhatIfMatchesSequentialResizes(t *testing.T) {
 			want[i] = applySequentially(d, inc, lambda, ch)
 		}
 		for _, workers := range []int{1, 4} {
-			for engine, got := range map[string][]WhatIfOutcome{
-				"incremental": inc.BatchWhatIf(cands, lambda, workers),
-				"flat":        flat.BatchWhatIf(cands, lambda, workers),
-			} {
-				for i := range got {
-					if got[i].Mean != want[i].Mean || got[i].Sigma != want[i].Sigma ||
-						got[i].Cost != want[i].Cost || got[i].MaxArrival != want[i].MaxArrival {
-						t.Fatalf("%s/%s workers=%d cand %d: outcome %+v, want %+v",
-							name, engine, workers, i, got[i], want[i])
-					}
-					if got[i].Touched != want[i].Touched {
-						t.Fatalf("%s/%s workers=%d cand %d: touched %d, want %d",
-							name, engine, workers, i, got[i].Touched, want[i].Touched)
-					}
+			got := inc.BatchWhatIf(cands, lambda, workers)
+			for i := range got {
+				if got[i].Mean != want[i].Mean || got[i].Sigma != want[i].Sigma ||
+					got[i].Cost != want[i].Cost || got[i].MaxArrival != want[i].MaxArrival {
+					t.Fatalf("%s workers=%d cand %d: outcome %+v, want %+v",
+						name, workers, i, got[i], want[i])
+				}
+				if got[i].Touched != want[i].Touched {
+					t.Fatalf("%s workers=%d cand %d: touched %d, want %d",
+						name, workers, i, got[i].Touched, want[i].Touched)
 				}
 			}
 		}
@@ -181,23 +195,19 @@ func TestBatchWhatIfMatchesSequentialResizes(t *testing.T) {
 
 func TestBatchWhatIfLeavesEngineClean(t *testing.T) {
 	d, vm := setupISCAS(t, "c499")
-	inc := NewIncremental(d, vm, Options{Workers: 1})
-	flat := NewFlat(d, vm, Options{Workers: 1})
-	cleanInc := Analyze(d, vm, Options{Workers: 1})
+	f := NewFlat(d, vm, Options{Workers: 1})
+	clean := oracle(d, vm, 12)
 	sizes := d.Circuit.SizeSnapshot()
 
 	rng := rand.New(rand.NewSource(77))
-	cands := randomCandidates(rng, d, 8)
-	inc.BatchWhatIf(cands, 3, 0)
-	flat.BatchWhatIf(cands, 3, 0)
+	f.BatchWhatIf(randomCandidates(rng, d, 8), 3, 0)
 
 	for i, s := range d.Circuit.SizeSnapshot() {
 		if s != sizes[i] {
 			t.Fatalf("BatchWhatIf moved gate %d size", i)
 		}
 	}
-	requireSameResult(t, "incremental engine after batch", inc.Result(), cleanInc)
-	requireSameResult(t, "flat engine after batch", flat.Result(), cleanInc)
+	requireSameResult(t, "engine after batch", f.Result(), clean)
 }
 
 func TestBatchWhatIfNoOpCandidate(t *testing.T) {
@@ -210,7 +220,7 @@ func TestBatchWhatIfNoOpCandidate(t *testing.T) {
 	if out.Changed || out.Touched != 0 {
 		t.Fatalf("no-op candidate reported %+v", out)
 	}
-	if out.Mean != flat.Mean() || out.Sigma != flat.Sigma() {
+	if r := flat.Result(); out.Mean != r.Mean || out.Sigma != r.Sigma {
 		t.Fatal("no-op candidate did not return the clean summary")
 	}
 }

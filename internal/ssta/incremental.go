@@ -1,8 +1,6 @@
 package ssta
 
 import (
-	"math"
-
 	"repro/internal/circuit"
 	"repro/internal/dpdf"
 	"repro/internal/normal"
@@ -10,18 +8,20 @@ import (
 	"repro/internal/variation"
 )
 
-// SizeChange is one gate resize in a ResizeAll batch.
+// SizeChange is one gate resize in a ResizeAll batch or a BatchWhatIf
+// candidate.
 type SizeChange struct {
 	Gate circuit.GateID
 	Size int
 }
 
-// Incremental maintains a FULLSSTA analysis across gate resizes without
-// full recomputation. A resize dirties the gate (its cell changed) and
-// its fanin drivers (their load changed), then repairs level-ordered
-// through the fanout cone, stopping early at nodes whose deterministic
-// arrival/slew AND arrival PDF come out bit-identical to their previous
-// values.
+// Incremental is the engine under the name of its resize API: the same
+// type as Flat.
+//
+// A resize dirties the gate (its cell changed) and its fanin drivers
+// (their load changed), then repairs level-ordered through the fanout
+// cone, stopping early at nodes whose deterministic arrival/slew AND
+// arrival PDF come out bit-identical to their previous values.
 //
 // The cutoff is exact, not a tolerance: every per-node computation is a
 // deterministic pure function of the fanin values and the gate's cell,
@@ -30,54 +30,25 @@ type SizeChange struct {
 // The differential harness in internal/difftest asserts this
 // bit-for-bit on every node after every step.
 //
-// The Result returned by Result() is owned by the engine and updated in
-// place; callers must not retain stale copies of its fields across
-// mutating calls.
-//
 // Each state-changing call (Resize, ResizeAll, Sync) implicitly commits
 // the previous transaction and opens a new one; Rollback undoes the
 // most recent state-changing call — sizes and analysis both — without
 // re-analysis. Calls that change nothing (resize to the current size,
 // Sync with no diffs) leave the open transaction untouched.
-type Incremental struct {
-	d    *synth.Design
-	vm   *variation.Model
-	opts Options
-	pts  int
-	r    *Result
-	// sigmas keeps the exact per-gate sigma (not sqrt of the stored
-	// variance), mirroring Analyze so PDF discretization stays
-	// bit-identical.
-	sigmas []float64
-	level  []int32
-	queue  *circuit.LevelQueue
-	rev    int
-	// sizes is the engine's record of every gate's size as of the last
-	// repair, diffed by Sync after external batch edits.
-	sizes []int
-	// evals counts re-evaluations per node — the observable the
-	// "fanout-disjoint resize leaves the node untouched" property tests
-	// assert on.
-	evals      []int64
-	totalEvals int64
-	sc         gateScratch
-	pos        []dpdf.PDF
+type Incremental = Flat
 
-	// Transaction journal: every touched node's prior state, saved once
-	// per transaction, plus the size edits and the circuit summary.
-	journal   []nodeSave
-	journaled []bool
-	sizeLog   []sizeSave
-	summary   summarySave
-	hasTxn    bool
+// NewIncremental builds the engine and runs the first full analysis;
+// it is NewFlat.
+func NewIncremental(d *synth.Design, vm *variation.Model, opts Options) *Incremental {
+	return NewFlat(d, vm, opts)
 }
 
+// nodeSave is one journaled node's deterministic and moment state; its
+// arrival PDF sits in the journal arena.
 type nodeSave struct {
 	id        circuit.GateID
-	arrival   dpdf.PDF
 	node      normal.Moments
 	gateDelay normal.Moments
-	sigma     float64
 	staArr    float64
 	staSlew   float64
 	staDelay  float64
@@ -90,76 +61,37 @@ type sizeSave struct {
 }
 
 type summarySave struct {
-	circuitPDF  dpdf.PDF
 	mean, sigma float64
 	maxArrival  float64
 	worstPO     circuit.GateID
 }
 
-// NewIncremental runs one full Analyze and prepares the incremental
-// state.
-func NewIncremental(d *synth.Design, vm *variation.Model, opts Options) *Incremental {
-	lv, _ := d.Circuit.Levels()
-	c := d.Circuit
-	n := c.NumGates()
-	inc := &Incremental{
-		d:         d,
-		vm:        vm,
-		opts:      opts,
-		pts:       opts.points(),
-		r:         Analyze(d, vm, opts),
-		sigmas:    make([]float64, n),
-		level:     lv,
-		queue:     circuit.NewLevelQueue(n),
-		rev:       c.Revision(),
-		sizes:     c.SizeSnapshot(),
-		evals:     make([]int64, n),
-		journaled: make([]bool, n),
-	}
-	// Rebuild the exact sigmas Analyze used: vm.Sigma is a pure function
-	// of (cell, mean delay), so this reproduces its values bit-for-bit.
-	for id := range inc.sigmas {
-		if c.Gate(circuit.GateID(id)).Fn != circuit.Input {
-			inc.sigmas[id] = vm.Sigma(d.Cell(circuit.GateID(id)), inc.r.STA.Delay[id])
-		}
-	}
-	return inc
-}
-
-// Result returns the up-to-date analysis, owned by the engine.
-func (inc *Incremental) Result() *Result { return inc.r }
-
 // Evals returns the total number of node re-evaluations performed by
-// the engine since construction.
-func (inc *Incremental) Evals() int64 { return inc.totalEvals }
+// dirty-cone repairs since construction.
+func (f *Flat) Evals() int64 { return f.totalEvals }
 
-// NodeEvals returns how often gate g has been re-evaluated since
-// construction.
-func (inc *Incremental) NodeEvals(g circuit.GateID) int64 { return inc.evals[g] }
+// NodeEvals returns how often gate g has been re-evaluated by dirty-cone
+// repairs since construction.
+func (f *Flat) NodeEvals(g circuit.GateID) int64 {
+	if f.evals == nil {
+		return 0
+	}
+	return f.evals[g]
+}
 
 // Resize sets gate g to sizeIdx and repairs the analysis, returning the
 // number of gates re-evaluated. Resizing to the current size is a no-op
 // and does not open a new transaction.
-func (inc *Incremental) Resize(g circuit.GateID, sizeIdx int) int {
-	inc.checkRev()
-	gate := inc.d.Circuit.Gate(g)
-	if gate.SizeIdx == sizeIdx {
-		return 0
-	}
-	inc.begin()
-	inc.sizeLog = append(inc.sizeLog, sizeSave{id: g, oldSize: gate.SizeIdx})
-	gate.SizeIdx = sizeIdx
-	inc.sizes[g] = sizeIdx
-	inc.seed(g)
-	return inc.propagate()
+func (f *Flat) Resize(g circuit.GateID, sizeIdx int) int {
+	return f.ResizeAll([]SizeChange{{Gate: g, Size: sizeIdx}})
 }
 
 // ResizeAll applies a batch of resizes as ONE transaction (the
 // optimizer's path-step) and repairs the union cone in a single
 // level-ordered pass, returning the number of gates re-evaluated.
-func (inc *Incremental) ResizeAll(changes []SizeChange) int {
-	inc.checkRev()
-	c := inc.d.Circuit
+func (f *Flat) ResizeAll(changes []SizeChange) int {
+	f.checkRev()
+	c := f.d.Circuit
 	dirty := false
 	for _, ch := range changes {
 		if c.Gate(ch.Gate).SizeIdx != ch.Size {
@@ -170,18 +102,18 @@ func (inc *Incremental) ResizeAll(changes []SizeChange) int {
 	if !dirty {
 		return 0
 	}
-	inc.begin()
+	f.begin()
 	for _, ch := range changes {
 		gate := c.Gate(ch.Gate)
 		if gate.SizeIdx == ch.Size {
 			continue
 		}
-		inc.sizeLog = append(inc.sizeLog, sizeSave{id: ch.Gate, oldSize: gate.SizeIdx})
+		f.sizeLog = append(f.sizeLog, sizeSave{id: ch.Gate, oldSize: gate.SizeIdx})
 		gate.SizeIdx = ch.Size
-		inc.sizes[ch.Gate] = ch.Size
-		inc.seed(ch.Gate)
+		f.sizes[ch.Gate] = ch.Size
+		f.seed(ch.Gate)
 	}
-	return inc.propagate()
+	return f.repair()
 }
 
 // Sync diffs the circuit's current sizes against the engine's record
@@ -189,12 +121,12 @@ func (inc *Incremental) ResizeAll(changes []SizeChange) int {
 // It is the catch-all entry point for callers that mutate SizeIdx
 // directly (the optimizers do, in batches). A later Rollback restores
 // the pre-Sync sizes, undoing the external edits too.
-func (inc *Incremental) Sync() int {
-	inc.checkRev()
-	c := inc.d.Circuit
+func (f *Flat) Sync() int {
+	f.checkRev()
+	c := f.d.Circuit
 	dirty := false
-	for id := 0; id < c.NumGates(); id++ {
-		if c.Gate(circuit.GateID(id)).SizeIdx != inc.sizes[id] {
+	for id := range f.sizes {
+		if c.Gate(circuit.GateID(id)).SizeIdx != f.sizes[id] {
 			dirty = true
 			break
 		}
@@ -202,222 +134,141 @@ func (inc *Incremental) Sync() int {
 	if !dirty {
 		return 0
 	}
-	inc.begin()
-	for id := 0; id < c.NumGates(); id++ {
+	f.begin()
+	for id := range f.sizes {
 		g := circuit.GateID(id)
-		if s := c.Gate(g).SizeIdx; s != inc.sizes[id] {
-			inc.sizeLog = append(inc.sizeLog, sizeSave{id: g, oldSize: inc.sizes[id]})
-			inc.sizes[id] = s
-			inc.seed(g)
+		if s := c.Gate(g).SizeIdx; s != f.sizes[id] {
+			f.sizeLog = append(f.sizeLog, sizeSave{id: g, oldSize: f.sizes[id]})
+			f.sizes[id] = s
+			f.seed(g)
 		}
 	}
-	return inc.propagate()
+	return f.repair()
 }
 
 // Rollback undoes the most recent state-changing call: circuit sizes
 // and every journaled node revert to their exact prior values, without
 // re-analysis. A second Rollback (or one before any change) is a no-op.
-func (inc *Incremental) Rollback() {
-	inc.checkRev()
-	if !inc.hasTxn {
+func (f *Flat) Rollback() {
+	f.checkRev()
+	if !f.hasTxn {
 		return
 	}
-	c := inc.d.Circuit
-	// Reverse order, in case one gate was logged twice in a batch.
-	for i := len(inc.sizeLog) - 1; i >= 0; i-- {
-		s := inc.sizeLog[i]
+	c := f.d.Circuit
+	// Reverse order, so a gate logged twice ends at its oldest state.
+	for i := len(f.sizeLog) - 1; i >= 0; i-- {
+		s := f.sizeLog[i]
 		c.Gate(s.id).SizeIdx = s.oldSize
-		inc.sizes[s.id] = s.oldSize
+		f.sizes[s.id] = s.oldSize
 	}
-	r := inc.r
-	for _, e := range inc.journal {
-		r.Arrival[e.id] = e.arrival
-		r.Node[e.id] = e.node
-		r.GateDelay[e.id] = e.gateDelay
-		inc.sigmas[e.id] = e.sigma
-		r.STA.Arrival[e.id] = e.staArr
-		r.STA.Slew[e.id] = e.staSlew
-		r.STA.Delay[e.id] = e.staDelay
-		r.STA.InSlew[e.id] = e.staInSlew
-		inc.journaled[e.id] = false
+	r := f.r
+	for j := len(f.journal) - 1; j >= 0; j-- {
+		e := &f.journal[j]
+		id := e.id
+		f.arena.Set(int(id), f.jarena.View(j+1))
+		r.Arrival[id] = f.arena.View(int(id))
+		r.Node[id] = e.node
+		r.GateDelay[id] = e.gateDelay
+		r.STA.Arrival[id] = e.staArr
+		r.STA.Slew[id] = e.staSlew
+		r.STA.Delay[id] = e.staDelay
+		r.STA.InSlew[id] = e.staInSlew
 	}
-	inc.journal = inc.journal[:0]
-	inc.sizeLog = inc.sizeLog[:0]
-	r.CircuitPDF = inc.summary.circuitPDF
-	r.Mean = inc.summary.mean
-	r.Sigma = inc.summary.sigma
-	r.STA.MaxArrival = inc.summary.maxArrival
-	r.STA.WorstPO = inc.summary.worstPO
-	inc.hasTxn = false
+	top := c.NumGates()
+	f.arena.Set(top, f.jarena.View(0))
+	r.CircuitPDF = f.arena.View(top)
+	r.Mean, r.Sigma = f.summary.mean, f.summary.sigma
+	r.STA.MaxArrival, r.STA.WorstPO = f.summary.maxArrival, f.summary.worstPO
+	f.commit()
 }
 
-func (inc *Incremental) checkRev() {
-	if inc.rev != inc.d.Circuit.Revision() {
-		panic("ssta: circuit structure changed under Incremental; rebuild it")
-	}
+// commit drops the open transaction's journal.
+func (f *Flat) commit() {
+	f.journal = f.journal[:0]
+	f.sizeLog = f.sizeLog[:0]
+	f.hasTxn = false
 }
 
-// begin commits the previous transaction (drops its journal) and opens
-// a new one, snapshotting the circuit-level summary.
-func (inc *Incremental) begin() {
-	for _, e := range inc.journal {
-		inc.journaled[e.id] = false
+// begin commits the previous transaction and opens a new one,
+// snapshotting the circuit-level summary.
+func (f *Flat) begin() {
+	f.commit()
+	n := f.d.Circuit.NumGates()
+	if f.queue == nil {
+		f.queue = circuit.NewLevelQueue(n)
+		f.evals = make([]int64, n)
+		f.jarena = dpdf.NewArena(1, f.pts)
 	}
-	inc.journal = inc.journal[:0]
-	inc.sizeLog = inc.sizeLog[:0]
-	r := inc.r
-	inc.summary = summarySave{
-		circuitPDF: r.CircuitPDF,
+	r := f.r
+	f.summary = summarySave{
 		mean:       r.Mean,
 		sigma:      r.Sigma,
 		maxArrival: r.STA.MaxArrival,
 		worstPO:    r.STA.WorstPO,
 	}
-	inc.hasTxn = true
+	f.jarena.Set(0, f.arena.View(n))
+	f.hasTxn = true
 }
 
 // seed dirties the resized gate (its cell changed) and its drivers
 // (their load changed — for a PI driver the deterministic arrival
 // itself depends on the load).
-func (inc *Incremental) seed(g circuit.GateID) {
-	inc.queue.Push(g, inc.level[g])
-	for _, f := range inc.d.Circuit.Gate(g).Fanin {
-		inc.queue.Push(f, inc.level[f])
+func (f *Flat) seed(g circuit.GateID) {
+	f.queue.Push(g, f.level[g])
+	for _, fid := range f.d.Circuit.Gate(g).Fanin {
+		f.queue.Push(fid, f.level[fid])
 	}
 }
 
-// save journals a node's prior state, once per transaction.
-func (inc *Incremental) save(id circuit.GateID) {
-	if inc.journaled[id] {
-		return
-	}
-	inc.journaled[id] = true
-	r := inc.r
-	inc.journal = append(inc.journal, nodeSave{
+// save journals a node's state ahead of its repair and returns the
+// journal index.
+func (f *Flat) save(id circuit.GateID) int {
+	r := f.r
+	j := len(f.journal)
+	f.journal = append(f.journal, nodeSave{
 		id:        id,
-		arrival:   r.Arrival[id],
 		node:      r.Node[id],
 		gateDelay: r.GateDelay[id],
-		sigma:     inc.sigmas[id],
 		staArr:    r.STA.Arrival[id],
 		staSlew:   r.STA.Slew[id],
 		staDelay:  r.STA.Delay[id],
 		staInSlew: r.STA.InSlew[id],
 	})
+	f.jarena.Grow(j + 2)
+	f.jarena.Set(j+1, f.arena.View(int(id)))
+	return j
 }
 
-func (inc *Incremental) propagate() int {
-	c := inc.d.Circuit
+// repair drains the dirty queue in level order, re-deriving each node
+// with the engine's step and pushing its fanouts when anything a
+// downstream node reads (deterministic arrival/slew, the arrival PDF)
+// changed. Popping in level order visits each node at most once.
+func (f *Flat) repair() int {
+	c := f.d.Circuit
+	nominal := f.r.STA
 	touched := 0
 	anyChanged := false
 	for {
-		id, ok := inc.queue.Pop()
+		id, ok := f.queue.Pop()
 		if !ok {
 			break
 		}
 		touched++
-		inc.evals[id]++
-		inc.totalEvals++
-		if inc.recompute(id) {
+		f.evals[id]++
+		f.totalEvals++
+		j := f.save(id)
+		f.step(&f.sc[0], id)
+		old := &f.journal[j]
+		if nominal.Arrival[id] != old.staArr || nominal.Slew[id] != old.staSlew ||
+			!f.arena.Equal(int(id), f.jarena.View(j+1)) {
 			anyChanged = true
 			for _, fo := range c.Gate(id).Fanout {
-				inc.queue.Push(fo, inc.level[fo])
+				f.queue.Push(fo, f.level[fo])
 			}
 		}
 	}
 	if anyChanged {
-		inc.refreshSummary()
+		f.refreshSummary()
 	}
 	return touched
-}
-
-// recompute re-derives one node exactly as Analyze would — the
-// deterministic STA part first (mirroring sta.Analyze) and then the
-// arrival PDF (mirroring Analyze's propagate) — and reports whether
-// anything a downstream node reads (deterministic arrival/slew, the
-// arrival PDF) changed.
-func (inc *Incremental) recompute(id circuit.GateID) bool {
-	inc.save(id)
-	d := inc.d
-	r := inc.r
-	g := d.Circuit.Gate(id)
-
-	if g.Fn == circuit.Input {
-		newArr := d.Lib.PrimaryInputRes * d.Load(id)
-		newSlew := d.Lib.PrimaryInputSlew
-		changed := newArr != r.STA.Arrival[id] || newSlew != r.STA.Slew[id]
-		r.STA.Arrival[id] = newArr
-		r.STA.Slew[id] = newSlew
-		// The statistical arrival at a PI is the degenerate Point(0)
-		// regardless of load (matching Analyze); only the deterministic
-		// view moves.
-		return changed
-	}
-
-	var fArr, fSlew float64
-	for _, f := range g.Fanin {
-		if r.STA.Arrival[f] > fArr {
-			fArr = r.STA.Arrival[f]
-		}
-		if r.STA.Slew[f] > fSlew {
-			fSlew = r.STA.Slew[f]
-		}
-	}
-	cell := d.Cell(id)
-	load := d.Load(id)
-	newDelay := cell.Delay.Lookup(fSlew, load)
-	newSlew := cell.OutSlew.Lookup(fSlew, load)
-	newArr := fArr + newDelay
-	changed := newArr != r.STA.Arrival[id] || newSlew != r.STA.Slew[id]
-	r.STA.InSlew[id] = fSlew
-	r.STA.Delay[id] = newDelay
-	r.STA.Slew[id] = newSlew
-	r.STA.Arrival[id] = newArr
-
-	sigma := inc.vm.Sigma(cell, newDelay)
-	inc.sigmas[id] = sigma
-	r.GateDelay[id] = normal.Moments{Mean: newDelay, Var: sigma * sigma}
-
-	sc := &inc.sc
-	sc.fanins = sc.fanins[:0]
-	for _, f := range g.Fanin {
-		sc.fanins = append(sc.fanins, r.Arrival[f])
-	}
-	arr := sc.kern.MaxN(sc.fanins, inc.pts)
-	arr = sc.kern.Sum(arr, sc.kern.TempNormal(newDelay, sigma, inc.pts), inc.pts)
-	if !arr.Equal(r.Arrival[id]) {
-		changed = true
-	}
-	r.Arrival[id] = arr
-	r.Node[id] = arr.Moments()
-	return changed
-}
-
-// refreshSummary recomputes the circuit-level summary exactly as
-// Analyze and sta.Analyze do, so the repaired Result stays bit-identical
-// to a from-scratch analysis end to end.
-func (inc *Incremental) refreshSummary() {
-	c := inc.d.Circuit
-	r := inc.r
-	r.STA.MaxArrival = math.Inf(-1)
-	r.STA.WorstPO = circuit.None
-	for _, po := range c.Outputs {
-		if r.STA.Arrival[po] > r.STA.MaxArrival {
-			r.STA.MaxArrival = r.STA.Arrival[po]
-			r.STA.WorstPO = po
-		}
-	}
-	if len(c.Outputs) == 0 {
-		r.STA.MaxArrival = 0
-	}
-	if cap(inc.pos) < len(c.Outputs) {
-		inc.pos = make([]dpdf.PDF, len(c.Outputs))
-	}
-	inc.pos = inc.pos[:len(c.Outputs)]
-	for i, po := range c.Outputs {
-		inc.pos[i] = r.Arrival[po]
-	}
-	r.CircuitPDF = inc.sc.kern.MaxN(inc.pos, inc.pts)
-	r.Mean = r.CircuitPDF.Mean()
-	r.Sigma = r.CircuitPDF.Sigma()
 }

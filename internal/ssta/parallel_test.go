@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"repro/internal/cells"
+	"repro/internal/dpdf"
 	"repro/internal/gen"
 	"repro/internal/synth"
 	"repro/internal/variation"
 )
 
 // TestParallelBitExact is the tentpole equivalence guarantee: the
-// level-parallel engine must reproduce the serial engine bit-for-bit —
+// level-parallel engine must reproduce the serial reference (the
+// heap-PDF oracle) bit-for-bit —
 // every node's arrival PDF, every moment pair, and the circuit PDF — for
 // any worker count. Anything short of exact equality would make analysis
 // results depend on the host's core count.
@@ -27,8 +29,8 @@ func TestParallelBitExact(t *testing.T) {
 		}
 		vm := variation.Default(lib)
 
-		serial := Analyze(d, vm, Options{Workers: 1})
-		for _, workers := range []int{2, 8} {
+		serial := oracle(d, vm, dpdf.DefaultPoints)
+		for _, workers := range []int{1, 2, 8} {
 			par := Analyze(d, vm, Options{Workers: workers})
 			if par.Mean != serial.Mean || par.Sigma != serial.Sigma {
 				t.Errorf("%s workers=%d: circuit moments differ: (%v, %v) vs (%v, %v)",

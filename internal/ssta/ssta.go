@@ -7,11 +7,15 @@
 // the arrival time at every node — exactly what the paper stores for the
 // fast inner engine (FASSTA) and the WNSS path tracer to consume.
 //
-// Propagation is levelized and optionally parallel: gates within one
-// topological level have no data dependencies on each other (every fanin
-// lives at a strictly lower level), so a level-barrier schedule computes
-// them concurrently with bit-identical results — each gate's PDF depends
-// only on its fanin PDFs and its own delay, never on evaluation order.
+// There is one engine (Flat, flat.go): every node PDF lives in a
+// dpdf.Arena, and one per-gate step serves the full level-ordered
+// recompute, the dirty-cone repair after resizes (incremental.go) and
+// the batched what-if overlay (batch.go). Propagation is levelized and
+// optionally parallel: gates within one topological level have no data
+// dependencies on each other (every fanin lives at a strictly lower
+// level), so a level-barrier schedule computes them concurrently with
+// bit-identical results — each gate's PDF depends only on its fanin
+// PDFs and its own delay, never on evaluation order.
 package ssta
 
 import (
@@ -20,7 +24,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dpdf"
 	"repro/internal/normal"
-	"repro/internal/parallel"
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/variation"
@@ -46,6 +49,11 @@ func (o Options) points() int {
 }
 
 // Result is one FULLSSTA analysis. Slices are indexed by GateID.
+//
+// Arrival and CircuitPDF are views into the engine's arena, not copies.
+// A Result from Analyze owns its arena and stays valid for its whole
+// life; the Result of a live engine (Flat.Result) is updated in place by
+// every resize, so callers must not keep its PDFs across mutating calls.
 type Result struct {
 	// STA is the nominal deterministic analysis the statistical one is
 	// built on (frozen slews and mean delays).
@@ -63,121 +71,59 @@ type Result struct {
 	Mean, Sigma float64
 }
 
-// gateScratch is one worker's reusable state: the PDF-kernel buffers plus
-// a fanin gather slice.
-type gateScratch struct {
-	kern   dpdf.Scratch
-	fanins []dpdf.PDF
+// Analyze runs FULLSSTA over the design under the variation model: it
+// builds the engine and returns its Result, with no per-node copy.
+func Analyze(d *synth.Design, vm *variation.Model, opts Options) *Result {
+	return NewFlat(d, vm, opts).r
 }
 
-// Analyze runs FULLSSTA over the design under the variation model.
-func Analyze(d *synth.Design, vm *variation.Model, opts Options) *Result {
-	pts := opts.points()
-	workers := parallel.Resolve(opts.Workers)
-	nominal := sta.Analyze(d)
-	c := d.Circuit
-	n := c.NumGates()
-	r := &Result{
-		STA:       nominal,
-		Arrival:   make([]dpdf.PDF, n),
-		Node:      make([]normal.Moments, n),
-		GateDelay: make([]normal.Moments, n),
-	}
+// timingView reads per-node timing: a Result, or a what-if overlay that
+// shadows the engine's Result.
+type timingView interface {
+	staArrival(id circuit.GateID) float64
+	arrival(id circuit.GateID) dpdf.PDF
+	moments(id circuit.GateID) normal.Moments
+}
 
-	// Per-gate delay moments and input arrivals: cheap, serial. sigmas
-	// keeps the exact sigma (not sqrt of the stored variance) so the PDF
-	// discretization below is bit-identical to what vm.Sigma produced.
-	topo := c.MustTopoOrder()
-	sigmas := make([]float64, n)
-	for _, id := range topo {
-		g := c.Gate(id)
-		if g.Fn == circuit.Input {
-			r.Arrival[id] = dpdf.Point(0)
-			continue
-		}
-		mean := nominal.Delay[id]
-		sigma := vm.Sigma(d.Cell(id), mean)
-		sigmas[id] = sigma
-		r.GateDelay[id] = normal.Moments{Mean: mean, Var: sigma * sigma}
-	}
+func (r *Result) staArrival(id circuit.GateID) float64     { return r.STA.Arrival[id] }
+func (r *Result) arrival(id circuit.GateID) dpdf.PDF       { return r.Arrival[id] }
+func (r *Result) moments(id circuit.GateID) normal.Moments { return r.Node[id] }
 
-	// propagate computes one gate's arrival PDF from its (already final)
-	// fanin PDFs, using the worker-owned scratch.
-	propagate := func(sc *gateScratch, id circuit.GateID) {
-		g := c.Gate(id)
-		sc.fanins = sc.fanins[:0]
-		for _, f := range g.Fanin {
-			sc.fanins = append(sc.fanins, r.Arrival[f])
+// worstOutput scores every primary output by the paper's objective
+// (eq. 7), mean + lambda*sigma, and returns the worst one and its score
+// (None and -Inf when there are no outputs).
+func worstOutput(outputs []circuit.GateID, v timingView, lambda float64) (circuit.GateID, float64) {
+	worst, worstCost := circuit.None, math.Inf(-1)
+	for _, po := range outputs {
+		m := v.moments(po)
+		if c := m.Mean + lambda*m.Sigma(); c > worstCost {
+			worst, worstCost = po, c
 		}
-		arr := sc.kern.MaxN(sc.fanins, pts)
-		arr = sc.kern.Sum(arr, sc.kern.TempNormal(r.GateDelay[id].Mean, sigmas[id], pts), pts)
-		r.Arrival[id] = arr
-		r.Node[id] = arr.Moments()
 	}
+	return worst, worstCost
+}
 
-	var sc gateScratch
-	if workers <= 1 {
-		for _, id := range topo {
-			if c.Gate(id).Fn != circuit.Input {
-				propagate(&sc, id)
-			}
-		}
-	} else {
-		// Bucket the non-input gates by topological level. Levels() also
-		// warms the circuit's lazy topo/level caches before any goroutine
-		// can race on them.
-		lv, depth := c.Levels()
-		buckets := make([][]circuit.GateID, depth+1)
-		for _, id := range topo {
-			if c.Gate(id).Fn != circuit.Input {
-				buckets[lv[id]] = append(buckets[lv[id]], id)
-			}
-		}
-		scratch := make([]gateScratch, workers)
-		parallel.Levels(workers, buckets, func(w int, id circuit.GateID) {
-			propagate(&scratch[w], id)
-		})
+// cost is eq. 7 at the circuit level: the worst output's score, or 0
+// for a circuit without outputs.
+func cost(outputs []circuit.GateID, v timingView, lambda float64) float64 {
+	if len(outputs) == 0 {
+		return 0
 	}
-
-	pos := make([]dpdf.PDF, len(c.Outputs))
-	for i, po := range c.Outputs {
-		pos[i] = r.Arrival[po]
-	}
-	r.CircuitPDF = sc.kern.MaxN(pos, pts)
-	r.Mean = r.CircuitPDF.Mean()
-	r.Sigma = r.CircuitPDF.Sigma()
-	return r
+	_, c := worstOutput(outputs, v, lambda)
+	return c
 }
 
 // Cost evaluates the paper's objective (eq. 7) at the circuit level:
 // max over primary outputs of mean_i + lambda * sigma_i.
 func (r *Result) Cost(d *synth.Design, lambda float64) float64 {
-	worst := math.Inf(-1)
-	for _, po := range d.Circuit.Outputs {
-		m := r.Node[po]
-		if c := m.Mean + lambda*m.Sigma(); c > worst {
-			worst = c
-		}
-	}
-	if len(d.Circuit.Outputs) == 0 {
-		return 0
-	}
-	return worst
+	return cost(d.Circuit.Outputs, r, lambda)
 }
 
 // WorstOutput returns the PO with the highest mean + lambda*sigma — the
 // starting point of the WNSS trace.
 func (r *Result) WorstOutput(d *synth.Design, lambda float64) circuit.GateID {
-	worst := circuit.None
-	worstCost := math.Inf(-1)
-	for _, po := range d.Circuit.Outputs {
-		m := r.Node[po]
-		if c := m.Mean + lambda*m.Sigma(); c > worstCost {
-			worstCost = c
-			worst = po
-		}
-	}
-	return worst
+	po, _ := worstOutput(d.Circuit.Outputs, r, lambda)
+	return po
 }
 
 // Yield returns the probability that the circuit delay meets the period T
