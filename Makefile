@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-typed lint-selftest cover cover-update fuzz-smoke ingest-smoke bench bench-test serve e2e chaos cluster-e2e
+.PHONY: all build test race vet lint fmt-check lint-typed lint-selftest cover cover-update fuzz-smoke ingest-smoke bench bench-test serve e2e chaos cluster-e2e
 
 all: build vet lint test
 
@@ -18,15 +18,22 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Static analysis gate: go vet plus both tiers of the project's own
-# invariant linter (cmd/sstalint). The parse tier covers globalrand,
-# wallclock, stdoutprint, ctxloop, naninput, dpdfalloc; the typed tier
-# (go/types over the whole module) covers maporder, floatmerge,
-# goroutinecapture, wirecontract. See DESIGN.md sections 9 and 14. Any
-# finding fails the build.
-lint:
+# Static analysis gate: gofmt (any file it would reformat fails), go vet
+# plus both tiers of the project's own invariant linter (cmd/sstalint).
+# The parse tier covers globalrand, wallclock, stdoutprint, ctxloop,
+# naninput, dpdfalloc; the typed tier (go/types over the whole module)
+# covers maporder, floatmerge, goroutinecapture, wirecontract. See
+# DESIGN.md sections 9 and 14. Any finding fails the build.
+lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/sstalint -root . -timing
+
+# gofmt drift gate: lists every Go file gofmt would change and fails if
+# there is any.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt: these files need formatting (run gofmt -w):" >&2; echo "$$out" >&2; exit 1; \
+	fi
 
 # Typed tier alone (CI runs it as its own timed step).
 lint-typed:
@@ -58,10 +65,12 @@ cover-update:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covercheck -profile cover.out -update
 
-# Short fuzz pass (~70s) over the differential incremental-SSTA target,
-# the four format front doors (.bench, Liberty, Verilog, SDF), and the
-# crash-journal replayer; run in CI on every push.
+# Short fuzz pass (~75s) over the differential incremental-SSTA target,
+# the Max merge-walk oracle, the four format front doors (.bench,
+# Liberty, Verilog, SDF), and the crash-journal replayer; run in CI on
+# every push.
 fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzMaxMergeWalk -fuzztime 5s ./internal/dpdf
 	$(GO) test -run xxx -fuzz FuzzIncrementalResize -fuzztime 20s ./internal/difftest
 	$(GO) test -run xxx -fuzz FuzzOptimizerInvariants -fuzztime 10s ./internal/difftest
 	$(GO) test -run xxx -fuzz FuzzParseLint -fuzztime 10s ./internal/benchfmt

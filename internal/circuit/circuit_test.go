@@ -418,3 +418,67 @@ func TestRevisionBumpsOnMutation(t *testing.T) {
 		t.Fatal("revision not bumped by Connect")
 	}
 }
+
+// TestLevelQueuePopLevel drains the same seeded push sequence with Pop
+// and with PopLevel: the concatenated levels must be exactly the Pop
+// sequence, each batch one level, and duplicate pushes suppressed.
+func TestLevelQueuePopLevel(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(9))
+	level := make([]int32, n)
+	for i := range level {
+		level[i] = int32(rng.Intn(12))
+	}
+	pushes := make([]GateID, 600) // ~3 pushes per gate: duplicates guaranteed
+	for i := range pushes {
+		pushes[i] = GateID(rng.Intn(n))
+	}
+	a, b := NewLevelQueue(n), NewLevelQueue(n)
+	for _, id := range pushes {
+		a.Push(id, level[id])
+		b.Push(id, level[id])
+	}
+	var want []GateID
+	for {
+		id, ok := a.Pop()
+		if !ok {
+			break
+		}
+		want = append(want, id)
+	}
+	var got []GateID
+	for {
+		batch := b.PopLevel(nil)
+		if len(batch) == 0 {
+			break
+		}
+		for _, id := range batch {
+			if level[id] != level[batch[0]] {
+				t.Fatalf("PopLevel mixed levels %d and %d", level[batch[0]], level[id])
+			}
+		}
+		if len(got) > 0 && level[batch[0]] <= level[got[len(got)-1]] {
+			t.Fatalf("PopLevel returned level %d after level %d", level[batch[0]], level[got[len(got)-1]])
+		}
+		got = append(got, batch...)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("PopLevel drained %d gates, Pop %d", len(got), len(want))
+	}
+	seen := map[GateID]bool{}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("position %d: PopLevel gave %d, Pop %d", i, got[i], want[i])
+		}
+		if seen[got[i]] {
+			t.Fatalf("gate %d drained twice", got[i])
+		}
+		seen[got[i]] = true
+	}
+	// A gate popped with its level can be queued again, once.
+	b.Push(5, level[5])
+	b.Push(5, level[5])
+	if got := b.PopLevel(got[:0]); len(got) != 1 || got[0] != 5 || b.Len() != 0 {
+		t.Fatalf("re-push after drain: PopLevel = %v, Len %d", got, b.Len())
+	}
+}

@@ -1,11 +1,13 @@
 package circuit
 
 // LevelQueue is the dirty-gate work queue shared by the incremental
-// timing engines (deterministic, FULLSSTA and FASSTA): a min-heap of
-// gates ordered by logic level, with duplicate suppression. Popping in
-// level order guarantees a gate is re-evaluated only after every dirty
-// gate in its transitive fanin has been re-evaluated — the invariant
-// that makes a single pass over the dirty cone exact.
+// timing engines (deterministic STA, the FULLSSTA repair and its what-if
+// overlays): a min-heap of gates ordered by logic level, with duplicate
+// suppression. Popping in level order guarantees a gate is re-evaluated
+// only after every dirty gate in its transitive fanin has been
+// re-evaluated — the invariant that makes a single pass over the dirty
+// cone exact. PopLevel drains one whole level at once, for engines that
+// re-evaluate a level's gates concurrently.
 //
 // Ties within a level are broken by ascending GateID so the drain order
 // (and therefore journaling order and eval counters) is deterministic.
@@ -55,6 +57,24 @@ func (q *LevelQueue) Pop() (id GateID, ok bool) {
 	}
 	q.inQueue[it.id] = false
 	return it.id, true
+}
+
+// PopLevel dequeues every queued gate of the lowest level, appending
+// them to dst in ascending GateID order — exactly the sequence repeated
+// Pop calls would yield for that level — and returns the extended
+// slice (dst unchanged on an empty queue). Every fanout of a gate lies
+// at a strictly higher level, so pushes made while the drained gates
+// are processed can never add to the level just taken.
+func (q *LevelQueue) PopLevel(dst []GateID) []GateID {
+	if len(q.heap) == 0 {
+		return dst
+	}
+	lv := q.heap[0].level
+	for len(q.heap) > 0 && q.heap[0].level == lv {
+		id, _ := q.Pop()
+		dst = append(dst, id)
+	}
+	return dst
 }
 
 func (q *LevelQueue) less(i, j int) bool {

@@ -235,3 +235,95 @@ func DriveSTA(d *synth.Design, steps int, seed uint64) error {
 	eng := &staEngine{d: d, inc: sta.NewIncrementalExact(d)}
 	return newMutator(d, seed).drive(eng, steps)
 }
+
+// lockstepEngine drives one FULLSSTA engine per worker count in
+// lockstep, each on its own copy of the design, and demands that they
+// agree exactly after every call: the touched count each call returns,
+// every node of the analysis, Evals() and NodeEvals(g) for every gate.
+// Engine 0 runs on the mutator's design; external size edits reach the
+// others through Sync, which first copies engine 0's sizes over. A
+// touched-count mismatch is held in err until the next Verify.
+type lockstepEngine struct {
+	engines []*sstaEngine
+	workers []int
+	err     error
+}
+
+func (l *lockstepEngine) each(what string, call func(e *sstaEngine) int) int {
+	want := call(l.engines[0])
+	for k, e := range l.engines[1:] {
+		if got := call(e); got != want && l.err == nil {
+			l.err = fmt.Errorf("%s touched %d gates at workers %d, %d at workers %d",
+				what, got, l.workers[k+1], want, l.workers[0])
+		}
+	}
+	return want
+}
+
+func (l *lockstepEngine) Resize(g circuit.GateID, size int) int {
+	return l.each("Resize", func(e *sstaEngine) int { return e.Resize(g, size) })
+}
+
+func (l *lockstepEngine) Sync() int {
+	sizes := l.engines[0].d.Circuit.SizeSnapshot()
+	return l.each("Sync", func(e *sstaEngine) int {
+		e.d.Circuit.RestoreSizes(sizes)
+		return e.Sync()
+	})
+}
+
+func (l *lockstepEngine) Rollback() {
+	for _, e := range l.engines {
+		e.Rollback()
+	}
+}
+
+func (l *lockstepEngine) ResizeBatch(changes []sizeChange) int {
+	return l.each("ResizeAll", func(e *sstaEngine) int { return e.ResizeBatch(changes) })
+}
+
+func (l *lockstepEngine) Verify() error {
+	if l.err != nil {
+		return l.err
+	}
+	ref := l.engines[0]
+	if err := ref.Verify(); err != nil {
+		return err
+	}
+	n := ref.d.Circuit.NumGates()
+	for k, e := range l.engines[1:] {
+		w := l.workers[k+1]
+		if err := CompareSSTA(e.inc.Result(), ref.inc.Result()); err != nil {
+			return fmt.Errorf("workers %d vs %d: %w", w, l.workers[0], err)
+		}
+		if got, want := e.inc.Evals(), ref.inc.Evals(); got != want {
+			return fmt.Errorf("workers %d: Evals() = %d, want %d", w, got, want)
+		}
+		for g := 0; g < n; g++ {
+			id := circuit.GateID(g)
+			if got, want := e.inc.NodeEvals(id), ref.inc.NodeEvals(id); got != want {
+				return fmt.Errorf("workers %d: NodeEvals(%d) = %d, want %d", w, g, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// DriveSSTAWorkers runs DriveSSTA's seeded resize sequence on one
+// engine per entry of workers (opts.Workers overridden), verifying the
+// first against a from-scratch analysis after every step and every
+// other one against the first: node values, per-call touched counts,
+// Evals and NodeEvals must not depend on the worker count.
+func DriveSSTAWorkers(d *synth.Design, vm *variation.Model, opts ssta.Options, workers []int, steps int, seed uint64) error {
+	l := &lockstepEngine{workers: workers}
+	for k, w := range workers {
+		dk := d
+		if k > 0 {
+			dk = &synth.Design{Circuit: d.Circuit.Clone(), Lib: d.Lib}
+		}
+		o := opts
+		o.Workers = w
+		l.engines = append(l.engines, &sstaEngine{d: dk, vm: vm, opts: o, inc: ssta.NewIncremental(dk, vm, o)})
+	}
+	return newMutator(d, seed).drive(l, steps)
+}

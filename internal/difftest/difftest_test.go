@@ -75,6 +75,23 @@ func TestIncrementalSSTABitExact(t *testing.T) {
 	}
 }
 
+// TestIncrementalSSTAWorkersAgree runs the SSTA differential sequence
+// at explicit Workers 1, 2 and 4 in lockstep, so the level-parallel
+// dirty-cone repair is exercised on any host: every step must verify
+// against a from-scratch analysis and agree across worker counts on
+// node values, touched counts, Evals and NodeEvals, rollbacks included.
+func TestIncrementalSSTAWorkersAgree(t *testing.T) {
+	for _, tc := range cases() {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			d, vm := tc.mk(t)
+			if err := DriveSSTAWorkers(d, vm, ssta.Options{}, []int{1, 2, 4}, sstaSteps/3, 0xA9E+uint64(len(tc.name))); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestIncrementalSTABitExact(t *testing.T) {
 	for _, tc := range cases() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,7 +25,7 @@ type Scratch struct {
 	sx, sp   []float64 // sorted, deduplicated points
 	mass     []float64 // per-bin probability mass
 	sum      []float64 // per-bin mass-weighted coordinate sum
-	merge    []float64 // merged support workspace for Max
+	merge    []float64 // sorted merged support for sortedMax
 	nxs, nps []float64 // TempNormal output, aliased by its return value
 	ox, op   []float64 // binWeighted output staging before the PDF copy
 	fx, fp   []float64 // MaxNInto fold accumulator (flat.go)
@@ -79,25 +79,67 @@ func (s *Scratch) Max(a, b PDF, maxPts int) PDF {
 
 // maxWeighted fills the weighted-point workspace with the exact point
 // set of max(X, Y): the increments of F_X(t)*F_Y(t) over the merged
-// support. When one support lies entirely at or above the other —
-// separated distributions, e.g. normals more than ~2.6 sigma apart after
+// support. Both supports are ascending, so the merged support is a
+// two-pointer walk: the smaller head is the next point, and every point
+// at or below it is consumed from both sides (which also drops
+// duplicates, keeping a's copy of a coordinate both supports share).
+// When one support lies entirely at or above the other — separated
+// distributions, e.g. normals more than ~2.6 sigma apart after
 // 3.5-sigma discretization — a support-bounds pre-check routes to
-// dominatedMax, which skips the merge/sort and emits the same values
-// bit-for-bit.
+// dominatedMax, which emits the same values bit-for-bit from one walk.
+//
+// The walk replaced a concatenate-sort-dedup merge and emits the same
+// bits, with one exception it hands back to that merge: -0 in one
+// support meeting +0 in the other, where which zero survives the dedup
+// was decided by the (unstable) sort. Engine arrivals never hold -0.
 func (s *Scratch) maxWeighted(a, b PDF) {
 	s.wxs, s.wps = s.wxs[:0], s.wps[:0]
-	if a.xs[0] >= b.xs[b.Len()-1] {
+	na, nb := a.Len(), b.Len()
+	if a.xs[0] >= b.xs[nb-1] {
 		s.dominatedMax(a, b)
 		return
 	}
-	if b.xs[0] >= a.xs[a.Len()-1] {
+	if b.xs[0] >= a.xs[na-1] {
 		s.dominatedMax(b, a)
 		return
 	}
-	// Merge supports.
+	prev := 0.0
+	ia, ib := 0, 0
+	ca, cb := 0.0, 0.0
+	for ia < na || ib < nb {
+		var x float64
+		if ia == na || (ib < nb && b.xs[ib] < a.xs[ia]) {
+			x = b.xs[ib]
+		} else {
+			x = a.xs[ia]
+			if x == 0 && ib < nb && b.xs[ib] == 0 && math.Signbit(x) != math.Signbit(b.xs[ib]) {
+				s.sortedMax(a, b)
+				return
+			}
+		}
+		for ia < na && a.xs[ia] <= x {
+			ca += a.ps[ia]
+			ia++
+		}
+		for ib < nb && b.xs[ib] <= x {
+			cb += b.ps[ib]
+			ib++
+		}
+		f := ca * cb
+		if mass := f - prev; mass > 0 {
+			s.wxs = append(s.wxs, x)
+			s.wps = append(s.wps, mass)
+		}
+		prev = f
+	}
+}
+
+// sortedMax is maxWeighted's general case over a merged support built
+// by sorting the concatenated supports and dropping duplicates.
+func (s *Scratch) sortedMax(a, b PDF) {
+	s.wxs, s.wps = s.wxs[:0], s.wps[:0]
 	s.merge = append(append(s.merge[:0], a.xs...), b.xs...)
 	sort.Float64s(s.merge)
-	// Dedup.
 	uniq := s.merge[:1]
 	for _, x := range s.merge[1:] {
 		if x != uniq[len(uniq)-1] {

@@ -191,8 +191,7 @@ func (lx *Lexer) scanString() (Token, error) {
 			return Token{Kind: TokenString, Text: string(lx.buf), Line: line, Col: col}, nil
 		}
 		if len(lx.buf) >= lx.maxIdent {
-			return Token{}, &PosError{Line: line, Col: col, Err:
-				Budgetf("string exceeds the %d-byte identifier budget", lx.maxIdent)}
+			return Token{}, &PosError{Line: line, Col: col, Err: Budgetf("string exceeds the %d-byte identifier budget", lx.maxIdent)}
 		}
 		lx.buf = append(lx.buf, b)
 	}
@@ -224,8 +223,7 @@ func (lx *Lexer) scanIdent(first byte) (Token, error) {
 			break
 		}
 		if len(lx.buf) >= lx.maxIdent {
-			return Token{}, &PosError{Line: line, Col: col, Err:
-				Budgetf("identifier exceeds the %d-byte budget", lx.maxIdent)}
+			return Token{}, &PosError{Line: line, Col: col, Err: Budgetf("identifier exceeds the %d-byte budget", lx.maxIdent)}
 		}
 		lx.buf = append(lx.buf, b)
 	}

@@ -2,6 +2,7 @@ package ssta
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/dpdf"
@@ -29,13 +30,19 @@ type WhatIfOutcome struct {
 
 // BatchWhatIf evaluates K candidate sizings against the engine's current
 // analysis in one pass, sharing the clean cone prefix: the clean arena is
-// read-only, each candidate repairs only its dirty cone into a per-worker
-// overlay arena, and neither the circuit nor the engine moves. Outcome
-// summaries are bit-identical to applying each candidate via ResizeAll
-// and reading Result (the differential tests pin this). Sizes in each
-// candidate are absolute target size indices; gates already at the
-// target are ignored. workers <= 0 means one per CPU; results do not
-// depend on the worker count.
+// read-only, each candidate repairs only its dirty cone into an
+// engine-owned overlay arena, and neither the circuit nor the engine
+// moves. Outcome summaries are bit-identical to applying each candidate
+// via ResizeAll and reading Result (the differential tests pin this).
+// Sizes in each candidate are absolute target size indices; gates
+// already at the target are ignored. workers <= 0 means one per CPU;
+// results do not depend on the worker count.
+//
+// With at least as many candidates as workers, candidates are sharded
+// across workers, one overlay each. With fewer (the optimizer's one- or
+// two-candidate probes), candidates run one at a time through a single
+// overlay and each wide level of the candidate's cone fans out across
+// the workers instead.
 //
 // The circuit's sizes must match the engine state (call Sync first if
 // they were edited externally); BatchWhatIf panics otherwise, because the
@@ -56,25 +63,40 @@ func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []
 		MaxArrival: r.STA.MaxArrival,
 	}
 	outs := make([]WhatIfOutcome, len(cands))
-	workers = min(parallel.Resolve(workers), len(cands))
-	state := make([]*whatIfWorker, workers)
-	parallel.ForEachWorker(workers, len(cands), func(wi, i int) {
-		if state[wi] == nil {
-			state[wi] = f.newWhatIfWorker()
+	workers = parallel.Resolve(workers)
+	sc := f.scratch(workers)
+	if n := workers - len(f.overlays); n > 0 {
+		f.overlays = append(f.overlays, make([]*whatIfWorker, n)...)
+	}
+	if len(cands) < workers {
+		w := f.overlay(0)
+		for i, ch := range cands {
+			outs[i] = w.evaluate(ch, lambda, clean, sc)
 		}
-		outs[i] = state[wi].evaluate(cands[i], lambda, clean)
+		return outs
+	}
+	parallel.ForEachWorker(workers, len(cands), func(wi, i int) {
+		outs[i] = f.overlay(wi).evaluate(cands[i], lambda, clean, sc[wi:wi+1])
 	})
 	return outs
 }
 
-// whatIfWorker is one worker's overlay over the engine's clean
-// analysis: sparse copy-on-write views of the deterministic arrays, the
-// arrival-PDF arena, node moments, and size overrides. Overlay slots
-// shadow the clean analysis; everything not marked dirty reads through
-// to it. Reset is O(touched).
+// overlay returns worker i's what-if overlay, creating it on first use;
+// workers may call it concurrently for distinct i.
+func (f *Flat) overlay(i int) *whatIfWorker {
+	if f.overlays[i] == nil {
+		f.overlays[i] = f.newWhatIfWorker()
+	}
+	return f.overlays[i]
+}
+
+// whatIfWorker is one overlay over the engine's clean analysis: sparse
+// copy-on-write views of the deterministic arrays, the arrival-PDF
+// arena, node moments, and size overrides. Overlay slots shadow the
+// clean analysis; everything not marked dirty reads through to it.
+// Reset is O(touched).
 type whatIfWorker struct {
 	f     *Flat
-	sc    flatScratch
 	queue *circuit.LevelQueue
 	over  *dpdf.Arena // arrival PDFs; slot n = candidate circuit PDF
 	// An overlay arena slot with Len > 0 shadows the clean arrival PDF;
@@ -86,6 +108,13 @@ type whatIfWorker struct {
 	touched     []circuit.GateID
 	sizeOv      []int32 // -1 = no override
 	sizeTouched []circuit.GateID
+
+	// The level under repair and its computed evals, index-aligned, and
+	// the scratches the current candidate computes with (one per worker).
+	lvl         []circuit.GateID
+	evs         []gateEval
+	sc          []flatScratch
+	computeNode func(w, i int) // compute over lvl[i], built once
 }
 
 func (f *Flat) newWhatIfWorker() *whatIfWorker {
@@ -103,6 +132,7 @@ func (f *Flat) newWhatIfWorker() *whatIfWorker {
 	for i := range w.sizeOv {
 		w.sizeOv[i] = -1
 	}
+	w.computeNode = func(wk, i int) { w.evs[i] = w.compute(&w.sc[wk], w.lvl[i]) }
 	return w
 }
 
@@ -178,10 +208,13 @@ func (w *whatIfWorker) markDirty(id circuit.GateID) {
 }
 
 // evaluate runs one candidate through the overlay: seed the dirty set,
-// repair level-ordered with the engine's exact cutoff, summarize.
-func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean WhatIfOutcome) WhatIfOutcome {
+// repair level-ordered with the engine's exact cutoff, summarize. Each
+// level is computed on len(sc) workers (forLevel) and then committed
+// serially in pop order, so the outcome does not depend on len(sc).
+func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean WhatIfOutcome, sc []flatScratch) WhatIfOutcome {
 	f := w.f
 	c := f.d.Circuit
+	w.sc = sc
 	for _, ch := range changes {
 		if c.Gate(ch.Gate).SizeIdx == ch.Size && w.sizeOv[ch.Gate] < 0 {
 			continue
@@ -198,15 +231,19 @@ func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean What
 	touched := 0
 	anyChanged := false
 	for {
-		id, ok := w.queue.Pop()
-		if !ok {
+		w.lvl = w.queue.PopLevel(w.lvl[:0])
+		if len(w.lvl) == 0 {
 			break
 		}
-		touched++
-		if w.recompute(id) {
-			anyChanged = true
-			for _, fo := range c.Gate(id).Fanout {
-				w.queue.Push(fo, f.level[fo])
+		w.evs = slices.Grow(w.evs[:0], len(w.lvl))[:len(w.lvl)]
+		forLevel(len(sc), len(w.lvl), w.computeNode)
+		touched += len(w.lvl)
+		for i, id := range w.lvl {
+			if w.commit(id, &w.evs[i]) {
+				anyChanged = true
+				for _, fo := range c.Gate(id).Fanout {
+					w.queue.Push(fo, f.level[fo])
+				}
 			}
 		}
 	}
@@ -214,7 +251,7 @@ func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean What
 	out.Touched = touched
 	out.Changed = anyChanged
 	if anyChanged {
-		maxArr, _, m := f.summarize(w, &w.sc, w.over, c.NumGates())
+		maxArr, _, m := f.summarize(w, &sc[0], w.over, c.NumGates())
 		out.Mean = m.Mean
 		out.Sigma = math.Sqrt(m.Var)
 		out.MaxArrival = maxArr
@@ -224,25 +261,23 @@ func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean What
 	return out
 }
 
-// recompute re-derives one node into the overlay through the engine's
-// eval; "changed" compares against the clean analysis (each node is
-// visited at most once per candidate, so the clean value IS the
-// previous value).
-func (w *whatIfWorker) recompute(id circuit.GateID) bool {
+// compute re-derives one node through the engine's eval, writing only
+// the node's own overlay arena slot; everything else it reads (fanin
+// values, sizes, loads) belongs to lower levels or to the candidate, so
+// the nodes of one level can be computed concurrently. For a primary
+// input only the deterministic arrival and slew move.
+func (w *whatIfWorker) compute(sc *flatScratch, id circuit.GateID) gateEval {
 	f := w.f
 	d := f.d
 	g := d.Circuit.Gate(id)
 	if g.Fn == circuit.Input {
-		newArr := d.Lib.PrimaryInputRes * w.load(id)
-		newSlew := d.Lib.PrimaryInputSlew
-		changed := newArr != w.staArrival(id) || newSlew != w.staSlew(id)
-		w.markDirty(id)
-		w.arr[id] = newArr
-		w.slew[id] = newSlew
-		return changed
+		return gateEval{
+			arrival: d.Lib.PrimaryInputRes * w.load(id),
+			slew:    d.Lib.PrimaryInputSlew,
+		}
 	}
 	var fArr, fSlew float64
-	w.sc.ops = w.sc.ops[:0]
+	sc.ops = sc.ops[:0]
 	for _, fid := range g.Fanin {
 		if a := w.staArrival(fid); a > fArr {
 			fArr = a
@@ -250,15 +285,25 @@ func (w *whatIfWorker) recompute(id circuit.GateID) bool {
 		if s := w.staSlew(fid); s > fSlew {
 			fSlew = s
 		}
-		w.sc.ops = append(w.sc.ops, w.arrival(fid))
+		sc.ops = append(sc.ops, w.arrival(fid))
 	}
-	slot := int(id)
-	e := f.eval(&w.sc, w.over, slot, d.CellAt(id, w.size(id)), w.load(id), fArr, fSlew)
-	changed := e.arrival != w.staArrival(id) || e.slew != w.staSlew(id) ||
-		!w.over.Equal(slot, f.arena.View(slot))
+	return f.eval(sc, w.over, int(id), d.CellAt(id, w.size(id)), w.load(id), fArr, fSlew)
+}
+
+// commit records a computed node in the overlay and reports whether it
+// changed; "changed" compares against the clean analysis (each node is
+// visited at most once per candidate, so the clean value IS the
+// previous value).
+func (w *whatIfWorker) commit(id circuit.GateID, e *gateEval) bool {
+	f := w.f
+	changed := e.arrival != w.staArrival(id) || e.slew != w.staSlew(id)
+	if f.d.Circuit.Gate(id).Fn != circuit.Input {
+		slot := int(id)
+		changed = changed || !w.over.Equal(slot, f.arena.View(slot))
+		w.mom[id] = e.node
+	}
 	w.markDirty(id)
 	w.arr[id] = e.arrival
 	w.slew[id] = e.slew
-	w.mom[id] = e.node
 	return changed
 }

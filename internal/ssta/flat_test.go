@@ -237,3 +237,45 @@ func TestBatchWhatIfStaleSizesPanics(t *testing.T) {
 	}()
 	flat.BatchWhatIf([][]SizeChange{{{Gate: id, Size: 0}}}, 3, 1)
 }
+
+// TestBatchWhatIfWorkersAgree pins both BatchWhatIf schedules at
+// explicit worker counts, so they run on any host: K = 1 calls take the
+// intra-candidate path (one overlay, each wide level fanned out) and a
+// K = 16 call the candidate-sharded path. Every outcome struct must
+// equal the serial one exactly, Touched and Changed included, and the
+// engine's bookkeeping must not move.
+func TestBatchWhatIfWorkersAgree(t *testing.T) {
+	const lambda = 3.0
+	for name, d := range whatIfDesigns(t) {
+		vm := variation.Default(d.Lib)
+		cands := randomCandidates(rand.New(rand.NewSource(int64(len(name))*17)), d, 16)
+		want := NewFlat(d, vm, Options{Workers: 1}).BatchWhatIf(cands, lambda, 1)
+		for _, workers := range []int{1, 2, 4} {
+			f := NewFlat(d, vm, Options{Workers: workers})
+			batch := f.BatchWhatIf(cands, lambda, workers)
+			for i, ch := range cands {
+				one := f.BatchWhatIf([][]SizeChange{ch}, lambda, workers)[0]
+				if batch[i] != want[i] || one != want[i] {
+					t.Fatalf("%s workers=%d cand %d: K=16 %+v, K=1 %+v, want %+v",
+						name, workers, i, batch[i], one, want[i])
+				}
+			}
+			if f.Evals() != 0 {
+				t.Fatalf("%s workers=%d: what-if moved Evals to %d", name, workers, f.Evals())
+			}
+		}
+	}
+}
+
+// TestBatchWhatIfReusesOverlays pins the engine-owned overlays: once
+// the engine's overlays exist, a batch allocates only its outcome slice
+// and the sharding closure, independent of the circuit size.
+func TestBatchWhatIfReusesOverlays(t *testing.T) {
+	d, vm := setupISCAS(t, "c880")
+	f := NewFlat(d, vm, Options{Workers: 1})
+	cands := randomCandidates(rand.New(rand.NewSource(3)), d, 8)
+	f.BatchWhatIf(cands, 3, 1)
+	if n := testing.AllocsPerRun(10, func() { f.BatchWhatIf(cands, 3, 1) }); n > 2 {
+		t.Fatalf("warm BatchWhatIf allocates %v per call, want <= 2", n)
+	}
+}

@@ -220,9 +220,8 @@ func (f *Flat) seed(g circuit.GateID) {
 	}
 }
 
-// save journals a node's state ahead of its repair and returns the
-// journal index.
-func (f *Flat) save(id circuit.GateID) int {
+// save journals a node's state ahead of its repair.
+func (f *Flat) save(id circuit.GateID) {
 	r := f.r
 	j := len(f.journal)
 	f.journal = append(f.journal, nodeSave{
@@ -236,34 +235,47 @@ func (f *Flat) save(id circuit.GateID) int {
 	})
 	f.jarena.Grow(j + 2)
 	f.jarena.Set(j+1, f.arena.View(int(id)))
-	return j
 }
 
-// repair drains the dirty queue in level order, re-deriving each node
+// repair drains the dirty queue a level at a time, re-deriving each node
 // with the engine's step and pushing its fanouts when anything a
 // downstream node reads (deterministic arrival/slew, the arrival PDF)
 // changed. Popping in level order visits each node at most once.
+//
+// Each level runs in three phases: journal every node serially in pop
+// order; step them all, on f.workers workers when the level is wide
+// (forLevel) — every fanin lies at a strictly lower level, so a step
+// reads only finished slots and writes only its own; then, serially in
+// pop order, test each node against its journal entry and push its
+// fanouts. Journal order, counters and values are those of a one-node-
+// at-a-time drain.
 func (f *Flat) repair() int {
 	c := f.d.Circuit
 	nominal := f.r.STA
 	touched := 0
 	anyChanged := false
 	for {
-		id, ok := f.queue.Pop()
-		if !ok {
+		f.lvl = f.queue.PopLevel(f.lvl[:0])
+		if len(f.lvl) == 0 {
 			break
 		}
-		touched++
-		f.evals[id]++
-		f.totalEvals++
-		j := f.save(id)
-		f.step(&f.sc[0], id)
-		old := &f.journal[j]
-		if nominal.Arrival[id] != old.staArr || nominal.Slew[id] != old.staSlew ||
-			!f.arena.Equal(int(id), f.jarena.View(j+1)) {
-			anyChanged = true
-			for _, fo := range c.Gate(id).Fanout {
-				f.queue.Push(fo, f.level[fo])
+		base := len(f.journal)
+		for _, id := range f.lvl {
+			f.evals[id]++
+			f.save(id)
+		}
+		touched += len(f.lvl)
+		f.totalEvals += int64(len(f.lvl))
+		forLevel(f.workers, len(f.lvl), f.stepLevel)
+		for i, id := range f.lvl {
+			j := base + i
+			old := &f.journal[j]
+			if nominal.Arrival[id] != old.staArr || nominal.Slew[id] != old.staSlew ||
+				!f.arena.Equal(int(id), f.jarena.View(j+1)) {
+				anyChanged = true
+				for _, fo := range c.Gate(id).Fanout {
+					f.queue.Push(fo, f.level[fo])
+				}
 			}
 		}
 	}
