@@ -114,9 +114,7 @@ func (d *Design) OptimizeConstrained(maxMean float64) (ConstrainedResult, error)
 	if math.IsNaN(maxMean) || math.IsInf(maxMean, 0) {
 		return ConstrainedResult{}, fmt.Errorf("repro: non-finite mean budget %g", maxMean)
 	}
-	// Incremental analysis is bit-identical to full recompute, so the
-	// constrained mode — which has no RunOptions parameter — always uses it.
-	r, err := core.MinimizeSigmaUnderDelay(d.d, d.vm, maxMean, core.Options{Incremental: true})
+	r, err := core.MinimizeSigmaUnderDelay(d.d, d.vm, maxMean, core.Options{})
 	if err != nil {
 		return ConstrainedResult{}, err
 	}

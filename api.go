@@ -114,13 +114,9 @@ func (d *Design) Stats() Stats {
 // "library defaults".
 type RunOptions struct {
 	// Workers bounds the number of goroutines the engines may use: 0
-	// means one worker per available CPU, 1 forces the exact historical
-	// serial behavior. FULLSSTA and Monte Carlo produce bit-identical
-	// results for every value. StatisticalGreedy additionally scores
-	// sizing candidates concurrently when Workers is explicitly >= 2 —
-	// deterministic and host-independent for a fixed value, but a
-	// different (snapshot-scored) move ordering than the serial default
-	// (see internal/core.Options.Workers).
+	// means one worker per available CPU, 1 runs serially. It changes
+	// wall time only: FULLSSTA, Monte Carlo and every optimizer produce
+	// bit-identical results for every value.
 	Workers int
 	// PDFPoints caps the discrete-PDF resolution of FULLSSTA (0 = the
 	// engine default).
@@ -137,14 +133,6 @@ type RunOptions struct {
 	// in milliseconds-to-seconds; use AnalyzeCtx to reject work on an
 	// already-cancelled context.
 	Ctx context.Context
-	// FullRecompute disables the incremental dirty-cone timing engines
-	// inside the optimizers and re-runs every whole-circuit analysis from
-	// scratch instead. Both modes produce bit-identical sizings and
-	// results (internal/difftest proves the engines exact, the optimizer
-	// equivalence tests prove the runs identical), so the zero value is
-	// the fast incremental path and this flag exists for benchmarking and
-	// as an escape hatch (CLIs expose it as -incremental=false).
-	FullRecompute bool
 	// Checkpoint, when non-nil, receives a resumable optimizer state at
 	// the end of every CheckpointEvery-th outer iteration. Feeding a
 	// checkpoint back through Resume restarts the optimizer so that it
@@ -421,17 +409,16 @@ type OptResult struct {
 	Iterations              int
 	Runtime                 time.Duration
 	// AnalysisTime is the share of Runtime spent in whole-circuit timing
-	// analysis — the part the incremental engines shrink (compare runs
-	// with and without RunOptions.FullRecompute).
+	// analysis: the initial analysis, the incremental dirty-cone repairs
+	// and the batched what-if passes.
 	AnalysisTime time.Duration
 	StoppedBy    string
 	// Evals counts the timing evaluations the run requested
 	// (whole-circuit analyses, batched what-if candidates, subcircuit
 	// scorings) and NodeEvals the per-gate evaluations behind the
 	// whole-circuit work: the work-done metrics the cross-optimizer
-	// scoreboard compares. Both depend on the analyzer mode
-	// (FullRecompute vs incremental) and are not part of the
-	// bit-exactness contract.
+	// scoreboard compares. Like the timing fields they are not part of
+	// the bit-exactness contract.
 	Evals     int64
 	NodeEvals int64
 }
@@ -504,8 +491,7 @@ func (d *Design) Optimize(lambda float64, opts RunOptions) (OptResult, error) {
 	r, err := o.Run(d.d, d.vm, core.Options{
 		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers,
 		MaxIters: opts.MaxIters, Ctx: opts.Ctx, Seed: opts.Seed,
-		Incremental: !opts.FullRecompute,
-		Checkpoint:  cb, CheckpointEvery: every, Resume: resume,
+		Checkpoint: cb, CheckpointEvery: every, Resume: resume,
 	})
 	if err != nil {
 		return OptResult{}, err
@@ -529,8 +515,7 @@ func (d *Design) OptimizeMeanDelayOpts(opts RunOptions) (OptResult, error) {
 	cb, every, resume := opts.checkpointing()
 	r, err := core.MeanDelayGreedy(d.d, d.vm, core.Options{
 		MaxIters: opts.MaxIters, Workers: opts.Workers, Ctx: opts.Ctx,
-		Incremental: !opts.FullRecompute,
-		Checkpoint:  cb, CheckpointEvery: every, Resume: resume,
+		Checkpoint: cb, CheckpointEvery: every, Resume: resume,
 	})
 	if err != nil {
 		return OptResult{}, err
@@ -558,8 +543,7 @@ func (d *Design) OptimizeStatisticalOpts(lambda float64, opts RunOptions) (OptRe
 	r, err := core.StatisticalGreedy(d.d, d.vm, core.Options{
 		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers,
 		MaxIters: opts.MaxIters, Ctx: opts.Ctx,
-		Incremental: !opts.FullRecompute,
-		Checkpoint:  cb, CheckpointEvery: every, Resume: resume,
+		Checkpoint: cb, CheckpointEvery: every, Resume: resume,
 	})
 	if err != nil {
 		return OptResult{}, err
@@ -579,8 +563,7 @@ func (d *Design) RecoverAreaOpts(lambda, slackFrac float64, opts RunOptions) (fl
 	cb, every, resume := opts.checkpointing()
 	return core.RecoverArea(d.d, d.vm, core.Options{
 		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers, Ctx: opts.Ctx,
-		Incremental: !opts.FullRecompute,
-		Checkpoint:  cb, CheckpointEvery: every, Resume: resume,
+		Checkpoint: cb, CheckpointEvery: every, Resume: resume,
 	}, slackFrac)
 }
 

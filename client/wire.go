@@ -65,14 +65,12 @@ type JobRequest struct {
 	// Samples and Seed drive the Monte-Carlo engine.
 	Samples int   `json:"samples,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
-	// Workers, PDFPoints, MaxIters and FullRecompute mirror
-	// repro.RunOptions: the optimizers run their whole-circuit analyses
-	// incrementally unless FullRecompute is set, with bit-identical
-	// results either way.
-	Workers       int  `json:"workers,omitempty"`
-	PDFPoints     int  `json:"pdf_points,omitempty"`
-	MaxIters      int  `json:"max_iters,omitempty"`
-	FullRecompute bool `json:"full_recompute,omitempty"`
+	// Workers, PDFPoints and MaxIters mirror repro.RunOptions. Workers
+	// changes speed only, so results (and the server's result cache) do
+	// not depend on it.
+	Workers   int `json:"workers,omitempty"`
+	PDFPoints int `json:"pdf_points,omitempty"`
+	MaxIters  int `json:"max_iters,omitempty"`
 	// SlackFrac is the recover operation's cost slack fraction.
 	SlackFrac float64 `json:"slack_frac,omitempty"`
 	// Optimizer selects the sizing backend for optimize jobs: one of the
@@ -192,13 +190,13 @@ type OptimizeResult struct {
 	StoppedBy   string  `json:"stopped_by"`
 	RuntimeSec  float64 `json:"runtime_sec"`
 	// AnalysisTimeSec is the share of RuntimeSec spent in whole-circuit
-	// timing analysis (the part FullRecompute toggles between incremental
-	// repair and from-scratch recompute).
+	// timing analysis (the initial analysis, incremental repairs and
+	// batched what-if passes).
 	AnalysisTimeSec float64 `json:"analysis_time_sec,omitempty"`
 	// Evals counts the timing evaluations the run requested and
 	// NodeEvals the per-gate evaluations behind them: work-done metrics
-	// (mode-dependent, excluded from the bit-exactness contract, like
-	// the timing fields).
+	// (excluded from the bit-exactness contract, like the timing
+	// fields).
 	Evals     int64 `json:"evals,omitempty"`
 	NodeEvals int64 `json:"node_evals,omitempty"`
 	// Sizes is the optimized sizing vector (one library size index per

@@ -79,10 +79,7 @@ func usage() {
 }
 
 // workersFlag registers the shared -workers knob on a subcommand's flag
-// set (see internal/cliutil; the optimizer scores candidates
-// concurrently only when the flag is explicitly >= 2 — deterministic,
-// but a different move ordering than the serial default, DESIGN.md
-// section 7).
+// set (see internal/cliutil): it changes speed, never results.
 func workersFlag(fs *flag.FlagSet) *int {
 	return cliutil.WorkersFlag(fs)
 }
@@ -97,11 +94,6 @@ func parseWorkers(fs *flag.FlagSet, workers *int, args []string) error {
 // (see internal/cliutil): the named benchmark designs are structurally
 // linted before the experiment runs.
 func lintFlag(fs *flag.FlagSet) *bool { return cliutil.LintFlag(fs) }
-
-// incrementalFlag registers the shared -incremental knob (see
-// internal/cliutil): the optimizers repair timing incrementally by
-// default, with bit-identical results to a full recompute per pass.
-func incrementalFlag(fs *flag.FlagSet) *bool { return cliutil.IncrementalFlag(fs) }
 
 // lintDesigns generates and lints each named built-in benchmark when
 // enabled: diagnostics (with gate names) go to stderr, error-severity
@@ -130,7 +122,6 @@ func runTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
 	csv := fs.Bool("csv", false, "emit CSV instead of a formatted table")
 	workers := workersFlag(fs)
-	incr := incrementalFlag(fs)
 	lint := lintFlag(fs)
 	if err := parseWorkers(fs, workers, args); err != nil {
 		return err
@@ -142,7 +133,7 @@ func runTable1(args []string) error {
 	if err := lintDesigns(*lint, names...); err != nil {
 		return err
 	}
-	rows, err := experiments.Table1(names, experiments.Config{Workers: *workers, FullRecompute: !*incr})
+	rows, err := experiments.Table1(names, experiments.Config{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -169,7 +160,6 @@ func runFig1(args []string) error {
 	fs := flag.NewFlagSet("fig1", flag.ExitOnError)
 	circuit := fs.String("circuit", "c880", "benchmark to plot")
 	workers := workersFlag(fs)
-	incr := incrementalFlag(fs)
 	lint := lintFlag(fs)
 	if err := parseWorkers(fs, workers, args); err != nil {
 		return err
@@ -177,7 +167,7 @@ func runFig1(args []string) error {
 	if err := lintDesigns(*lint, *circuit); err != nil {
 		return err
 	}
-	res, err := experiments.Fig1(*circuit, experiments.Config{Workers: *workers, FullRecompute: !*incr})
+	res, err := experiments.Fig1(*circuit, experiments.Config{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -222,7 +212,6 @@ func runFig4(args []string) error {
 	fs := flag.NewFlagSet("fig4", flag.ExitOnError)
 	circuit := fs.String("circuit", "c432", "benchmark to sweep")
 	workers := workersFlag(fs)
-	incr := incrementalFlag(fs)
 	lint := lintFlag(fs)
 	if err := parseWorkers(fs, workers, args); err != nil {
 		return err
@@ -230,7 +219,7 @@ func runFig4(args []string) error {
 	if err := lintDesigns(*lint, *circuit); err != nil {
 		return err
 	}
-	pts, err := experiments.Fig4(*circuit, nil, experiments.Config{Workers: *workers, FullRecompute: !*incr})
+	pts, err := experiments.Fig4(*circuit, nil, experiments.Config{Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -320,7 +309,6 @@ func abs(x float64) float64 {
 func runEngines(args []string) error {
 	fs := flag.NewFlagSet("engines", flag.ExitOnError)
 	workers := workersFlag(fs)
-	incr := incrementalFlag(fs)
 	lint := lintFlag(fs)
 	if err := parseWorkers(fs, workers, args); err != nil {
 		return err
@@ -332,7 +320,7 @@ func runEngines(args []string) error {
 	if err := lintDesigns(*lint, names...); err != nil {
 		return err
 	}
-	rows, err := experiments.Engines(names, 20000, experiments.Config{Workers: *workers, FullRecompute: !*incr})
+	rows, err := experiments.Engines(names, 20000, experiments.Config{Workers: *workers})
 	if err != nil {
 		return err
 	}

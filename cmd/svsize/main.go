@@ -34,7 +34,6 @@ func main() {
 		out     = flag.String("out", "", "write the sized netlist to this .bench file")
 		list    = flag.Bool("list", false, "list built-in benchmarks and exit")
 		workers = cliutil.WorkersFlag(flag.CommandLine)
-		incr    = cliutil.IncrementalFlag(flag.CommandLine)
 		lint    = cliutil.LintFlag(flag.CommandLine)
 		ingest  = cliutil.RegisterIngestFlags(flag.CommandLine)
 	)
@@ -54,7 +53,7 @@ func main() {
 		}
 		*libFile = *libAlt
 	}
-	opts := repro.RunOptions{Workers: *workers, FullRecompute: !*incr, Optimizer: *backend, Seed: *seed}
+	opts := repro.RunOptions{Workers: *workers, Optimizer: *backend, Seed: *seed}
 	if err := opts.Validate(); err != nil {
 		fail(err)
 	}

@@ -25,20 +25,12 @@ import (
 )
 
 // WorkersFlag registers the shared -workers knob on fs (use
-// flag.CommandLine for commands that parse global flags). The analysis
-// engines produce identical numbers for any value; the optimizer scores
-// candidates concurrently only when the flag is explicitly >= 2.
+// flag.CommandLine for commands that parse global flags). It changes
+// speed only: the analysis engines and the optimizers produce identical
+// numbers for any value.
 func WorkersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0,
-		"engine worker goroutines (0 = all CPUs, 1 = serial; >= 2 also enables concurrent optimizer scoring)")
-}
-
-// IncrementalFlag registers the shared -incremental flag: the optimizers'
-// whole-circuit analyses run as dirty-cone incremental repairs (bit-identical
-// to full recompute, default) unless disabled.
-func IncrementalFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("incremental", true,
-		"repair timing incrementally inside the optimizers (bit-identical; false = full recompute per pass)")
+		"engine worker goroutines (0 = all CPUs, 1 = serial; results are identical for any value)")
 }
 
 // CheckWorkers validates a parsed -workers value: 0 (all CPUs) and any

@@ -11,196 +11,127 @@ import (
 )
 
 // analyzer hands the optimizers the up-to-date whole-circuit analysis
-// for the design's CURRENT sizes, in one of two modes that are
-// guaranteed bit-identical (internal/difftest proves the engines are;
-// TestStatisticalGreedyIncrementalEquivalence proves the optimizers
-// land on identical sizings and Results):
-//
-//   - incremental (Options.Incremental): one ssta.Incremental (or
-//     exact-mode sta.Incremental for the deterministic optimizer) built
-//     up front; every refresh diffs the circuit's sizes against the
-//     engine's record and repairs only the dirty cones, and a refresh
-//     that lands exactly on the engine's pre-transaction sizing (the
-//     optimizers restore a snapshot after every tentative move) is
-//     served by the engine's Rollback without any re-analysis. The
-//     returned *Result is the engine's shared, in-place-updated object,
-//     which is why the optimizer loops capture costs as scalars instead
-//     of retaining result pointers across refreshes.
-//
-//   - full: a from-scratch analysis per refresh, memoized by exact size
-//     vector. The memo reproduces the historical optimizer behavior of
-//     holding onto move-A/B/C result objects and re-using them after a
-//     RestoreSizes, without a pointer dance in the loops: restoring a
-//     recently-analyzed configuration hits the memo and returns the
-//     very same object the historical code would have kept.
+// for the design's CURRENT sizes. Production runs use the incremental
+// engines: one ssta.Incremental (or exact-mode sta.Incremental for the
+// deterministic optimizer) built on the first refresh; every later
+// refresh diffs the circuit's sizes against the engine's record and
+// repairs only the dirty cones, and a refresh that lands exactly on the
+// engine's pre-transaction sizing (the optimizers restore a snapshot
+// after every tentative move) is served by the engine's Rollback without
+// any re-analysis. The returned *Result is the engine's shared,
+// in-place-updated object, which is why the optimizer loops capture
+// costs as scalars instead of retaining result pointers across
+// refreshes. The package tests run the same loops over a from-scratch
+// reference analyzer and demand bit-identical runs.
 type analyzer struct {
-	d       *synth.Design
-	analyze func() *ssta.Result // full recompute at current sizes
-	sync    func() *ssta.Result // incremental repair; nil in full mode
-
+	// current returns the analysis of the design's current sizes.
+	current func() *ssta.Result
 	// whatIfFn scores candidate sizings (changes against the design's
 	// current sizes) without moving the design or the engine; nil for the
 	// deterministic analyzer.
 	whatIfFn func(cands [][]ssta.SizeChange, lambda float64) []float64
 
-	memoSizes [][]int
-	memoRes   []*ssta.Result
-
 	dur time.Duration
 
 	// evals counts whole-circuit analyses plus what-if candidates scored;
 	// nodeEvals counts the per-gate timing evaluations behind them (every
-	// gate for a full recompute, only the repaired cone for an incremental
-	// one). They surface as Result.Evals / Result.NodeEvals: the
-	// mode-dependent work metric the scoreboard compares, deliberately NOT
-	// part of the bit-exactness contract (a full-mode memo hit costs zero
-	// evals where an incremental no-op repair costs one).
+	// gate for the initial analysis, only the repaired or probed cone
+	// afterwards). They surface as Result.Evals / Result.NodeEvals: the
+	// work metric the scoreboard compares, deliberately NOT part of the
+	// bit-exactness contract.
 	evals     int64
 	nodeEvals int64
 }
 
-// analyzerMemo bounds the full-mode memo: an optimizer iteration
-// revisits at most the start/A/B/C/D configurations, so 8 entries keep
-// every hit the historical pointer reuse would have had.
-const analyzerMemo = 8
-
 // newStatAnalyzer builds the FULLSSTA analyzer (the statistical
-// optimizers' outer engine). In incremental mode the engine's initial
-// full analysis is charged to the analyzer's clock.
+// optimizers' outer engine). The engine and its initial full analysis
+// are built on the first refresh, so they are charged to the analyzer's
+// clock and see any sizing a resumed run restores first.
 func newStatAnalyzer(d *synth.Design, vm *variation.Model, opts Options) *analyzer {
-	a := &analyzer{d: d}
-	if opts.Incremental {
-		t0 := time.Now()
-		inc := ssta.NewIncremental(d, vm, opts.sstaOpts())
-		a.dur += time.Since(t0)
-		a.evals++
-		a.nodeEvals += int64(len(d.Circuit.Gates))
-		// last is the sizing the engine currently holds; prev is the one
-		// its open transaction would restore. Refreshing back to prev is
-		// served by Rollback — a journal copy-back instead of a cone
-		// repair — which gives the optimizers' restore-after-tentative-move
-		// pattern the same near-free revisit the full-mode memo gives it.
-		last := d.Circuit.SizeSnapshot()
-		var prev []int
-		a.sync = func() *ssta.Result {
-			cur := d.Circuit.SizeSnapshot()
-			switch {
-			case eqSizes(cur, last):
-				// Already up to date.
-			case prev != nil && eqSizes(cur, prev):
-				inc.Rollback()
-				last, prev = prev, nil
-			default:
-				// Sizes differ from the engine's record, so Sync is
-				// guaranteed to open a fresh transaction rolling back to
-				// what the engine held until now.
-				a.evals++
-				a.nodeEvals += int64(inc.Sync())
-				prev, last = last, cur
-			}
+	a := &analyzer{}
+	var inc *ssta.Incremental
+	// last is the sizing the engine currently holds; prev is the one its
+	// open transaction would restore. Refreshing back to prev is served by
+	// Rollback — a journal copy-back instead of a cone repair — which
+	// makes the optimizers' restore-after-tentative-move pattern a
+	// near-free revisit.
+	var last, prev []int
+	a.current = func() *ssta.Result {
+		if inc == nil {
+			inc = ssta.NewIncremental(d, vm, opts.sstaOpts())
+			a.evals++
+			a.nodeEvals += int64(len(d.Circuit.Gates))
+			last = d.Circuit.SizeSnapshot()
 			return inc.Result()
 		}
-		a.whatIfFn = func(cands [][]ssta.SizeChange, lambda float64) []float64 {
-			// Align the engine with the circuit first (a no-op when the
-			// caller just refreshed, which is the optimizer's pattern),
-			// then score every candidate against that shared clean state.
-			a.sync()
-			outs := inc.BatchWhatIf(cands, lambda, opts.sstaOpts().Workers)
-			costs := make([]float64, len(outs))
-			for i := range outs {
-				costs[i] = outs[i].Cost
-				a.nodeEvals += int64(outs[i].Touched)
-			}
-			a.evals += int64(len(outs))
-			return costs
+		cur := d.Circuit.SizeSnapshot()
+		switch {
+		case eqSizes(cur, last):
+			// Already up to date.
+		case prev != nil && eqSizes(cur, prev):
+			inc.Rollback()
+			last, prev = prev, nil
+		default:
+			// Sizes differ from the engine's record, so Sync is
+			// guaranteed to open a fresh transaction rolling back to
+			// what the engine held until now.
+			a.evals++
+			a.nodeEvals += int64(inc.Sync())
+			prev, last = last, cur
 		}
-	} else {
-		a.analyze = func() *ssta.Result { return ssta.Analyze(d, vm, opts.sstaOpts()) }
-		a.whatIfFn = func(cands [][]ssta.SizeChange, lambda float64) []float64 {
-			// Full mode reproduces the historical probe behavior exactly:
-			// apply each candidate, run the memoized full analysis, restore.
-			// The memo entries this populates are what makes the optimizer's
-			// follow-up refresh of the winning sizing a hit that returns the
-			// very object the historical code retained.
-			base := d.Circuit.SizeSnapshot()
-			costs := make([]float64, len(cands))
-			for i, ch := range cands {
-				for _, c := range ch {
-					d.Circuit.Gate(c.Gate).SizeIdx = c.Size
-				}
-				costs[i] = a.refreshUntimed().Cost(d, lambda)
-				d.Circuit.RestoreSizes(base)
-			}
-			return costs
+		return inc.Result()
+	}
+	a.whatIfFn = func(cands [][]ssta.SizeChange, lambda float64) []float64 {
+		// Align the engine with the circuit first (a no-op when the
+		// caller just refreshed, which is the optimizer's pattern), then
+		// score every candidate against that shared clean state.
+		a.current()
+		outs := inc.BatchWhatIf(cands, lambda, opts.sstaOpts().Workers)
+		costs := make([]float64, len(outs))
+		for i := range outs {
+			costs[i] = outs[i].Cost
+			a.nodeEvals += int64(outs[i].Touched)
 		}
+		a.evals += int64(len(outs))
+		return costs
 	}
 	return a
 }
 
 // newDetAnalyzer builds the deterministic analyzer MeanDelayGreedy
-// uses, wrapping the sta result in the ssta.Result shell the subcircuit
-// extractor expects. Incremental mode uses the exact-equality cutoff so
-// both modes stay bit-identical.
-func newDetAnalyzer(d *synth.Design, opts Options) *analyzer {
-	a := &analyzer{d: d}
-	if opts.Incremental {
-		t0 := time.Now()
-		inc := sta.NewIncrementalExact(d)
-		a.dur += time.Since(t0)
-		a.evals++
-		a.nodeEvals += int64(len(d.Circuit.Gates))
-		a.sync = func() *ssta.Result {
-			if touched := inc.Sync(); touched > 0 {
-				a.evals++
-				a.nodeEvals += int64(touched)
-			}
-			return &ssta.Result{STA: inc.Result()}
+// uses, wrapping the exact-mode sta.Incremental result in the
+// ssta.Result shell the subcircuit extractor expects. The exact-equality
+// cutoff keeps every value bit-identical to a from-scratch sta.Analyze.
+func newDetAnalyzer(d *synth.Design) *analyzer {
+	a := &analyzer{}
+	var inc *sta.Incremental
+	a.current = func() *ssta.Result {
+		if inc == nil {
+			inc = sta.NewIncrementalExact(d)
+			a.evals++
+			a.nodeEvals += int64(len(d.Circuit.Gates))
+		} else if touched := inc.Sync(); touched > 0 {
+			a.evals++
+			a.nodeEvals += int64(touched)
 		}
-	} else {
-		a.analyze = func() *ssta.Result { return &ssta.Result{STA: sta.Analyze(d)} }
+		return &ssta.Result{STA: inc.Result()}
 	}
 	return a
 }
 
-// refresh returns the analysis of the design's current sizes, repairing
-// or recomputing as the mode requires. Wall time accumulates on the
-// analyzer's clock (reported as Result.AnalysisTime).
+// refresh returns the analysis of the design's current sizes. Wall time
+// accumulates on the analyzer's clock (reported as Result.AnalysisTime).
 func (a *analyzer) refresh() *ssta.Result {
 	t0 := time.Now()
 	defer func() { a.dur += time.Since(t0) }()
-	return a.refreshUntimed()
-}
-
-// refreshUntimed is refresh without the clock, for callers (whatIf) that
-// already hold it.
-func (a *analyzer) refreshUntimed() *ssta.Result {
-	if a.sync != nil {
-		return a.sync()
-	}
-	sizes := a.d.Circuit.SizeSnapshot()
-	for i := len(a.memoSizes) - 1; i >= 0; i-- {
-		if eqSizes(a.memoSizes[i], sizes) {
-			return a.memoRes[i]
-		}
-	}
-	r := a.analyze()
-	a.evals++
-	a.nodeEvals += int64(len(a.d.Circuit.Gates))
-	a.memoSizes = append(a.memoSizes, sizes)
-	a.memoRes = append(a.memoRes, r)
-	if len(a.memoSizes) > analyzerMemo {
-		a.memoSizes = a.memoSizes[1:]
-		a.memoRes = a.memoRes[1:]
-	}
-	return r
+	return a.current()
 }
 
 // whatIf returns the circuit cost of each candidate sizing — expressed
 // as changes against the design's CURRENT sizes — without moving the
-// design. In incremental mode this is one batched dirty-cone pass over
-// per-worker overlays (ssta.Incremental.BatchWhatIf); in full mode it is
-// the historical apply/analyze/restore sequence through the memo. Both
-// return bit-identical costs.
+// design: one batched dirty-cone pass over per-worker overlays
+// (ssta.Incremental.BatchWhatIf), bit-identical to applying each
+// candidate and re-analyzing.
 func (a *analyzer) whatIf(cands [][]ssta.SizeChange, lambda float64) []float64 {
 	t0 := time.Now()
 	defer func() { a.dur += time.Since(t0) }()

@@ -22,7 +22,6 @@ import (
 	"repro/internal/circuit"
 
 	"repro/internal/fassta"
-	"repro/internal/parallel"
 	"repro/internal/ssta"
 	"repro/internal/synth"
 	"repro/internal/variation"
@@ -75,16 +74,11 @@ type Options struct {
 	// so a caller observes the cancellation within one iteration. nil
 	// means the run can never be cancelled.
 	Ctx context.Context
-	// Workers is the concurrency budget. It is passed to every FULLSSTA
-	// analysis (level-parallel PDF propagation, bit-exact at any worker
-	// count), and when EXPLICITLY set to 2 or more, candidate gates on
-	// the WNSS paths are also scored concurrently — each gate's FASSTA
-	// subcircuit evaluated against the iteration-start sizing, winners
-	// applied in path order, so the outcome is deterministic and
-	// host-independent. 0 (the default) and 1 keep the exact historical
-	// serial scoring, where each gate sees the tentative resizes of
-	// gates earlier on the path; 0 still lets the inner FULLSSTA passes
-	// use all CPUs, which cannot change any number.
+	// Workers is the concurrency budget of the timing engines: the
+	// initial FULLSSTA analysis, the dirty-cone repairs and the batched
+	// what-if passes run level-parallel on up to Workers goroutines
+	// (0 = one per CPU, 1 = serial). It changes wall time only: every
+	// optimizer returns the identical Result and sizing at any value.
 	Workers int
 	// Checkpoint, when non-nil, receives a resumable state snapshot at
 	// the end of every CheckpointEvery-th outer iteration (pass, for
@@ -121,16 +115,11 @@ type Options struct {
 	// 0 means 0.01. The direct RecoverArea call takes it as an explicit
 	// argument instead.
 	SlackFrac float64
-	// Incremental selects dirty-cone incremental timing for every
-	// whole-circuit analysis inside the optimizers (ssta.Incremental for
-	// the statistical ones, the exact-mode sta.Incremental for
-	// MeanDelayGreedy): after one full analysis, each re-analysis repairs
-	// only the fanout cones of the gates that were resized, cutting off
-	// where values come out bit-identical. Results are bit-identical to
-	// full recomputation — only the wall time changes (the public
-	// repro.RunOptions surface and the CLIs default this ON and expose
-	// it as -incremental; the raw core.Options zero value keeps the
-	// historical full recompute).
+	// Incremental is ignored. Every optimizer always times the circuit
+	// with the dirty-cone incremental engines (ssta.Incremental, and the
+	// exact-mode sta.Incremental for MeanDelayGreedy), which are
+	// bit-identical to a from-scratch analysis. The field remains so
+	// existing callers that set it keep compiling.
 	Incremental bool
 }
 
@@ -337,21 +326,21 @@ type Result struct {
 	Iterations int
 	Runtime    time.Duration
 	// AnalysisTime is the wall time spent in whole-circuit timing
-	// analysis (full recomputes, or the initial analysis plus dirty-cone
-	// repairs when Options.Incremental is set), reported by the layered
-	// benchmark's core.analysis_share row.
+	// analysis (the initial analysis, the dirty-cone repairs and the
+	// batched what-if passes), reported by the layered benchmark's
+	// core.analysis_share row.
 	AnalysisTime time.Duration
 	// StoppedBy explains termination: "converged", "target", "max-iters".
 	StoppedBy string
 	// Evals counts the timing evaluations the run requested: whole-circuit
 	// analyses, batched what-if candidates, and FASSTA subcircuit scorings.
 	// NodeEvals counts the per-gate evaluations behind the whole-circuit
-	// work (every gate for a full recompute, only the repaired or probed
-	// cone for an incremental one). Both measure work done, not wall time —
-	// the quantity the cross-optimizer scoreboard compares — and, like the
-	// timing fields, they are NOT part of the bit-exactness contract:
-	// full-recompute and incremental runs land on identical sizings with
-	// different eval counts.
+	// work (every gate for the initial analysis, only the repaired or
+	// probed cone afterwards). Both measure work done, not wall time —
+	// the quantity the cross-optimizer scoreboard compares. They do not
+	// depend on Workers, but like the timing fields they are NOT part of
+	// the bit-exactness contract: a from-scratch analyzer lands on the
+	// identical sizing with different eval counts.
 	Evals     int64
 	NodeEvals int64
 }
@@ -372,6 +361,12 @@ func snapshot(d *synth.Design, full *ssta.Result, lambda float64) Snapshot {
 // schedule the winners, resize in a batch, repeat until constraints are
 // met or no further improvement can be made. The best-seen sizing is kept.
 func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Result, error) {
+	return statisticalGreedy(d, vm, opts, newStatAnalyzer(d, vm, opts))
+}
+
+// statisticalGreedy is StatisticalGreedy over a given analyzer, which
+// serves every whole-circuit analysis of the run.
+func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *analyzer) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -388,13 +383,10 @@ func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Res
 		d.Circuit.RestoreSizes(resume.Sizes)
 	}
 
-	// All whole-circuit analyses go through the analyzer, which serves
-	// them either by full recompute or by incremental dirty-cone repair
-	// (Options.Incremental) with bit-identical values. In incremental
-	// mode `full` is the engine's shared in-place-updated object, so the
-	// loop below captures every cost it needs as a scalar and re-refreshes
+	// All whole-circuit analyses go through the analyzer. `full` is the
+	// incremental engine's shared in-place-updated object, so the loop
+	// below captures every cost it needs as a scalar and re-refreshes
 	// after each RestoreSizes instead of retaining result pointers.
-	az := newStatAnalyzer(d, vm, opts)
 	full := az.refresh()
 	res.Initial = snapshot(d, full, opts.Lambda)
 	best := res.Initial
@@ -444,8 +436,8 @@ func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Res
 			break
 		}
 		// The cone move seeds from the iteration-start analysis; capture
-		// them now, before any refresh retargets the (possibly shared
-		// incremental) result object to a tentative configuration.
+		// them now, before any refresh retargets the shared result
+		// object to a tentative configuration.
 		var coneSeeds []circuit.GateID
 		if opts.ConeMove {
 			coneSeeds = worstOutputs(d, full, opts.Lambda, opts.topK())
@@ -457,59 +449,16 @@ func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Res
 		resized := 0
 		bestSingleGain := 0.0
 		bestSingleGate, bestSingleSize := circuit.None, 0
-		// Concurrent scoring is gated on the EXPLICIT worker count, not
-		// the resolved one: Workers 0 must mean "old sequential-apply
-		// semantics" on every host, or the default optimizer output
-		// would depend on the machine's core count. (The FULLSSTA calls
-		// above still parallelize under Workers 0 — they are bit-exact
-		// for any worker count, so resolving them to all CPUs is safe.)
-		if workers := opts.Workers; workers > 1 && len(path) > 1 {
-			// Concurrent scoring: every path gate's subcircuit is evaluated
-			// against the iteration-start sizing (the snapshot just taken),
-			// then the winners are applied in path order. Each evaluation is
-			// independent — Extract and BestSize only read the design — so
-			// the outcome is deterministic for any worker count. This
-			// differs from the serial loop only in that a gate's scoring no
-			// longer sees the tentative resizes of earlier path gates; the
-			// global re-analysis and the move-D fallback below correct any
-			// batch overshoot either way.
-			type scored struct {
-				size      int
-				gain      float64
-				improving bool
-			}
-			scores := make([]scored, len(path))
-			ex.Prime()
-			parallel.ForEach(workers, len(path), func(i int) {
-				s := ex.Extract(full, vm, path[i], opts.SubcktDepth)
-				bestSize, bestCost, curCost := s.BestSize(opts.Lambda, opts.maxStep())
-				if bestSize != d.Circuit.Gate(path[i]).SizeIdx && bestCost < curCost-opts.minGain() {
-					scores[i] = scored{size: bestSize, gain: curCost - bestCost, improving: true}
+		for _, g := range path {
+			s := ex.Extract(full, vm, g, opts.SubcktDepth)
+			bestSize, bestCost, curCost := s.BestSize(opts.Lambda, opts.maxStep())
+			if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-opts.minGain() {
+				if gain := curCost - bestCost; gain > bestSingleGain {
+					bestSingleGain = gain
+					bestSingleGate, bestSingleSize = g, bestSize
 				}
-			})
-			for i, sc := range scores {
-				if !sc.improving {
-					continue
-				}
-				if sc.gain > bestSingleGain {
-					bestSingleGain = sc.gain
-					bestSingleGate, bestSingleSize = path[i], sc.size
-				}
-				d.Circuit.Gate(path[i]).SizeIdx = sc.size
+				d.Circuit.Gate(g).SizeIdx = bestSize
 				resized++
-			}
-		} else {
-			for _, g := range path {
-				s := ex.Extract(full, vm, g, opts.SubcktDepth)
-				bestSize, bestCost, curCost := s.BestSize(opts.Lambda, opts.maxStep())
-				if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-opts.minGain() {
-					if gain := curCost - bestCost; gain > bestSingleGain {
-						bestSingleGain = gain
-						bestSingleGate, bestSingleSize = g, bestSize
-					}
-					d.Circuit.Gate(g).SizeIdx = bestSize
-					resized++
-				}
 			}
 		}
 		subEvals += int64(len(path))
@@ -562,9 +511,9 @@ func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Res
 			}
 		}
 		// Move A — the most common winner — is scored by refreshing the
-		// analyzer at its sizing: its application IS its analysis, so in
-		// incremental mode the engine's dirty-cone repair does double duty
-		// and no separate probe overlay is ever built for it. The remaining
+		// analyzer at its sizing: its application IS its analysis, so the
+		// engine's dirty-cone repair does double duty and no separate
+		// probe overlay is ever built for it. The remaining
 		// moves are scored as what-if candidates expressed against sizesA
 		// (the circuit's configuration at probe time); the costs are
 		// bit-identical to applying each move and re-analyzing, so the
@@ -671,6 +620,11 @@ func worstOutputs(d *synth.Design, full *ssta.Result, lambda float64, k int) []c
 // mapped (minimum-size) design produces the paper's "Original" designs —
 // mean-optimal, with the widest performance spread.
 func MeanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Result, error) {
+	return meanDelayGreedy(d, vm, opts, newDetAnalyzer(d))
+}
+
+// meanDelayGreedy is MeanDelayGreedy over a given deterministic analyzer.
+func meanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options, az *analyzer) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -687,10 +641,9 @@ func MeanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Resul
 		d.Circuit.RestoreSizes(resume.Sizes)
 	}
 
-	// Same analyzer discipline as StatisticalGreedy: `nominal` may be the
-	// incremental engine's shared object, so the loop keeps scalar costs
-	// and re-refreshes after every RestoreSizes.
-	az := newDetAnalyzer(d, opts)
+	// Same analyzer discipline as StatisticalGreedy: `nominal` shares the
+	// incremental engine's timing, so the loop keeps scalar costs and
+	// re-refreshes after every RestoreSizes.
 	nominal := az.refresh()
 	res.Initial = Snapshot{Mean: nominal.STA.MaxArrival, Cost: nominal.STA.MaxArrival, Area: d.Area()}
 	best := res.Initial
@@ -768,8 +721,7 @@ func MeanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Resul
 			d.Circuit.RestoreSizes(sizesA)
 		}
 		// Re-refresh so `nominal` is the analysis of the winning sizing
-		// (a memo hit returning the historical fullA/fullB object in full
-		// mode, a no-op repair in incremental mode).
+		// (a no-op repair when move A won and was never left).
 		nominal = az.refresh()
 		res.History = append(res.History, IterStats{
 			Iter: iter, Cost: cur.Cost, Mean: cur.Mean, Area: cur.Area,
@@ -811,7 +763,7 @@ func RecoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 	if math.IsNaN(slackFrac) || math.IsInf(slackFrac, 0) || slackFrac < 0 {
 		return 0, fmt.Errorf("core: negative slack fraction %g", slackFrac)
 	}
-	_, saved, err := recoverArea(d, vm, opts, slackFrac)
+	_, saved, err := recoverArea(d, vm, opts, slackFrac, newStatAnalyzer(d, vm, opts))
 	return saved, err
 }
 
@@ -820,7 +772,7 @@ func RecoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 // plus a Result so the interface port reports the same fields as every
 // other backend. The sizing trajectory is bit-identical to the
 // pre-refactor RecoverArea (the added snapshots are pure reads).
-func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac float64) (*Result, float64, error) {
+func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac float64, az *analyzer) (*Result, float64, error) {
 	if err := opts.validate(); err != nil {
 		return nil, 0, err
 	}
@@ -840,7 +792,6 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 		d.Circuit.RestoreSizes(resume.Sizes)
 	}
 
-	az := newStatAnalyzer(d, vm, opts)
 	full := az.refresh()
 	res.Initial = snapshot(d, full, opts.Lambda)
 	entryCost := full.Cost(d, opts.Lambda)
@@ -896,8 +847,7 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 		if newCost > budget {
 			// Batch overshot the global budget: roll back and retry more
 			// conservatively, re-refreshing so `full` again reflects the
-			// pre-batch sizing (a memo hit on the previous pass's analysis
-			// in full mode, a repair in incremental mode).
+			// pre-batch sizing (served by the engine's Rollback).
 			d.Circuit.RestoreSizes(before)
 			full = az.refresh()
 			localSlack /= 2

@@ -11,7 +11,7 @@ import (
 
 // Optimizer is the unified interface every sizing backend implements.
 // Run sizes the design in place under the shared Options machinery
-// (ctx cancellation, Workers, Incremental, checkpoint/resume) and
+// (ctx cancellation, Workers, checkpoint/resume) and
 // reports the run as a Result. Backends register themselves in the
 // package registry under their canonical Name, which is also the
 // spelling the -optimizer CLI flags and sstad's wire-level "optimizer"
@@ -103,7 +103,7 @@ func (recoverAreaBackend) Run(d *synth.Design, vm *variation.Model, opts Options
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	res, _, err := recoverArea(d, vm, opts, opts.slackFrac())
+	res, _, err := recoverArea(d, vm, opts, opts.slackFrac(), newStatAnalyzer(d, vm, opts))
 	return res, err
 }
 

@@ -85,12 +85,16 @@ func sensLess(a, b sensMove) bool {
 // whose improvement the batch pass already proved.
 //
 // The run honors the full Options machinery: Ctx is polled once per
-// outer iteration, Workers parallelizes the batch pass (bit-identical
-// at any worker count — unlike StatisticalGreedy, this backend's answer
-// does not depend on Workers), Incremental selects the dirty-cone
-// engine, Checkpoint/Resume retrace interrupted runs bit-for-bit, and
-// Seed keys the deterministic tie-breaking between equal-score moves.
+// outer iteration, Workers parallelizes the batch pass and the repairs
+// (bit-identical at any worker count, as for every backend),
+// Checkpoint/Resume retrace interrupted runs bit-for-bit, and Seed keys
+// the deterministic tie-breaking between equal-score moves.
 func SensitivitySizer(d *synth.Design, vm *variation.Model, opts Options) (*Result, error) {
+	return sensitivitySizer(d, vm, opts, newStatAnalyzer(d, vm, opts))
+}
+
+// sensitivitySizer is SensitivitySizer over a given analyzer.
+func sensitivitySizer(d *synth.Design, vm *variation.Model, opts Options, az *analyzer) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -105,7 +109,6 @@ func SensitivitySizer(d *synth.Design, vm *variation.Model, opts Options) (*Resu
 		d.Circuit.RestoreSizes(resume.Sizes)
 	}
 
-	az := newStatAnalyzer(d, vm, opts)
 	full := az.refresh()
 	res.Initial = snapshot(d, full, opts.Lambda)
 	best := res.Initial
@@ -235,8 +238,7 @@ func SensitivitySizer(d *synth.Design, vm *variation.Model, opts Options) (*Resu
 			d.Circuit.Gate(m.gate).SizeIdx = m.size
 		}
 		// Applying the set IS its analysis: the refresh repairs the dirty
-		// cones (or recomputes, in full mode) and verifies the set
-		// globally in one shot.
+		// cones and verifies the set globally in one shot.
 		full = az.refresh()
 		move := "sens-batch"
 		resized := len(chosen)

@@ -14,7 +14,7 @@ func TestSensitivitySizerImprovesCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, vm := original(t, c)
-	res, err := SensitivitySizer(d, vm, Options{Lambda: 9, MaxIters: 12, Incremental: true})
+	res, err := SensitivitySizer(d, vm, Options{Lambda: 9, MaxIters: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,7 @@ func TestSensitivitySizerImprovesCost(t *testing.T) {
 	}
 }
 
-// The batched what-if pass is bit-exact at any worker count, so —
-// unlike StatisticalGreedy's explicit concurrent-scoring mode — the
+// The batched what-if pass is bit-exact at any worker count, so the
 // sensitivity backend's answer must not depend on Workers at all.
 func TestSensitivitySizerWorkerIndependent(t *testing.T) {
 	c, err := gen.ISCASLike("alu2")
@@ -44,7 +43,7 @@ func TestSensitivitySizerWorkerIndependent(t *testing.T) {
 	run := func(workers int) (*Result, []int) {
 		dd := cloneDesign(d)
 		r, err := SensitivitySizer(dd, vm, Options{
-			Lambda: 9, MaxIters: 10, Workers: workers, Incremental: true,
+			Lambda: 9, MaxIters: 10, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +72,7 @@ func TestSensitivitySizerSeedDeterministic(t *testing.T) {
 	run := func(seed int64) []int {
 		dd := cloneDesign(d)
 		if _, err := SensitivitySizer(dd, vm, Options{
-			Lambda: 3, MaxIters: 8, Seed: seed, Incremental: true,
+			Lambda: 3, MaxIters: 8, Seed: seed,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +90,7 @@ func TestSensitivitySizerResumeBitExact(t *testing.T) {
 	}
 	d, vm := original(t, c)
 	baseSizes := d.Circuit.SizeSnapshot()
-	opts := Options{Lambda: 9, MaxIters: 12, Incremental: true}
+	opts := Options{Lambda: 9, MaxIters: 12}
 
 	col := &collector{}
 	ref := cloneDesign(d)
@@ -218,7 +217,7 @@ func TestOptimizerBackendsRunnable(t *testing.T) {
 			t.Fatalf("registry lost %q", name)
 		}
 		dd := cloneDesign(d)
-		res, err := o.Run(dd, vm, Options{Lambda: 3, MaxIters: 3, Incremental: true})
+		res, err := o.Run(dd, vm, Options{Lambda: 3, MaxIters: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -78,8 +78,8 @@ func FuzzIncrementalResize(f *testing.F) {
 
 // FuzzOptimizerInvariants is the cross-optimizer fuzz oracle: no
 // registered backend, on any netlist the load path accepts, under any
-// fuzzer-chosen (backend, lambda, iteration budget, workers, mode,
-// seed) combination, may return a design whose from-scratch re-analysis
+// fuzzer-chosen (backend, lambda, iteration budget, workers, seed)
+// combination, may return a design whose from-scratch re-analysis
 // disagrees with its reported Result, worsen its cost metric, or (for
 // the recovery pass) grow area — the CheckOptimizer contract.
 func FuzzOptimizerInvariants(f *testing.F) {
@@ -110,12 +110,11 @@ func FuzzOptimizerInvariants(f *testing.F) {
 		name := names[int(backendSel)%len(names)]
 		lambda := []float64{0, 3, 9}[int(lambdaSel)%3]
 		opts := core.Options{
-			Lambda:      lambda,
-			MaxIters:    1 + int(knobs&0x03),
-			PDFPoints:   8,
-			Workers:     1 + 3*int(knobs>>2&0x01),
-			Incremental: knobs>>3&0x01 == 0,
-			Seed:        seed,
+			Lambda:    lambda,
+			MaxIters:  1 + int(knobs&0x03),
+			PDFPoints: 8,
+			Workers:   1 + 3*int(knobs>>2&0x01),
+			Seed:      seed,
 		}
 		if _, err := CheckOptimizer(name, d, vm, opts); err != nil {
 			t.Fatalf("%v\nsrc:\n%s", err, src)

@@ -105,8 +105,8 @@ func CheckOptimizerResult(name string, d *synth.Design, vm *variation.Model, opt
 
 // CompareRuns checks two optimizer Results for bit-exact equality on
 // every deterministic field. Wall-time and work counters are excluded:
-// they measure how the answer was computed (full vs incremental, memo
-// hits), not what it is.
+// they measure how the answer was computed (a from-scratch or an
+// incremental analyzer), not what it is.
 func CompareRuns(got, want *core.Result) error {
 	if got.Initial != want.Initial {
 		return fmt.Errorf("Initial: got %+v, want %+v", got.Initial, want.Initial)

@@ -57,7 +57,7 @@ func TestOptimizerPortsBitIdentical(t *testing.T) {
 				baseClone := cloneDesign(base)
 				t.Run(circ+"/"+name+"/w"+string(rune('0'+workers)), func(t *testing.T) {
 					t.Parallel()
-					opts := core.Options{Lambda: 9, MaxIters: 8, Workers: workers, Incremental: true}
+					opts := core.Options{Lambda: 9, MaxIters: 8, Workers: workers}
 					dOld := cloneDesign(baseClone)
 					wantRes, wantSizes, err := run(dOld, vm, opts)
 					if err != nil {
@@ -87,55 +87,44 @@ func TestOptimizerPortsBitIdentical(t *testing.T) {
 }
 
 // TestOptimizerProperties runs every registered backend through the
-// invariant oracle across the worker x analysis-mode matrix: cost never
-// worsens (or stays within the recovery pass's slack budget), area only
-// shrinks where it must, and the reported Final snapshot agrees
-// bit-for-bit with a from-scratch re-analysis of the returned design.
+// invariant oracle at each worker count: cost never worsens (or stays
+// within the recovery pass's slack budget), area only shrinks where it
+// must, and the reported Final snapshot agrees bit-for-bit with a
+// from-scratch re-analysis of the returned design. The "incr" leaf
+// names the incremental analyzer every backend runs on.
 func TestOptimizerProperties(t *testing.T) {
 	base, vm := originalDesign(t, "alu2")
 	for _, name := range core.Optimizers() {
 		for _, workers := range []int{1, 4} {
-			for _, incremental := range []bool{true, false} {
-				name, workers, incremental := name, workers, incremental
-				mode := "incr"
-				if !incremental {
-					mode = "full"
+			name, workers := name, workers
+			d := cloneDesign(base)
+			t.Run(name+"/w"+string(rune('0'+workers))+"/incr", func(t *testing.T) {
+				t.Parallel()
+				opts := core.Options{Lambda: 3, MaxIters: 4, PDFPoints: 8, Workers: workers, Seed: 42}
+				if _, err := CheckOptimizer(name, d, vm, opts); err != nil {
+					t.Fatal(err)
 				}
-				d := cloneDesign(base)
-				t.Run(name+"/w"+string(rune('0'+workers))+"/"+mode, func(t *testing.T) {
-					t.Parallel()
-					opts := core.Options{
-						Lambda: 3, MaxIters: 4, PDFPoints: 8,
-						Workers: workers, Incremental: incremental, Seed: 42,
-					}
-					if _, err := CheckOptimizer(name, d, vm, opts); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
+			})
 		}
 	}
 }
 
 // TestOptimizerSeededEquivalence pins the determinism contracts on a
-// Table-1 circuit, per backend:
+// Table-1 circuit, for every backend:
 //
-//   - full-vs-incremental analysis is bit-identical (every backend);
-//   - a repeated run with identical options is bit-identical (every
-//     backend);
-//   - Workers 1 vs 4 is bit-identical for the sensitivity backend,
-//     whose batched scoring pass is worker-count-independent. (The
-//     statgreedy backend deliberately switches move ordering at
-//     Workers >= 2, so it carries no such pin — see core.Options.)
+//   - a repeated run with identical options is bit-identical;
+//   - Workers 1, 2 and 4 are bit-identical: Workers changes speed,
+//     never answers.
+//
+// That the incremental analyzer matches a from-scratch one is pinned in
+// internal/core against a reference analyzer, and CheckOptimizer
+// re-analyzes every returned design from scratch.
 func TestOptimizerSeededEquivalence(t *testing.T) {
 	base, vm := originalDesign(t, "alu2")
-	run := func(t *testing.T, name string, workers int, incremental bool) (*core.Result, []int) {
+	run := func(t *testing.T, name string, workers int) (*core.Result, []int) {
 		t.Helper()
 		d := cloneDesign(base)
-		opts := core.Options{
-			Lambda: 9, MaxIters: 6, PDFPoints: 8,
-			Workers: workers, Incremental: incremental, Seed: 7,
-		}
+		opts := core.Options{Lambda: 9, MaxIters: 6, PDFPoints: 8, Workers: workers, Seed: 7}
 		res, err := CheckOptimizer(name, d, vm, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -146,9 +135,9 @@ func TestOptimizerSeededEquivalence(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			refRes, refSizes := run(t, name, 1, true)
+			refRes, refSizes := run(t, name, 1)
 
-			againRes, againSizes := run(t, name, 1, true)
+			againRes, againSizes := run(t, name, 1)
 			if err := CompareRuns(againRes, refRes); err != nil {
 				t.Fatalf("repeat run not deterministic: %v", err)
 			}
@@ -156,21 +145,13 @@ func TestOptimizerSeededEquivalence(t *testing.T) {
 				t.Fatalf("repeat run not deterministic: %v", err)
 			}
 
-			fullRes, fullSizes := run(t, name, 1, false)
-			if err := CompareRuns(fullRes, refRes); err != nil {
-				t.Fatalf("full-vs-incremental diverged: %v", err)
-			}
-			if err := CompareSizes(fullSizes, refSizes); err != nil {
-				t.Fatalf("full-vs-incremental diverged: %v", err)
-			}
-
-			if name == "sensitivity" {
-				wRes, wSizes := run(t, name, 4, true)
+			for _, workers := range []int{2, 4} {
+				wRes, wSizes := run(t, name, workers)
 				if err := CompareRuns(wRes, refRes); err != nil {
-					t.Fatalf("workers 1 vs 4 diverged: %v", err)
+					t.Fatalf("workers 1 vs %d diverged: %v", workers, err)
 				}
 				if err := CompareSizes(wSizes, refSizes); err != nil {
-					t.Fatalf("workers 1 vs 4 diverged: %v", err)
+					t.Fatalf("workers 1 vs %d diverged: %v", workers, err)
 				}
 			}
 		})
@@ -188,7 +169,7 @@ func TestOptimizerOracleCatchesDrift(t *testing.T) {
 
 	base, vm := originalDesign(t, "alu1")
 	d := cloneDesign(base)
-	opts := core.Options{Lambda: 3, MaxIters: 3, Workers: 1, Incremental: true}
+	opts := core.Options{Lambda: 3, MaxIters: 3, Workers: 1}
 	res, err := CheckOptimizer("statgreedy", d, vm, opts)
 	if err != nil {
 		t.Fatal(err)

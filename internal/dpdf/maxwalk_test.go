@@ -286,15 +286,25 @@ func TestMaxMergeWalkMatchesFrozenSort(t *testing.T) {
 }
 
 // FuzzMaxMergeWalk drives the same oracle comparison from fuzzed seeds.
+// A pts byte of 128 or more poisons the operands with NaN/±Inf
+// coordinates; such pairs must only make every kernel return.
 func FuzzMaxMergeWalk(f *testing.F) {
 	for _, seed := range []int64{0, 1, 42, 1 << 40} {
 		f.Add(seed, uint8(12))
+	}
+	for _, seed := range []int64{0, 1, 42, 1 << 40} {
+		f.Add(seed, uint8(128+12))
 	}
 	var s Scratch
 	var ref refKernel
 	ar := NewArena(1, 16)
 	f.Fuzz(func(t *testing.T, seed int64, pts uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		checkAgainstRef(t, &s, &ref, ar, walkPDF(rng), walkPDF(rng), 1+int(pts)%16)
+		a, b := walkPDF(rng), walkPDF(rng)
+		if pts >= 128 {
+			runKernels(t, poison(rng, a), poison(rng, b), 1+int(pts)%16)
+			return
+		}
+		checkAgainstRef(t, &s, &ref, ar, a, b, 1+int(pts)%16)
 	})
 }

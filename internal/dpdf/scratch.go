@@ -86,12 +86,15 @@ func (s *Scratch) Max(a, b PDF, maxPts int) PDF {
 // When one support lies entirely at or above the other — separated
 // distributions, e.g. normals more than ~2.6 sigma apart after
 // 3.5-sigma discretization — a support-bounds pre-check routes to
-// dominatedMax, which emits the same values bit-for-bit from one walk.
+// dominatedMax, which emits the same values bit-for-bit from one walk
+// (one bounded pass over each support, so it terminates on any input).
 //
 // The walk replaced a concatenate-sort-dedup merge and emits the same
-// bits, with one exception it hands back to that merge: -0 in one
+// bits, with two exceptions it hands back to that merge: -0 in one
 // support meeting +0 in the other, where which zero survives the dedup
-// was decided by the (unstable) sort. Engine arrivals never hold -0.
+// was decided by the (unstable) sort (engine arrivals never hold -0),
+// and a NaN coordinate, which compares false against everything, so
+// neither side of the walk would ever advance past it.
 func (s *Scratch) maxWeighted(a, b PDF) {
 	s.wxs, s.wps = s.wxs[:0], s.wps[:0]
 	na, nb := a.Len(), b.Len()
@@ -117,6 +120,10 @@ func (s *Scratch) maxWeighted(a, b PDF) {
 				return
 			}
 		}
+		if x != x {
+			s.sortedMax(a, b)
+			return
+		}
 		for ia < na && a.xs[ia] <= x {
 			ca += a.ps[ia]
 			ia++
@@ -135,7 +142,9 @@ func (s *Scratch) maxWeighted(a, b PDF) {
 }
 
 // sortedMax is maxWeighted's general case over a merged support built
-// by sorting the concatenated supports and dropping duplicates.
+// by sorting the concatenated supports and dropping duplicates. Every
+// loop is bounded by the support lengths, so it terminates on any
+// input, NaN coordinates included.
 func (s *Scratch) sortedMax(a, b PDF) {
 	s.wxs, s.wps = s.wxs[:0], s.wps[:0]
 	s.merge = append(append(s.merge[:0], a.xs...), b.xs...)
@@ -292,10 +301,7 @@ func (s *Scratch) FromSamples(samples []float64, n int) PDF {
 	s.growBins(n)
 	w := (max - min) / float64(n)
 	for _, v := range samples {
-		i := int((v - min) / w)
-		if i >= n {
-			i = n - 1
-		}
+		i := binIndex((v-min)/w, n)
 		s.mass[i]++
 		s.sum[i] += v
 	}
@@ -317,6 +323,21 @@ func (s *Scratch) FromSamples(samples []float64, n int) PDF {
 		xs: append(make([]float64, 0, k), s.ox[:k]...),
 		ps: append(make([]float64, 0, k), s.op[:k]...),
 	}
+}
+
+// binIndex maps a bin-relative coordinate f = (x-lo)/w to its bin in
+// [0, n). For finite, ordered data (f >= 0) it is int(f) clamped to
+// n-1. A NaN or negative f, reachable only through non-finite
+// coordinates, lands in an end bin instead of indexing out of range
+// (int of NaN is platform-defined).
+func binIndex(f float64, n int) int {
+	if !(f < float64(n-1)) {
+		return n - 1
+	}
+	if f > 0 {
+		return int(f)
+	}
+	return 0
 }
 
 // growBins sizes the per-bin mass/sum workspace to n zeroed entries.
@@ -392,10 +413,7 @@ func (s *Scratch) binWeightedInto(maxPts int, dx, dp []float64) int {
 	w := (hi - lo) / float64(maxPts)
 	s.growBins(maxPts)
 	for i, x := range s.sx {
-		b := int((x - lo) / w)
-		if b >= maxPts {
-			b = maxPts - 1
-		}
+		b := binIndex((x-lo)/w, maxPts)
 		s.mass[b] += s.sp[i]
 		s.sum[b] += x * s.sp[i]
 	}

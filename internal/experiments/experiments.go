@@ -22,17 +22,9 @@ import (
 type Config struct {
 	PDFPoints int // 0 = default 12
 	MaxIters  int // 0 = optimizer default
-	// Workers bounds engine concurrency (0 = all CPUs, 1 = serial). The
-	// analysis engines are bit-identical for any value; the optimizer
-	// switches to concurrent candidate scoring only when Workers >= 2
-	// (see core.Options.Workers), which changes its move ordering but
-	// stays deterministic for a fixed value.
+	// Workers bounds engine concurrency (0 = all CPUs, 1 = serial). Every
+	// engine and optimizer is bit-identical for any value.
 	Workers int
-	// FullRecompute disables the optimizers' incremental dirty-cone
-	// analyzers and recomputes every whole-circuit analysis from scratch.
-	// Results are bit-identical either way; the default (false) is the
-	// fast incremental path.
-	FullRecompute bool
 }
 
 func (c Config) ssta() ssta.Options {
@@ -59,7 +51,6 @@ func NewDesign(name string) (*synth.Design, *variation.Model, error) {
 func Original(d *synth.Design, vm *variation.Model, cfg Config) error {
 	_, err := core.MeanDelayGreedy(d, vm, core.Options{
 		MaxIters: cfg.MaxIters, PDFPoints: cfg.PDFPoints, Workers: cfg.Workers,
-		Incremental: !cfg.FullRecompute,
 	})
 	return err
 }
@@ -124,7 +115,7 @@ func Table1For(name string, cfg Config) (*Table1Row, error) {
 		dd := &synth.Design{Circuit: prev.Circuit.Clone(), Lib: d.Lib}
 		opts := core.Options{
 			Lambda: lambda, MaxIters: cfg.MaxIters, PDFPoints: cfg.PDFPoints,
-			Workers: cfg.Workers, Incremental: !cfg.FullRecompute,
+			Workers: cfg.Workers,
 		}
 		start := time.Now()
 		if _, err := core.StatisticalGreedy(dd, vm, opts); err != nil {
@@ -176,7 +167,7 @@ func Fig1(name string, cfg Config) (*Fig1Result, error) {
 		dd := &synth.Design{Circuit: d.Circuit.Clone(), Lib: d.Lib}
 		if _, err := core.StatisticalGreedy(dd, vm, core.Options{
 			Lambda: lambda, MaxIters: cfg.MaxIters, PDFPoints: cfg.PDFPoints,
-			Workers: cfg.Workers, Incremental: !cfg.FullRecompute,
+			Workers: cfg.Workers,
 		}); err != nil {
 			return dpdf.PDF{}, err
 		}
@@ -231,7 +222,7 @@ func Fig4(name string, lambdas []float64, cfg Config) ([]Fig4Point, error) {
 		dd := &synth.Design{Circuit: d.Circuit.Clone(), Lib: d.Lib}
 		r, err := core.StatisticalGreedy(dd, vm, core.Options{
 			Lambda: lambda, MaxIters: cfg.MaxIters, PDFPoints: cfg.PDFPoints,
-			Workers: cfg.Workers, Incremental: !cfg.FullRecompute,
+			Workers: cfg.Workers,
 		})
 		if err != nil {
 			return nil, err

@@ -60,7 +60,7 @@ func Scoreboard(names, backends []string, lambda float64, cfg Config) ([]Scorebo
 			dd := &synth.Design{Circuit: d.Circuit.Clone(), Lib: d.Lib}
 			res, err := o.Run(dd, vm, core.Options{
 				Lambda: lambda, MaxIters: cfg.MaxIters, PDFPoints: cfg.PDFPoints,
-				Workers: cfg.Workers, Incremental: !cfg.FullRecompute,
+				Workers: cfg.Workers,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("scoreboard %s/%s: %w", name, backend, err)

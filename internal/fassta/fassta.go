@@ -78,10 +78,10 @@ func (e *Extractor) Extract(full *ssta.Result, vm *variation.Model, target circu
 	return extract(e.d, full, vm, target, depth, e.topoPos)
 }
 
-// Prime builds (or refreshes) the cached topological index eagerly. The
-// optimizer calls it once before scoring subcircuits concurrently:
-// subsequent Extract calls only read the index, so they are safe to run
-// in parallel as long as the circuit structure is not mutated meanwhile.
+// Prime builds (or refreshes) the cached topological index eagerly.
+// Subsequent Extract calls only read the index, so a caller that primes
+// once may extract subcircuits concurrently as long as the circuit
+// structure is not mutated meanwhile.
 func (e *Extractor) Prime() {
 	if e.topoPos == nil || e.rev != e.d.Circuit.Revision() {
 		topo := e.d.Circuit.MustTopoOrder()

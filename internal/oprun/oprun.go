@@ -23,11 +23,10 @@ import (
 // (see internal/core).
 func Run(ctx context.Context, req client.JobRequest, d *repro.Design, resume *repro.OptCheckpoint, checkpoint func(repro.OptCheckpoint)) (any, error) {
 	opts := repro.RunOptions{
-		Workers:       req.Workers,
-		PDFPoints:     req.PDFPoints,
-		MaxIters:      req.MaxIters,
-		FullRecompute: req.FullRecompute,
-		Ctx:           ctx,
+		Workers:   req.Workers,
+		PDFPoints: req.PDFPoints,
+		MaxIters:  req.MaxIters,
+		Ctx:       ctx,
 	}
 	if req.Op == client.OpOptimize || req.Op == client.OpRecover {
 		opts.Checkpoint = checkpoint

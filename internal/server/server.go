@@ -666,11 +666,10 @@ func optsKey(req client.JobRequest) string {
 	// hash, so two submissions differing only in library land on two
 	// design entries, not two option keys.
 	req.Format, req.Liberty = "", ""
-	// Incremental vs full recompute is proven bit-identical on every
-	// engine output, so the flag is normalized out of the key: a cached
-	// incremental result answers a full-recompute request and vice versa
-	// (only the advisory runtime fields could differ).
-	req.FullRecompute = false
+	// Workers changes speed, never answers: every engine and optimizer
+	// is bit-identical at any worker count, so a cached result serves
+	// any worker count (only the advisory runtime fields could differ).
+	req.Workers = 0
 	// Priority orders scheduling, never results.
 	req.Priority = ""
 	// The backend name IS results-relevant for optimize jobs: normalize
