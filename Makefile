@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt-check lint-typed lint-selftest cover cover-update fuzz-smoke ingest-smoke bench bench-test serve e2e chaos cluster-e2e
+.PHONY: all build test race vet lint fmt-check lint-typed lint-selftest cover cover-update fuzz-smoke ingest-smoke bench bench-smoke bench-test serve e2e chaos cluster-e2e
 
 all: build vet lint test
 
@@ -87,6 +87,12 @@ ingest-smoke:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem . ./internal/sta
+
+# Every Go benchmark of the module (the ablations EXPERIMENTS.md cites
+# included) run once: a smoke test that they still build and finish,
+# not a measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Tests of the layered benchmark (cmd/sstabench): its output schema and
 # every workload at tiny scale. It is its own module, so `go test ./...`

@@ -134,16 +134,13 @@ type RunOptions struct {
 	// already-cancelled context.
 	Ctx context.Context
 	// Checkpoint, when non-nil, receives a resumable optimizer state at
-	// the end of every CheckpointEvery-th outer iteration. Feeding a
-	// checkpoint back through Resume restarts the optimizer so that it
-	// retraces the uninterrupted run bit-for-bit (the engines are
-	// deterministic and every analysis is a pure function of the sizing
-	// vector). Analysis entry points ignore it. The callback runs on the
-	// optimizer goroutine and should return quickly.
+	// the end of every outer iteration. Feeding a checkpoint back through
+	// Resume restarts the optimizer so that it retraces the uninterrupted
+	// run bit-for-bit (the engines are deterministic and every analysis
+	// is a pure function of the sizing vector). Analysis entry points
+	// ignore it. The callback runs on the optimizer goroutine and should
+	// return quickly.
 	Checkpoint func(OptCheckpoint)
-	// CheckpointEvery is the checkpoint emission period in outer
-	// iterations; 0 means every iteration.
-	CheckpointEvery int
 	// Resume, when non-nil, restarts an optimizer from a previously
 	// emitted checkpoint instead of the design's current sizing. The
 	// checkpoint must come from the same operation on a design of the
@@ -152,8 +149,9 @@ type RunOptions struct {
 	// Optimizer names the sizing backend Design.Optimize runs: one of
 	// Optimizers() ("statgreedy", "sensitivity", "meandelay",
 	// "recoverarea"); empty means the default, "statgreedy". The
-	// operation-specific entry points (OptimizeStatisticalOpts, ...)
-	// ignore it — they name their backend in the method.
+	// operation-specific entry points (OptimizeStatistical,
+	// OptimizeMeanDelay, RecoverAreaOpts) ignore it — they name their
+	// backend in the method.
 	Optimizer string
 	// Seed keys the sensitivity backend's deterministic tie-breaking
 	// between equal-score moves; any value (including the 0 default) is
@@ -219,13 +217,13 @@ func checkpointToCore(cp *OptCheckpoint) *core.Checkpoint {
 
 // checkpointing translates the public checkpoint knobs into their core
 // forms, shared by every optimizer entry point.
-func (o RunOptions) checkpointing() (func(core.Checkpoint), int, *core.Checkpoint) {
+func (o RunOptions) checkpointing() (func(core.Checkpoint), *core.Checkpoint) {
 	var cb func(core.Checkpoint)
 	if o.Checkpoint != nil {
 		public := o.Checkpoint
 		cb = func(cp core.Checkpoint) { public(checkpointFromCore(cp)) }
 	}
-	return cb, o.CheckpointEvery, checkpointToCore(o.Resume)
+	return cb, checkpointToCore(o.Resume)
 }
 
 // Validate rejects execution options no engine can honor: negative
@@ -241,9 +239,6 @@ func (o RunOptions) Validate() error {
 	}
 	if o.MaxIters < 0 {
 		return fmt.Errorf("repro: negative iteration cap %d", o.MaxIters)
-	}
-	if o.CheckpointEvery < 0 {
-		return fmt.Errorf("repro: negative checkpoint period %d", o.CheckpointEvery)
 	}
 	if _, ok := core.LookupOptimizer(o.Optimizer); !ok {
 		return fmt.Errorf("repro: unknown optimizer %q (want one of %v)", o.Optimizer, Optimizers())
@@ -475,10 +470,9 @@ const DefaultOptimizer = core.DefaultOptimizer
 
 // Optimize runs the sizing backend named by opts.Optimizer (empty =
 // "statgreedy", the paper's StatisticalGreedy) with the sigma weight
-// lambda. The design is modified in place. The backend-specific entry
-// points remain for the two historical flows (OptimizeStatisticalOpts,
-// OptimizeMeanDelayOpts, RecoverAreaOpts); this is the uniform door the
-// -optimizer flag and sstad's "optimizer" field go through.
+// lambda. The design is modified in place. This is the one optimizer
+// door: the -optimizer flag, sstad's "optimizer" field and the
+// OptimizeStatistical/OptimizeMeanDelay shorthands all go through it.
 func (d *Design) Optimize(lambda float64, opts RunOptions) (OptResult, error) {
 	if err := validateLambda(lambda); err != nil {
 		return OptResult{}, err
@@ -487,11 +481,11 @@ func (d *Design) Optimize(lambda float64, opts RunOptions) (OptResult, error) {
 		return OptResult{}, err
 	}
 	o, _ := core.LookupOptimizer(opts.Optimizer) // existence checked by Validate
-	cb, every, resume := opts.checkpointing()
+	cb, resume := opts.checkpointing()
 	r, err := o.Run(d.d, d.vm, core.Options{
 		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers,
 		MaxIters: opts.MaxIters, Ctx: opts.Ctx, Seed: opts.Seed,
-		Checkpoint: cb, CheckpointEvery: every, Resume: resume,
+		Checkpoint: cb, Resume: resume,
 	})
 	if err != nil {
 		return OptResult{}, err
@@ -501,54 +495,17 @@ func (d *Design) Optimize(lambda float64, opts RunOptions) (OptResult, error) {
 
 // OptimizeMeanDelay runs the deterministic mean-delay greedy sizer (the
 // paper's "Original" designs are produced by running this on a freshly
-// mapped netlist). The design is modified in place.
+// mapped netlist). The design is modified in place. It is
+// Optimize(0, RunOptions{Optimizer: "meandelay"}).
 func (d *Design) OptimizeMeanDelay() (OptResult, error) {
-	return d.OptimizeMeanDelayOpts(RunOptions{})
-}
-
-// OptimizeMeanDelayOpts is OptimizeMeanDelay with explicit execution
-// options.
-func (d *Design) OptimizeMeanDelayOpts(opts RunOptions) (OptResult, error) {
-	if err := opts.Validate(); err != nil {
-		return OptResult{}, err
-	}
-	cb, every, resume := opts.checkpointing()
-	r, err := core.MeanDelayGreedy(d.d, d.vm, core.Options{
-		MaxIters: opts.MaxIters, Workers: opts.Workers, Ctx: opts.Ctx,
-		Checkpoint: cb, CheckpointEvery: every, Resume: resume,
-	})
-	if err != nil {
-		return OptResult{}, err
-	}
-	return fromCore(r), nil
+	return d.Optimize(0, RunOptions{Optimizer: "meandelay"})
 }
 
 // OptimizeStatistical runs the paper's StatisticalGreedy variance
 // optimizer with the sigma weight lambda (the paper evaluates 3 and 9).
-// The design is modified in place.
+// The design is modified in place. It is Optimize(lambda, RunOptions{}).
 func (d *Design) OptimizeStatistical(lambda float64) (OptResult, error) {
-	return d.OptimizeStatisticalOpts(lambda, RunOptions{})
-}
-
-// OptimizeStatisticalOpts is OptimizeStatistical with explicit execution
-// options (worker count, PDF resolution).
-func (d *Design) OptimizeStatisticalOpts(lambda float64, opts RunOptions) (OptResult, error) {
-	if err := validateLambda(lambda); err != nil {
-		return OptResult{}, err
-	}
-	if err := opts.Validate(); err != nil {
-		return OptResult{}, err
-	}
-	cb, every, resume := opts.checkpointing()
-	r, err := core.StatisticalGreedy(d.d, d.vm, core.Options{
-		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers,
-		MaxIters: opts.MaxIters, Ctx: opts.Ctx,
-		Checkpoint: cb, CheckpointEvery: every, Resume: resume,
-	})
-	if err != nil {
-		return OptResult{}, err
-	}
-	return fromCore(r), nil
+	return d.Optimize(lambda, RunOptions{})
 }
 
 // RecoverArea trims gate sizes that do not pay for themselves, keeping
@@ -560,10 +517,10 @@ func (d *Design) RecoverArea(lambda, slackFrac float64) (float64, error) {
 
 // RecoverAreaOpts is RecoverArea with explicit execution options.
 func (d *Design) RecoverAreaOpts(lambda, slackFrac float64, opts RunOptions) (float64, error) {
-	cb, every, resume := opts.checkpointing()
+	cb, resume := opts.checkpointing()
 	return core.RecoverArea(d.d, d.vm, core.Options{
 		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers, Ctx: opts.Ctx,
-		Checkpoint: cb, CheckpointEvery: every, Resume: resume,
+		Checkpoint: cb, Resume: resume,
 	}, slackFrac)
 }
 

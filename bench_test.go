@@ -369,31 +369,6 @@ func benchInner(b *testing.B, exact bool) {
 	}
 }
 
-// AblationConeMove: the optional coordinated cone move vs the paper's
-// path-local moves only.
-func BenchmarkAblationConeMoveOff(b *testing.B) { benchCone(b, false) }
-func BenchmarkAblationConeMoveOn(b *testing.B)  { benchCone(b, true) }
-
-func benchCone(b *testing.B, cone bool) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d, vm, err := experiments.NewDesign("alu2")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.Original(d, vm, experiments.Config{}); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		r, err := core.StatisticalGreedy(d, vm, core.Options{Lambda: 9, ConeMove: cone})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*(r.Final.Sigma-r.Initial.Sigma)/r.Initial.Sigma, "dsigma-%")
-		b.ReportMetric(100*(r.Final.Area-r.Initial.Area)/r.Initial.Area, "darea-%")
-	}
-}
-
 func absf(x float64) float64 {
 	if x < 0 {
 		return -x

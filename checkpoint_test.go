@@ -16,7 +16,7 @@ func collectCheckpoints(t *testing.T, opts RunOptions) ([]OptCheckpoint, *Design
 	}
 	var cps []OptCheckpoint
 	opts.Checkpoint = func(cp OptCheckpoint) { cps = append(cps, cp) }
-	res, err := d.OptimizeStatisticalOpts(9, opts)
+	res, err := d.Optimize(9, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 		}
 		opts := base
 		opts.Resume = &cp
-		got, err := d2.OptimizeStatisticalOpts(9, opts)
+		got, err := d2.Optimize(9, opts)
 		if err != nil {
 			t.Fatalf("resume from checkpoint %d: %v", idx, err)
 		}
@@ -77,25 +77,6 @@ func TestCheckpointResumeBitExact(t *testing.T) {
 			got.SigmaAfter != want.SigmaAfter || got.MeanAfter != want.MeanAfter ||
 			got.AreaAfter != want.AreaAfter {
 			t.Fatalf("resume from checkpoint %d: result differs\nresumed: %+v\ndirect:  %+v", idx, got, want)
-		}
-	}
-}
-
-// TestCheckpointEveryThins checks the emission period knob: a period of
-// n emits roughly 1/n of the per-iteration stream, and the run itself
-// is unaffected.
-func TestCheckpointEveryThins(t *testing.T) {
-	every, _, res1 := collectCheckpoints(t, RunOptions{Workers: 1, MaxIters: 8, CheckpointEvery: 1})
-	thinned, _, res2 := collectCheckpoints(t, RunOptions{Workers: 1, MaxIters: 8, CheckpointEvery: 3})
-	if len(thinned) >= len(every) {
-		t.Fatalf("CheckpointEvery 3 emitted %d checkpoints, period 1 emitted %d", len(thinned), len(every))
-	}
-	if res1.SigmaAfter != res2.SigmaAfter || res1.Iterations != res2.Iterations {
-		t.Fatalf("checkpoint emission period changed the optimization: %+v vs %+v", res1, res2)
-	}
-	for _, cp := range thinned {
-		if cp.Op == "" || cp.Sizes == nil {
-			t.Fatalf("checkpoint missing op/sizes: %+v", cp)
 		}
 	}
 }
@@ -124,7 +105,7 @@ func TestRecoverAreaCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.OptimizeStatisticalOpts(9, RunOptions{Workers: 1, MaxIters: 6}); err != nil {
+	if _, err := d.Optimize(9, RunOptions{Workers: 1, MaxIters: 6}); err != nil {
 		t.Fatal(err)
 	}
 	var cps []OptCheckpoint

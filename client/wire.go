@@ -71,7 +71,8 @@ type JobRequest struct {
 	Workers   int `json:"workers,omitempty"`
 	PDFPoints int `json:"pdf_points,omitempty"`
 	MaxIters  int `json:"max_iters,omitempty"`
-	// SlackFrac is the recover operation's cost slack fraction.
+	// SlackFrac is the recover operation's cost slack fraction; other
+	// ops ignore it (optimize's recoverarea backend uses a fixed 1%).
 	SlackFrac float64 `json:"slack_frac,omitempty"`
 	// Optimizer selects the sizing backend for optimize jobs: one of the
 	// registered names ("statgreedy", "sensitivity", "meandelay",

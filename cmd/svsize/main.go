@@ -72,7 +72,9 @@ func main() {
 		s.Name, s.Gates, s.Inputs, s.Outputs, s.Depth, s.Area)
 
 	if !*skipMD {
-		r, err := d.OptimizeMeanDelayOpts(opts)
+		md := opts
+		md.Optimizer = "meandelay"
+		r, err := d.Optimize(0, md)
 		if err != nil {
 			fail(err)
 		}

@@ -12,6 +12,7 @@ package cells
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -103,6 +104,53 @@ func (t *Table2D) Lookup(slew, load float64) float64 {
 	return v00*(1-fi)*(1-fj) + v01*(1-fi)*fj + v10*fi*(1-fj) + v11*fi*fj
 }
 
+// Validate checks that the table is a well-formed grid of physical
+// values: at least two points per index (Lookup interpolates between
+// neighbours), indices finite, non-negative and strictly ascending, one
+// row per slew and one value per load, every value finite and
+// non-negative.
+func (t *Table2D) Validate() error {
+	for _, ax := range []struct {
+		name string
+		xs   []float64
+	}{{"index_1", t.Slews}, {"index_2", t.Loads}} {
+		if len(ax.xs) < 2 {
+			return fmt.Errorf("%s has %d points, want at least 2", ax.name, len(ax.xs))
+		}
+		for i, x := range ax.xs {
+			if err := CheckQuantity(ax.name+" entry", x); err != nil {
+				return err
+			}
+			if i > 0 && x <= ax.xs[i-1] {
+				return fmt.Errorf("%s not ascending at entry %d (%g after %g)", ax.name, i, x, ax.xs[i-1])
+			}
+		}
+	}
+	if len(t.Values) != len(t.Slews) {
+		return fmt.Errorf("%d rows, want %d", len(t.Values), len(t.Slews))
+	}
+	for _, row := range t.Values {
+		if len(row) != len(t.Loads) {
+			return fmt.Errorf("row has %d values, want %d", len(row), len(t.Loads))
+		}
+		for _, v := range row {
+			if err := CheckQuantity("value", v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// CheckQuantity rejects a physical quantity (a time, capacitance, area,
+// resistance or drive) that is not a finite, non-negative number.
+func CheckQuantity(name string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("%s %g is not a finite non-negative number", name, v)
+	}
+	return nil
+}
+
 // locate finds the interpolation cell for x in ascending axis xs and the
 // fractional position within it. Outside the axis range the fraction goes
 // below 0 or above 1, giving linear extrapolation from the edge cell.
@@ -138,6 +186,30 @@ type Cell struct {
 	InputCap float64 // fF per input pin
 	Delay    Table2D // propagation delay, ps
 	OutSlew  Table2D // output transition, ps
+}
+
+// validate checks the cell's own numbers: drive, input cap and area
+// finite and non-negative, its tables well-formed.
+func (c *Cell) validate() error {
+	for _, q := range []struct {
+		name string
+		v    float64
+	}{{"drive", c.Drive}, {"input capacitance", c.InputCap}, {"area", c.Area}} {
+		if err := CheckQuantity(q.name, q.v); err != nil {
+			return err
+		}
+	}
+	if err := c.Delay.Validate(); err != nil {
+		return fmt.Errorf("delay table: %v", err)
+	}
+	// A Liberty cell read without transition tables has a zero OutSlew;
+	// only a table that is present is checked.
+	if len(c.OutSlew.Slews)+len(c.OutSlew.Loads)+len(c.OutSlew.Values) > 0 {
+		if err := c.OutSlew.Validate(); err != nil {
+			return fmt.Errorf("slew table: %v", err)
+		}
+	}
+	return nil
 }
 
 // Group holds all drive strengths of one cell kind, ascending by drive.
@@ -325,10 +397,25 @@ func (l *Library) ReferenceArea(k Kind) float64 {
 	return g.Cells[0].Area
 }
 
-// Validate checks library invariants: every group non-empty, drives
-// strictly ascending, delay strictly decreasing with drive at fixed
-// slew/load, input cap and area strictly increasing with drive.
+// Validate checks library invariants: the primary-I/O context and every
+// cell's drive, input cap, area and tables finite and non-negative (see
+// Table2D.Validate), every group non-empty, drives strictly ascending,
+// delay strictly decreasing with drive at fixed slew/load, input cap and
+// area strictly increasing with drive.
 func (l *Library) Validate() error {
+	for _, q := range []struct {
+		name string
+		v    float64
+	}{
+		{"primary input slew", l.PrimaryInputSlew},
+		{"primary input resistance", l.PrimaryInputRes},
+		{"primary output load", l.PrimaryOutputLoad},
+		{"primary input capacitance", l.PrimaryInputCap},
+	} {
+		if err := CheckQuantity(q.name, q.v); err != nil {
+			return fmt.Errorf("cells: %v", err)
+		}
+	}
 	for k := Kind(0); k < NumKinds; k++ {
 		g := l.groups[k]
 		if g == nil {
@@ -336,6 +423,11 @@ func (l *Library) Validate() error {
 		}
 		if len(g.Cells) == 0 {
 			return fmt.Errorf("cells: group %s empty", k)
+		}
+		for _, c := range g.Cells {
+			if err := c.validate(); err != nil {
+				return fmt.Errorf("cells: %s: %v", c.Name, err)
+			}
 		}
 		for i := 1; i < len(g.Cells); i++ {
 			a, b := g.Cells[i-1], g.Cells[i]

@@ -2,6 +2,7 @@ package cells
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -137,6 +138,40 @@ func TestValidateCatchesBrokenLibrary(t *testing.T) {
 	}
 	if err := lib.Validate(); err == nil {
 		t.Fatal("Validate accepted corrupted library")
+	}
+}
+
+// TestValidateRejectsNonPhysicalValues holds programmatic libraries to
+// the same finite, non-negative rules as parsed Liberty: each case
+// corrupts one number of the built-in library.
+func TestValidateRejectsNonPhysicalValues(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(l *Library)
+		msg     string
+	}{
+		{"nan delay", func(l *Library) { l.Cell(INV, 0).Delay.Values[0][0] = math.NaN() }, "delay table: value NaN"},
+		{"negative delay", func(l *Library) { l.Cell(INV, 2).Delay.Values[1][1] = -1e9 }, "delay table: value -1e+09"},
+		{"inf slew", func(l *Library) { l.Cell(NAND2, 1).OutSlew.Values[0][0] = math.Inf(1) }, "slew table: value +Inf"},
+		{"negative area", func(l *Library) { l.Cell(INV, 0).Area = -1.12 }, "area -1.12"},
+		{"nan capacitance", func(l *Library) { l.Cell(NOR2, 0).InputCap = math.NaN() }, "input capacitance NaN"},
+		{"negative index", func(l *Library) { l.Cell(INV, 0).Delay.Slews[0] = -5 }, "index_1 entry -5"},
+		{"descending index", func(l *Library) {
+			ld := l.Cell(INV, 0).Delay.Loads
+			ld[0], ld[1] = ld[1], ld[0]
+		}, "index_2 not ascending"},
+		{"ragged row", func(l *Library) {
+			d := &l.Cell(INV, 0).Delay
+			d.Values[0] = d.Values[0][:1]
+		}, "row has 1 values"},
+		{"nan input slew", func(l *Library) { l.PrimaryInputSlew = math.NaN() }, "primary input slew NaN"},
+	} {
+		lib := Default90nm()
+		tc.corrupt(lib)
+		err := lib.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("%s: Validate() = %v, want an error mentioning %q", tc.name, err, tc.msg)
+		}
 	}
 }
 

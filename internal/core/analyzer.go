@@ -12,7 +12,7 @@ import (
 
 // analyzer hands the optimizers the up-to-date whole-circuit analysis
 // for the design's CURRENT sizes. Production runs use the incremental
-// engines: one ssta.Incremental (or exact-mode sta.Incremental for the
+// engines: one ssta.Incremental (or sta.Incremental for the
 // deterministic optimizer) built on the first refresh; every later
 // refresh diffs the circuit's sizes against the engine's record and
 // repairs only the dirty cones, and a refresh that lands exactly on the
@@ -99,7 +99,7 @@ func newStatAnalyzer(d *synth.Design, vm *variation.Model, opts Options) *analyz
 }
 
 // newDetAnalyzer builds the deterministic analyzer MeanDelayGreedy
-// uses, wrapping the exact-mode sta.Incremental result in the
+// uses, wrapping the sta.Incremental result in the
 // ssta.Result shell the subcircuit extractor expects. The exact-equality
 // cutoff keeps every value bit-identical to a from-scratch sta.Analyze.
 func newDetAnalyzer(d *synth.Design) *analyzer {
@@ -107,7 +107,7 @@ func newDetAnalyzer(d *synth.Design) *analyzer {
 	var inc *sta.Incremental
 	a.current = func() *ssta.Result {
 		if inc == nil {
-			inc = sta.NewIncrementalExact(d)
+			inc = sta.NewIncremental(d)
 			a.evals++
 			a.nodeEvals += int64(len(d.Circuit.Gates))
 		} else if touched := inc.Sync(); touched > 0 {

@@ -195,18 +195,21 @@ func TestRecoverAreaResumeBitExact(t *testing.T) {
 	}
 }
 
-func TestCheckpointEveryThrottlesEmission(t *testing.T) {
+// TestCheckpointEveryIteration pins the emission schedule: one
+// checkpoint at the end of every outer iteration, numbered 1..n.
+func TestCheckpointEveryIteration(t *testing.T) {
 	d, vm := setup(t, gen.ALU("alu", 8))
 	col := &collector{}
-	_, err := MeanDelayGreedy(d, vm, Options{
-		MaxIters: 9, Checkpoint: col.take, CheckpointEvery: 3,
-	})
+	res, err := MeanDelayGreedy(d, vm, Options{MaxIters: 9, Checkpoint: col.take})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cp := range col.cps {
-		if cp.Iter%3 != 0 {
-			t.Fatalf("checkpoint at iter %d despite period 3", cp.Iter)
+	if len(col.cps) != len(res.History) || len(col.cps) == 0 {
+		t.Fatalf("%d checkpoints for %d iterations", len(col.cps), len(res.History))
+	}
+	for i, cp := range col.cps {
+		if cp.Iter != i+1 {
+			t.Fatalf("checkpoint %d has iter %d, want %d", i, cp.Iter, i+1)
 		}
 	}
 }
@@ -229,10 +232,5 @@ func TestResumeValidation(t *testing.T) {
 	_, err = StatisticalGreedy(d, vm, Options{Resume: &Checkpoint{Op: "statistical", Sizes: sizes, Iter: -1}})
 	if err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Fatalf("negative-iter resume accepted: %v", err)
-	}
-	// Negative checkpoint period.
-	_, err = StatisticalGreedy(d, vm, Options{CheckpointEvery: -1})
-	if err == nil {
-		t.Fatal("negative checkpoint period accepted")
 	}
 }

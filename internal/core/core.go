@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/cells"
@@ -40,34 +39,6 @@ type Options struct {
 	SubcktDepth int
 	// PDFPoints is FULLSSTA's sampling rate; 0 means 12.
 	PDFPoints int
-	// Patience is how many consecutive non-improving outer iterations to
-	// tolerate before stopping; 0 means 8 (the cost trajectory is not
-	// monotone: a bad batch is often recovered two or three iterations
-	// later, and the best-seen sizing is restored at the end anyway).
-	Patience int
-	// TargetCost, when positive, stops the optimizer as soon as the
-	// circuit cost drops to it (constrained mode).
-	TargetCost float64
-	// MinGain is the minimum subcircuit-cost improvement (in ps) for a
-	// resize to be scheduled; 0 means 1e-6.
-	MinGain float64
-	// TopKPaths is how many of the statistically worst outputs have their
-	// WNSS paths optimized per iteration; 0 means 16. The circuit variance
-	// is a max over all outputs, so several near-critical outputs
-	// contribute (the paper discusses exactly this multi-output effect);
-	// optimizing only the single worst path strands the others at high
-	// variance.
-	TopKPaths int
-	// MaxStep bounds how many size indices a gate may move per outer
-	// iteration; 0 means 1 (one notch per iteration, re-analyzed
-	// globally in between). Negative scans all sizes in one shot, the
-	// literal paper inner loop, which is prone to batch overshoot.
-	MaxStep int
-	// ConeMove additionally tries, each iteration, a uniform one-notch
-	// bump of the whole fanin cone of the worst outputs. It is an
-	// aggressive extension beyond the paper's path-local moves; off by
-	// default, exercised by the ablation benches.
-	ConeMove bool
 	// Ctx, when non-nil, is polled at the top of every outer iteration
 	// (and between area-recovery passes): once it is cancelled or past
 	// its deadline the optimizer abandons the run and returns ctx.Err(),
@@ -81,19 +52,15 @@ type Options struct {
 	// optimizer returns the identical Result and sizing at any value.
 	Workers int
 	// Checkpoint, when non-nil, receives a resumable state snapshot at
-	// the end of every CheckpointEvery-th outer iteration (pass, for
-	// RecoverArea). The snapshot is exactly the loop-carried state the
-	// next iteration's top reads — sizes, best-seen cost and sizing,
-	// patience counter — so an optimizer restarted from it via Resume
-	// retraces the uninterrupted run bit-for-bit (the engines are
-	// deterministic, and every analysis is a pure function of the sizing
-	// vector). The callback runs on the optimizer goroutine; it should
-	// be quick (persisting a checkpoint is fine, blocking on a network
-	// call is not).
+	// the end of every outer iteration (pass, for RecoverArea). The
+	// snapshot is exactly the loop-carried state the next iteration's top
+	// reads — sizes, best-seen cost and sizing, patience counter — so an
+	// optimizer restarted from it via Resume retraces the uninterrupted
+	// run bit-for-bit (the engines are deterministic, and every analysis
+	// is a pure function of the sizing vector). The callback runs on the
+	// optimizer goroutine; it should be quick (persisting a checkpoint is
+	// fine, blocking on a network call is not).
 	Checkpoint func(Checkpoint)
-	// CheckpointEvery is the emission period in outer iterations;
-	// <= 0 means 1 (every iteration).
-	CheckpointEvery int
 	// Resume, when non-nil, restarts the optimizer from a previously
 	// emitted checkpoint instead of the design's current sizing. The
 	// checkpoint must come from the same operation on the same design
@@ -104,46 +71,55 @@ type Options struct {
 	// default) gives a fully deterministic run; two runs agree iff their
 	// seeds agree. The greedy optimizers ignore it.
 	Seed int64
-	// AreaBudgetFrac bounds how much area SensitivitySizer may add per
-	// outer iteration, as a fraction of the current circuit area; 0 means
-	// 0.02 (2%). The budget shapes each iteration's committed move-set:
-	// the top move always commits (so progress is never budget-starved),
-	// and downsizing moves refund budget.
-	AreaBudgetFrac float64
-	// SlackFrac is the cost slack fraction of the area-recovery pass when
-	// it runs through the Optimizer interface ("recoverarea" backend);
-	// 0 means 0.01. The direct RecoverArea call takes it as an explicit
-	// argument instead.
-	SlackFrac float64
 	// Incremental is ignored. Every optimizer always times the circuit
-	// with the dirty-cone incremental engines (ssta.Incremental, and the
-	// exact-mode sta.Incremental for MeanDelayGreedy), which are
-	// bit-identical to a from-scratch analysis. The field remains so
-	// existing callers that set it keep compiling.
+	// with the dirty-cone incremental engines (ssta.Incremental, and
+	// sta.Incremental for MeanDelayGreedy), which are bit-identical to a
+	// from-scratch analysis. The field remains so existing callers that
+	// set it keep compiling.
 	Incremental bool
 }
+
+// The optimizers' fixed tuning. Every run in this repository, like the
+// paper's, uses these values; none of them is a caller option.
+const (
+	// patience is how many consecutive non-improving outer iterations to
+	// tolerate before stopping. The cost trajectory is not monotone: a
+	// bad batch is often recovered two or three iterations later, and the
+	// best-seen sizing is restored at the end anyway.
+	patience = 8
+	// minGain is the minimum subcircuit-cost improvement (in ps) for a
+	// resize to be scheduled.
+	minGain = 1e-6
+	// topKPaths is how many of the statistically worst outputs have their
+	// WNSS paths optimized per iteration. The circuit variance is a max
+	// over all outputs, so several near-critical outputs contribute (the
+	// paper discusses exactly this multi-output effect); optimizing only
+	// the single worst path strands the others at high variance.
+	topKPaths = 16
+	// maxStep bounds how many size indices a gate may move per outer
+	// iteration: one notch, re-analyzed globally in between. Scanning
+	// every size in one shot, the literal paper inner loop, is prone to
+	// batch overshoot.
+	maxStep = 1
+	// areaBudgetFrac bounds how much area SensitivitySizer may add per
+	// outer iteration, as a fraction of the current circuit area. The
+	// budget shapes each iteration's committed move-set: the top move
+	// always commits (so progress is never budget-starved), and
+	// downsizing moves refund budget.
+	areaBudgetFrac = 0.02
+	// recoverSlackFrac is the cost slack fraction of the area-recovery
+	// pass when it runs through the Optimizer interface ("recoverarea"
+	// backend). The direct RecoverArea call takes it as an argument.
+	recoverSlackFrac = 0.01
+)
 
 // validate rejects option values that would silently corrupt a run: a
 // non-finite or negative lambda poisons the cost mu + lambda*sigma, and
 // negative counts invert loop semantics. Every optimizer entry point
-// calls it before touching the design. MaxStep is exempt — negative is a
-// documented mode (scan all sizes) — and TargetCost only needs to be
-// finite (any value below the reachable cost range just never triggers).
+// calls it before touching the design.
 func (o Options) validate() error {
 	if math.IsNaN(o.Lambda) || math.IsInf(o.Lambda, 0) || o.Lambda < 0 {
 		return fmt.Errorf("core: invalid lambda %g", o.Lambda)
-	}
-	if math.IsNaN(o.TargetCost) || math.IsInf(o.TargetCost, 0) {
-		return fmt.Errorf("core: non-finite target cost %g", o.TargetCost)
-	}
-	if math.IsNaN(o.MinGain) || math.IsInf(o.MinGain, 0) || o.MinGain < 0 {
-		return fmt.Errorf("core: invalid min gain %g", o.MinGain)
-	}
-	if math.IsNaN(o.AreaBudgetFrac) || math.IsInf(o.AreaBudgetFrac, 0) || o.AreaBudgetFrac < 0 {
-		return fmt.Errorf("core: invalid area budget fraction %g", o.AreaBudgetFrac)
-	}
-	if math.IsNaN(o.SlackFrac) || math.IsInf(o.SlackFrac, 0) || o.SlackFrac < 0 {
-		return fmt.Errorf("core: invalid slack fraction %g", o.SlackFrac)
 	}
 	for _, c := range []struct {
 		name string
@@ -152,23 +128,13 @@ func (o Options) validate() error {
 		{"iteration cap", o.MaxIters},
 		{"subcircuit depth", o.SubcktDepth},
 		{"PDF resolution", o.PDFPoints},
-		{"patience", o.Patience},
-		{"path count", o.TopKPaths},
 		{"worker count", o.Workers},
-		{"checkpoint period", o.CheckpointEvery},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("core: negative %s %d", c.name, c.v)
 		}
 	}
 	return nil
-}
-
-func (o Options) checkpointEvery() int {
-	if o.CheckpointEvery <= 0 {
-		return 1
-	}
-	return o.CheckpointEvery
 }
 
 // Checkpoint is a resumable optimizer state: the full loop-carried
@@ -220,9 +186,9 @@ func (o Options) resumeFor(op string, d *synth.Design) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// emit delivers a checkpoint if this iteration boundary is due.
+// emit delivers a checkpoint to the Checkpoint callback, if any.
 func (o Options) emit(cp Checkpoint) {
-	if o.Checkpoint == nil || cp.Iter%o.checkpointEvery() != 0 {
+	if o.Checkpoint == nil {
 		return
 	}
 	// Copies guard the engine's retained slices from the callback's
@@ -245,51 +211,6 @@ func (o Options) maxIters() int {
 		return 100
 	}
 	return o.MaxIters
-}
-
-func (o Options) patience() int {
-	if o.Patience <= 0 {
-		return 8
-	}
-	return o.Patience
-}
-
-func (o Options) minGain() float64 {
-	if o.MinGain <= 0 {
-		return 1e-6
-	}
-	return o.MinGain
-}
-
-func (o Options) topK() int {
-	if o.TopKPaths <= 0 {
-		return 16
-	}
-	return o.TopKPaths
-}
-
-func (o Options) areaBudgetFrac() float64 {
-	if o.AreaBudgetFrac <= 0 {
-		return 0.02
-	}
-	return o.AreaBudgetFrac
-}
-
-func (o Options) slackFrac() float64 {
-	if o.SlackFrac <= 0 {
-		return 0.01
-	}
-	return o.SlackFrac
-}
-
-func (o Options) maxStep() int {
-	if o.MaxStep == 0 {
-		return 1
-	}
-	if o.MaxStep < 0 {
-		return 0 // unlimited
-	}
-	return o.MaxStep
 }
 
 // sstaOpts is the FULLSSTA configuration every analysis inside the
@@ -315,7 +236,7 @@ type IterStats struct {
 	Area    float64
 	PathLen int    // WNSS (or WNS) path length examined
 	Resized int    // gates actually rescheduled this iteration
-	Move    string // which move was kept: "per-gate", "path-bump", "cone-bump"
+	Move    string // which move was kept: "per-gate", "path-bump", "single", "sens-batch", "sens-single"
 }
 
 // Result reports an optimization run.
@@ -330,7 +251,7 @@ type Result struct {
 	// batched what-if passes), reported by the layered benchmark's
 	// core.analysis_share row.
 	AnalysisTime time.Duration
-	// StoppedBy explains termination: "converged", "target", "max-iters".
+	// StoppedBy explains termination: "converged" or "max-iters".
 	StoppedBy string
 	// Evals counts the timing evaluations the run requested: whole-circuit
 	// analyses, batched what-if candidates, and FASSTA subcircuit scorings.
@@ -420,27 +341,16 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 			bad = 0
 		} else if iter > 0 {
 			bad++
-			if bad >= opts.patience() {
+			if bad >= patience {
 				res.StoppedBy = "converged"
 				break
 			}
 		}
-		if opts.TargetCost > 0 && cur.Cost <= opts.TargetCost {
-			res.StoppedBy = "target"
-			break
-		}
 
-		path := wnss.TraceTopK(d, full, vm, opts.Lambda, opts.topK())
+		path := wnss.TraceTopK(d, full, vm, opts.Lambda, topKPaths)
 		if len(path) == 0 {
 			res.StoppedBy = "converged"
 			break
-		}
-		// The cone move seeds from the iteration-start analysis; capture
-		// them now, before any refresh retargets the shared result
-		// object to a tentative configuration.
-		var coneSeeds []circuit.GateID
-		if opts.ConeMove {
-			coneSeeds = worstOutputs(d, full, opts.Lambda, opts.topK())
 		}
 
 		// Move A (the paper's inner loop): greedy per-gate resizing along
@@ -451,8 +361,8 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 		bestSingleGate, bestSingleSize := circuit.None, 0
 		for _, g := range path {
 			s := ex.Extract(full, vm, g, opts.SubcktDepth)
-			bestSize, bestCost, curCost := s.BestSize(opts.Lambda, opts.maxStep())
-			if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-opts.minGain() {
+			bestSize, bestCost, curCost := s.BestSize(opts.Lambda, maxStep)
+			if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-minGain {
 				if gain := curCost - bestCost; gain > bestSingleGain {
 					bestSingleGain = gain
 					bestSingleGate, bestSingleSize = g, bestSize
@@ -486,83 +396,42 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 			sizesB = d.Circuit.SizeSnapshot()
 		}
 
-		// Move C: the coarsest escape — one notch up on every gate in the
-		// transitive fanin cone of the worst outputs. Circuits with many
-		// parallel near-critical paths (e.g. a 27-channel priority
-		// encoder) would need one iteration per path under moves A/B;
-		// the cone move lifts them together.
-		coneBumped := 0
-		var sizesC []int
-		if opts.ConeMove {
-			d.Circuit.RestoreSizes(startSizes)
-			cone := d.Circuit.TransitiveFanin(coneSeeds, -1)
-			for _, g := range cone {
-				gate := d.Circuit.Gate(g)
-				if !gate.Fn.IsLogic() {
-					continue
-				}
-				if gate.SizeIdx+1 < d.Lib.NumSizes(cells.Kind(gate.CellRef)) {
-					gate.SizeIdx++
-					coneBumped++
-				}
-			}
-			if coneBumped > 0 {
-				sizesC = d.Circuit.SizeSnapshot()
-			}
-		}
 		// Move A — the most common winner — is scored by refreshing the
 		// analyzer at its sizing: its application IS its analysis, so the
 		// engine's dirty-cone repair does double duty and no separate
-		// probe overlay is ever built for it. The remaining
-		// moves are scored as what-if candidates expressed against sizesA
-		// (the circuit's configuration at probe time); the costs are
-		// bit-identical to applying each move and re-analyzing, so the
-		// winner choice matches the historical sequential probing exactly.
+		// probe overlay is ever built for it. Move B is scored as a what-if
+		// candidate expressed against sizesA (the circuit's configuration
+		// at probe time); the cost is bit-identical to applying the move
+		// and re-analyzing.
 		d.Circuit.RestoreSizes(sizesA)
 		costA := az.refresh().Cost(d, opts.Lambda)
-		var cands [][]ssta.SizeChange
+		costB := math.Inf(1)
 		if bumped > 0 {
-			cands = append(cands, changesBetween(sizesA, sizesB))
-		}
-		if coneBumped > 0 {
-			cands = append(cands, changesBetween(sizesA, sizesC))
-		}
-		costB, costC := math.Inf(1), math.Inf(1)
-		if len(cands) > 0 {
-			costs := az.whatIf(cands, opts.Lambda)
-			if bumped > 0 {
-				costB = costs[0]
-			}
-			if coneBumped > 0 {
-				costC = costs[len(costs)-1]
-			}
+			costB = az.whatIf([][]ssta.SizeChange{changesBetween(sizesA, sizesB)}, opts.Lambda)[0]
 		}
 
-		// Pick the winner by the scalar costs; a non-A winner is applied
-		// (and `full` refreshed) once, after the move-D probe below has
+		// Pick the winner by the scalar costs; a move-B winner is applied
+		// (and `full` refreshed) once, after the move-C probe below has
 		// also been scored.
 		move := "per-gate"
 		chosenCost := costA
 		winnerSizes := sizesA
-		switch {
-		case coneBumped > 0 && costC < costA && costC < costB:
-			chosenCost, winnerSizes, resized, move = costC, sizesC, coneBumped, "cone-bump"
-		case bumped > 0 && costB < costA:
+		if bumped > 0 && costB < costA {
 			chosenCost, winnerSizes, resized, move = costB, sizesB, bumped, "path-bump"
 		}
-		// Move D, the verified single-step fallback: when every batch move
+		// Move C, the verified single-step fallback: when every batch move
 		// made the global cost worse, a whole first batch has overshot.
 		// Retry with only the single most promising gate move; if even
 		// that fails globally, the iteration counts as non-improving and
 		// patience handles termination.
 		if chosenCost >= cur.Cost && bestSingleGate != circuit.None {
-			sizesD := append([]int(nil), startSizes...)
-			sizesD[bestSingleGate] = bestSingleSize
-			costD := az.whatIf([][]ssta.SizeChange{
-				changesBetween(sizesA, sizesD),
+			sizesC := append([]int(nil), startSizes...)
+			sizesC[bestSingleGate] = bestSingleSize
+			costC := az.whatIf([][]ssta.SizeChange{
+				changesBetween(sizesA, sizesC),
 			}, opts.Lambda)[0]
-			if costD < cur.Cost {
-				d.Circuit.RestoreSizes(sizesD)
+			if costC < cur.Cost {
+				d.Circuit.RestoreSizes(sizesC)
 				resized = 1
 				move = "single"
 			} else {
@@ -600,19 +469,6 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 	res.Evals = az.evals + subEvals
 	res.NodeEvals = az.nodeEvals
 	return res, nil
-}
-
-// worstOutputs returns the POs among the top-k by mean + lambda*sigma.
-func worstOutputs(d *synth.Design, full *ssta.Result, lambda float64, k int) []circuit.GateID {
-	outs := append([]circuit.GateID(nil), d.Circuit.Outputs...)
-	sort.Slice(outs, func(i, j int) bool {
-		mi, mj := full.Node[outs[i]], full.Node[outs[j]]
-		return mi.Mean+lambda*mi.Sigma() > mj.Mean+lambda*mj.Sigma()
-	})
-	if k < len(outs) {
-		outs = outs[:k]
-	}
-	return outs
 }
 
 // MeanDelayGreedy is the deterministic baseline: greedy WNS-path sizing
@@ -671,14 +527,10 @@ func meanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options, az *ana
 			bad = 0
 		} else if iter > 0 {
 			bad++
-			if bad >= opts.patience() {
+			if bad >= patience {
 				res.StoppedBy = "converged"
 				break
 			}
-		}
-		if opts.TargetCost > 0 && cur.Cost <= opts.TargetCost {
-			res.StoppedBy = "target"
-			break
 		}
 
 		path := nominal.STA.CriticalPath(d)
@@ -691,8 +543,8 @@ func meanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options, az *ana
 		resized := 0
 		for _, g := range path {
 			s := ex.Extract(nominal, vm, g, opts.SubcktDepth)
-			bestSize, bestCost, curCost := s.BestSizeDeterministic(opts.maxStep())
-			if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-opts.minGain() {
+			bestSize, bestCost, curCost := s.BestSizeDeterministic(maxStep)
+			if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-minGain {
 				d.Circuit.Gate(g).SizeIdx = bestSize
 				resized++
 			}

@@ -129,20 +129,6 @@ func TestStatisticalGreedyIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// The cone move exercises the one optimizer path where the iteration-start
-// analysis is consulted after tentative configurations have been analyzed,
-// so it gets its own equivalence case.
-func TestStatisticalGreedyConeMoveIncrementalEquivalence(t *testing.T) {
-	opts := Options{Lambda: 9, MaxIters: 8, ConeMove: true}
-	equivalent(t, "c432", func(d *synth.Design, vm *variation.Model, ref bool) *Result {
-		r, err := statisticalGreedy(d, vm, opts, statAnalyzer(d, vm, opts, ref))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	})
-}
-
 func TestMeanDelayGreedyIncrementalEquivalence(t *testing.T) {
 	for _, name := range []string{"c432", "alu3"} {
 		name := name

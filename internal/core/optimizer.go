@@ -95,7 +95,7 @@ func (meanDelayBackend) Run(d *synth.Design, vm *variation.Model, opts Options) 
 
 // recoverAreaBackend adapts the area-recovery pass, whose direct call
 // takes the slack fraction as an explicit argument, onto the interface:
-// Run reads it from Options.SlackFrac (0 = 0.01).
+// Run uses the fixed recoverSlackFrac.
 type recoverAreaBackend struct{}
 
 func (recoverAreaBackend) Name() string { return "recoverarea" }
@@ -103,7 +103,7 @@ func (recoverAreaBackend) Run(d *synth.Design, vm *variation.Model, opts Options
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	res, _, err := recoverArea(d, vm, opts, opts.slackFrac(), newStatAnalyzer(d, vm, opts))
+	res, _, err := recoverArea(d, vm, opts, recoverSlackFrac, newStatAnalyzer(d, vm, opts))
 	return res, err
 }
 

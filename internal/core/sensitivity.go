@@ -74,8 +74,8 @@ func sensLess(a, b sensMove) bool {
 // max_i(mean_i + lambda*sigma_i), like StatisticalGreedy, but with a
 // sensitivity-driven move selection in the style of Agarwal/Chopra/
 // Blaauw's statistical gate sizing: every iteration scores the EXACT
-// global cost of every candidate single-gate resize (within MaxStep
-// notches of its current size) in one batched what-if pass over the
+// global cost of every candidate single-gate resize (one notch up or
+// down from its current size) in one batched what-if pass over the
 // incremental analyzer — ∂cost/∂size for the whole circuit at once —
 // then commits the best move-set under a per-iteration area budget,
 // area-free moves first, paid moves by cost gain per unit area. Because
@@ -138,38 +138,24 @@ func sensitivitySizer(d *synth.Design, vm *variation.Model, opts Options, az *an
 			bad = 0
 		} else if iter > 0 {
 			bad++
-			if bad >= opts.patience() {
+			if bad >= patience {
 				res.StoppedBy = "converged"
 				break
 			}
 		}
-		if opts.TargetCost > 0 && cur.Cost <= opts.TargetCost {
-			res.StoppedBy = "target"
-			break
-		}
 
-		// Enumerate every candidate single-gate move within MaxStep
-		// notches (MaxStep < 0 scans the gate's whole size range), and
-		// price them all in one batched what-if pass.
+		// Enumerate every candidate single-gate move within maxStep
+		// notches, and price them all in one batched what-if pass.
 		var cands [][]ssta.SizeChange
 		var moves []sensMove
-		step := opts.maxStep()
 		for i := range d.Circuit.Gates {
 			g := &d.Circuit.Gates[i]
 			if !g.Fn.IsLogic() || g.CellRef < 0 {
 				continue
 			}
 			kind := cells.Kind(g.CellRef)
-			n := d.Lib.NumSizes(kind)
-			lo, hi := 0, n-1
-			if step > 0 {
-				if lo = g.SizeIdx - step; lo < 0 {
-					lo = 0
-				}
-				if hi = g.SizeIdx + step; hi > n-1 {
-					hi = n - 1
-				}
-			}
+			lo := max(g.SizeIdx-maxStep, 0)
+			hi := min(g.SizeIdx+maxStep, d.Lib.NumSizes(kind)-1)
 			curArea := d.Lib.Cell(kind, g.SizeIdx).Area
 			for s := lo; s <= hi; s++ {
 				if s == g.SizeIdx {
@@ -198,7 +184,7 @@ func sensitivitySizer(d *synth.Design, vm *variation.Model, opts Options, az *an
 		singleGate, singleSize := circuit.None, 0
 		for i := range moves {
 			moves[i].gain = cur.Cost - costs[i]
-			if moves[i].gain <= opts.minGain() {
+			if moves[i].gain <= minGain {
 				continue
 			}
 			if moves[i].gain > singleGain {
@@ -217,7 +203,7 @@ func sensitivitySizer(d *synth.Design, vm *variation.Model, opts Options, az *an
 		// one move per gate, walked in sensitivity order. The top move
 		// always commits (progress is never budget-starved) and
 		// downsizing moves refund budget for paid moves further down.
-		budget := opts.areaBudgetFrac() * cur.Area
+		budget := areaBudgetFrac * cur.Area
 		spent := 0.0
 		used := make(map[circuit.GateID]bool, len(improving))
 		var chosen []sensMove

@@ -173,7 +173,7 @@ func TestSensitivitySizerValidatesOptions(t *testing.T) {
 	d, vm := setup(t, c)
 	for _, opts := range []Options{
 		{Lambda: -1},
-		{Lambda: 3, AreaBudgetFrac: -0.5},
+		{Lambda: 3, Workers: -1},
 	} {
 		if _, err := SensitivitySizer(d, vm, opts); err == nil {
 			t.Fatalf("invalid options accepted: %+v", opts)

@@ -1,6 +1,6 @@
 // Package difftest is the differential test harness for the
 // incremental timing engines: it drives seeded random resize sequences
-// against ssta.Incremental and the exact-mode sta.Incremental,
+// against ssta.Incremental and sta.Incremental,
 // asserting after every step that the repaired analysis is
 // bit-identical — every node, not just the circuit summary
 // — to a from-scratch analysis of the same sizes, and that Rollback
@@ -191,7 +191,7 @@ func (e *sstaEngine) Verify() error {
 	return CompareSSTA(e.inc.Result(), ssta.Analyze(e.d, e.vm, e.opts))
 }
 
-// staEngine adapts the exact-mode deterministic sta.Incremental. It has
+// staEngine adapts the deterministic sta.Incremental. It has
 // no transactional Rollback; the driver's rollback step is emulated by
 // resizing back, which must land on the identical state.
 type staEngine struct {
@@ -228,11 +228,11 @@ func DriveSSTA(d *synth.Design, vm *variation.Model, opts ssta.Options, steps in
 	return newMutator(d, seed).drive(eng, steps)
 }
 
-// DriveSTA runs a seeded random resize sequence against the exact-mode
+// DriveSTA runs a seeded random resize sequence against the
 // deterministic incremental engine on d, verifying bit-exactness after
 // every step.
 func DriveSTA(d *synth.Design, steps int, seed uint64) error {
-	eng := &staEngine{d: d, inc: sta.NewIncrementalExact(d)}
+	eng := &staEngine{d: d, inc: sta.NewIncremental(d)}
 	return newMutator(d, seed).drive(eng, steps)
 }
 

@@ -62,8 +62,12 @@ func writeCell(b *strings.Builder, c *cells.Cell) {
 	fmt.Fprintf(b, "      timing () {\n")
 	writeTable(b, "cell_rise", &c.Delay)
 	writeTable(b, "cell_fall", &c.Delay)
-	writeTable(b, "rise_transition", &c.OutSlew)
-	writeTable(b, "fall_transition", &c.OutSlew)
+	// A cell read without transition tables keeps a zero OutSlew, which
+	// is written as no table at all.
+	if len(c.OutSlew.Values) > 0 {
+		writeTable(b, "rise_transition", &c.OutSlew)
+		writeTable(b, "fall_transition", &c.OutSlew)
+	}
 	fmt.Fprintf(b, "      }\n")
 	fmt.Fprintf(b, "    }\n")
 	fmt.Fprintf(b, "  }\n")
@@ -561,11 +565,12 @@ func parseCell(g *group) (*cells.Cell, error) {
 		return nil, fmt.Errorf("liberty: cell %q does not follow the KIND_Xdrive naming convention", g.arg)
 	}
 	c := &cells.Cell{Name: g.arg, Kind: kind}
-	if v, ok := g.attrFloat("area"); ok {
-		c.Area = v
+	var err error
+	if c.Area, _, err = quantity(g, c.Name, "area"); err != nil {
+		return nil, err
 	}
-	if v, ok := g.attrFloat("drive_strength"); ok {
-		c.Drive = v
+	if c.Drive, _, err = quantity(g, c.Name, "drive_strength"); err != nil {
+		return nil, err
 	}
 	var haveDelay, haveSlew int
 	for _, pin := range g.subs {
@@ -575,7 +580,11 @@ func parseCell(g *group) (*cells.Cell, error) {
 		dir, _ := pin.attrString("direction")
 		switch dir {
 		case "input":
-			if v, ok := pin.attrFloat("capacitance"); ok {
+			v, ok, err := quantity(pin, c.Name, "capacitance")
+			if err != nil {
+				return nil, err
+			}
+			if ok {
 				c.InputCap = v
 			}
 		case "output":
@@ -586,7 +595,8 @@ func parseCell(g *group) (*cells.Cell, error) {
 				for _, tab := range tg.subs {
 					t, err := parseTable(tab)
 					if err != nil {
-						return nil, fmt.Errorf("liberty: cell %s: %v", c.Name, err)
+						return nil, &posError{Line: tab.line, Col: tab.col,
+							Err: fmt.Errorf("liberty: cell %s: %v", c.Name, err)}
 					}
 					switch tab.name {
 					case "cell_rise", "cell_fall":
@@ -667,15 +677,26 @@ func parseTable(g *group) (cells.Table2D, error) {
 		if err != nil {
 			return t, err
 		}
-		if len(vs) != len(t.Loads) {
-			return t, fmt.Errorf("table %s: row has %d values, want %d", g.name, len(vs), len(t.Loads))
-		}
 		t.Values = append(t.Values, vs)
 	}
-	if len(t.Values) != len(t.Slews) {
-		return t, fmt.Errorf("table %s: %d rows, want %d", g.name, len(t.Values), len(t.Slews))
+	if err := t.Validate(); err != nil {
+		return t, fmt.Errorf("table %s: %v", g.name, err)
 	}
 	return t, nil
+}
+
+// quantity reads a physical-quantity attribute of g like attrFloat; a
+// value that is present must be finite and non-negative, or the cell is
+// rejected at g's position.
+func quantity(g *group, cell, name string) (float64, bool, error) {
+	v, ok := g.attrFloat(name)
+	if !ok {
+		return 0, false, nil
+	}
+	if err := cells.CheckQuantity(name, v); err != nil {
+		return 0, false, &posError{Line: g.line, Col: g.col, Err: fmt.Errorf("liberty: cell %s: %v", cell, err)}
+	}
+	return v, true, nil
 }
 
 func parseFloats(s string) ([]float64, error) {

@@ -178,7 +178,7 @@ func TestClusterOptimizeMatchesDirect(t *testing.T) {
 
 	d, _ := repro.Generate("c432")
 	dd := d.Clone()
-	r, err := dd.OptimizeStatisticalOpts(3, repro.RunOptions{Workers: 1, MaxIters: 4})
+	r, err := dd.Optimize(3, repro.RunOptions{Workers: 1, MaxIters: 4})
 	if err != nil {
 		t.Fatalf("direct optimize: %v", err)
 	}
@@ -273,7 +273,7 @@ func TestClusterFailoverResumesBitExact(t *testing.T) {
 
 	dd, _ := repro.Generate("c432")
 	ddc := dd.Clone()
-	if _, err := ddc.OptimizeStatisticalOpts(3, repro.RunOptions{Workers: 1, MaxIters: 6}); err != nil {
+	if _, err := ddc.Optimize(3, repro.RunOptions{Workers: 1, MaxIters: 6}); err != nil {
 		t.Fatalf("direct optimize: %v", err)
 	}
 	want := ddc.Sizes()

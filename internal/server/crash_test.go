@@ -160,7 +160,7 @@ func TestCrashKillDashNineResumesBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.OptimizeStatisticalOpts(9, repro.RunOptions{Workers: 1, MaxIters: 12})
+	want, err := d.Optimize(9, repro.RunOptions{Workers: 1, MaxIters: 12})
 	if err != nil {
 		t.Fatalf("direct optimize: %v", err)
 	}

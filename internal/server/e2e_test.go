@@ -126,7 +126,7 @@ func TestE2EOptimizeMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("generate c432: %v", err)
 	}
-	want, err := d.OptimizeStatisticalOpts(3, repro.RunOptions{Workers: 1, MaxIters: 4})
+	want, err := d.Optimize(3, repro.RunOptions{Workers: 1, MaxIters: 4})
 	if err != nil {
 		t.Fatalf("direct optimize: %v", err)
 	}

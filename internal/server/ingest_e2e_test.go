@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -218,5 +219,74 @@ func TestE2ELibertyChangesDesignHash(t *testing.T) {
 	}
 	if a1.Mean == a2.Mean {
 		t.Fatal("doubled output load did not change the analysis")
+	}
+}
+
+// TestE2EPoisonedLibertyRejected submits c432 with Liberty libraries
+// holding nan table values. Before the library validity checks an
+// all-nan library loaded and analyzed c432 to mean 0, sigma 0. Now each
+// is a typed rejection whose diagnostics point at the bad numbers, and
+// the server goes on serving the next job.
+//
+// The all-nan library breaks every cell, so its diagnostics exhaust the
+// error budget (Limits.MaxErrors) and the final budget-class marker
+// makes it a 413, like any other input that trips a budget; a single
+// nan is one semantic diagnostic and a 400.
+func TestE2EPoisonedLibertyRejected(t *testing.T) {
+	c, base := startServiceCfg(t, Config{JobWorkers: 1})
+	ctx := ctxT(t)
+	d, err := repro.Generate("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var net, lib bytes.Buffer
+	if err := d.SaveBench(&net); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SaveLiberty(&lib); err != nil {
+		t.Fatal(err)
+	}
+	values := regexp.MustCompile(`(?s)values \(.*?\);`)
+	number := regexp.MustCompile(`[0-9][0-9.e+-]*`)
+	allNaN := values.ReplaceAllStringFunc(lib.String(), func(g string) string {
+		return number.ReplaceAllString(g, "nan")
+	})
+	first := values.FindStringIndex(lib.String())
+	n := number.FindStringIndex(lib.String()[first[0]:first[1]])
+	oneNaN := lib.String()[:first[0]+n[0]] + "nan" + lib.String()[first[0]+n[1]:]
+
+	for _, tc := range []struct {
+		name    string
+		liberty string
+		code    int
+	}{
+		{"all nan", allNaN, http.StatusRequestEntityTooLarge},
+		{"one nan", oneNaN, http.StatusBadRequest},
+	} {
+		code, _, eb := postSubmit(t, base, client.JobRequest{
+			Op: client.OpAnalyze, Bench: net.String(), Name: "c432", Liberty: tc.liberty, Workers: 1,
+		})
+		if code != tc.code {
+			t.Fatalf("%s: HTTP %d (%+v), want %d", tc.name, code, eb, tc.code)
+		}
+		if len(eb.Diagnostics) == 0 {
+			t.Fatalf("%s: rejection carries no diagnostics: %+v", tc.name, eb)
+		}
+		dg := eb.Diagnostics[0]
+		if dg.Check != "semantic" || dg.Line == 0 || !strings.Contains(dg.Msg, "value NaN is not a finite non-negative number") {
+			t.Fatalf("%s: first diagnostic is not the positioned Liberty check: %+v", tc.name, dg)
+		}
+	}
+
+	st, err := c.Run(ctx, client.JobRequest{Op: client.OpAnalyze, Bench: net.String(), Name: "c432", Workers: 1})
+	if err != nil || st.State != "done" {
+		t.Fatalf("plain c432 after the rejected libraries: %v %+v", err, st)
+	}
+	var a client.AnalyzeResult
+	if err := json.Unmarshal(st.Result, &a); err != nil {
+		t.Fatal(err)
+	}
+	if !(a.Mean > 0 && a.Sigma > 0) {
+		t.Fatalf("plain c432 analyzed to mean %g, sigma %g", a.Mean, a.Sigma)
 	}
 }

@@ -78,6 +78,19 @@ func TestOptsKeyNormalization(t *testing.T) {
 		t.Errorf("optimizer must be cleared from non-optimize keys:\n  a: %s\n  b: %s",
 			optsKey(analyze), optsKey(stray))
 	}
+
+	// Only recover reads slack_frac: on every other op it is cleared, on
+	// recover it splits the key.
+	for _, op := range []string{client.OpOptimize, client.OpAnalyze, client.OpRecover} {
+		plain := base
+		plain.Op = op
+		slack := plain
+		slack.SlackFrac = 0.05
+		if shared := optsKey(plain) == optsKey(slack); shared != (op != client.OpRecover) {
+			t.Errorf("%s: slack_frac shares the key = %v:\n  a: %s\n  b: %s",
+				op, shared, optsKey(plain), optsKey(slack))
+		}
+	}
 }
 
 // TestLegacyFullRecomputeAccepted pins the retirement of the

@@ -683,6 +683,11 @@ func optsKey(req client.JobRequest) string {
 	} else {
 		req.Optimizer = ""
 	}
+	// Only the recover op reads the slack fraction; optimize runs its
+	// recoverarea backend at the fixed 1%.
+	if req.Op != client.OpRecover {
+		req.SlackFrac = 0
+	}
 	b, _ := json.Marshal(req)
 	return string(b)
 }

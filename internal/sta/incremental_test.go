@@ -1,7 +1,6 @@
 package sta
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -11,23 +10,26 @@ import (
 )
 
 // assertMatchesFull checks the incremental state against a from-scratch
-// analysis.
+// analysis, bit for bit.
 func assertMatchesFull(t *testing.T, inc *Incremental, d *synth.Design) {
 	t.Helper()
 	want := Analyze(d)
 	got := inc.Result()
 	for i := range want.Arrival {
-		if math.Abs(want.Arrival[i]-got.Arrival[i]) > 1e-6 {
+		if want.Arrival[i] != got.Arrival[i] {
 			t.Fatalf("gate %d arrival: incremental %g vs full %g", i, got.Arrival[i], want.Arrival[i])
 		}
-		if math.Abs(want.Slew[i]-got.Slew[i]) > 1e-6 {
-			t.Fatalf("gate %d slew diverged", i)
+		if want.Slew[i] != got.Slew[i] {
+			t.Fatalf("gate %d slew: incremental %g vs full %g", i, got.Slew[i], want.Slew[i])
 		}
-		if math.Abs(want.Delay[i]-got.Delay[i]) > 1e-6 {
-			t.Fatalf("gate %d delay diverged", i)
+		if want.Delay[i] != got.Delay[i] {
+			t.Fatalf("gate %d delay: incremental %g vs full %g", i, got.Delay[i], want.Delay[i])
+		}
+		if want.InSlew[i] != got.InSlew[i] {
+			t.Fatalf("gate %d input slew: incremental %g vs full %g", i, got.InSlew[i], want.InSlew[i])
 		}
 	}
-	if math.Abs(want.MaxArrival-got.MaxArrival) > 1e-6 {
+	if want.MaxArrival != got.MaxArrival {
 		t.Fatalf("MaxArrival: %g vs %g", got.MaxArrival, want.MaxArrival)
 	}
 	if want.WorstPO != got.WorstPO {
@@ -119,17 +121,17 @@ func TestIncrementalDirtyRegionIsLocal(t *testing.T) {
 func TestIncrementalRefreshAfterBatch(t *testing.T) {
 	d := mapped(t, gen.Comparator("cmp", 8))
 	inc := NewIncremental(d)
-	// Apply edits behind the Incremental's back, then Refresh.
-	var edited []circuit.GateID
+	// Apply edits behind the Incremental's back, then Sync.
 	n := 0
 	for i := range d.Circuit.Gates {
 		if d.Circuit.Gates[i].Fn.IsLogic() && n < 5 {
 			d.Circuit.Gates[i].SizeIdx = 3
-			edited = append(edited, circuit.GateID(i))
 			n++
 		}
 	}
-	inc.Refresh(edited)
+	if touched := inc.Sync(); touched == 0 {
+		t.Fatal("Sync after a batch of edits touched no gates")
+	}
 	assertMatchesFull(t, inc, d)
 }
 

@@ -56,12 +56,12 @@ func TestEntryPointsRejectInvalidOptions(t *testing.T) {
 	if _, err := d.MonteCarlo(-5, 1); err == nil {
 		t.Error("MonteCarlo accepted negative trial count")
 	}
-	if _, err := d.OptimizeMeanDelayOpts(RunOptions{MaxIters: -1}); err == nil {
-		t.Error("OptimizeMeanDelayOpts accepted negative iteration cap")
+	if _, err := d.Optimize(0, RunOptions{Optimizer: "meandelay", MaxIters: -1}); err == nil {
+		t.Error("Optimize(meandelay) accepted negative iteration cap")
 	}
 	for _, lambda := range []float64{nan, inf, -inf, -3} {
-		if _, err := d.OptimizeStatisticalOpts(lambda, RunOptions{MaxIters: 1}); err == nil {
-			t.Errorf("OptimizeStatisticalOpts accepted lambda %g", lambda)
+		if _, err := d.Optimize(lambda, RunOptions{MaxIters: 1}); err == nil {
+			t.Errorf("Optimize accepted lambda %g", lambda)
 		}
 		if err := d.SaveDOT(discard{}, lambda); err == nil {
 			t.Errorf("SaveDOT accepted lambda %g", lambda)
