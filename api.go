@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/benchfmt"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/montecarlo"
 	"repro/internal/ssta"
+	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/variation"
 	"repro/internal/wnss"
@@ -264,6 +267,13 @@ func (o RunOptions) ssta() ssta.Options {
 }
 
 // Analysis reports the statistical timing of a design.
+//
+// Yield and PeriodForYield read a FULLSSTA circuit-delay PDF. An
+// Analysis from Analyze, AnalyzeOpts or AnalyzeCtx is that FULLSSTA
+// pass. One from MonteCarloOpts or MonteCarloFromSamples runs the pass
+// on its first yield query, for the sizing the design had when the
+// Analysis was made; an Analysis that is never asked for a yield never
+// pays for it.
 type Analysis struct {
 	// Mean and Sigma are the first two moments of the circuit delay (the
 	// max over all primary outputs), in ps.
@@ -273,7 +283,42 @@ type Analysis struct {
 	// PDFX and PDFY sample the circuit-delay density for plotting.
 	PDFX, PDFY []float64
 
-	full *ssta.Result
+	full *yieldBacking
+}
+
+// yieldBacking is the FULLSSTA result behind an Analysis's yield
+// queries: set up front, or made by build once, on first use.
+type yieldBacking struct {
+	once  sync.Once
+	build func() *ssta.Result
+	full  *ssta.Result
+}
+
+func (b *yieldBacking) result() *ssta.Result {
+	b.once.Do(func() {
+		if b.full == nil {
+			b.full, b.build = b.build(), nil
+		}
+	})
+	return b.full
+}
+
+// lazyBacking defers the FULLSSTA pass behind a Monte-Carlo Analysis to
+// its first yield query, pinned to the design's sizing now: a design
+// resized in between is analyzed through a clone restored to this
+// sizing. The first query reads the design, so it must not run
+// concurrently with a call that resizes it.
+func (d *Design) lazyBacking(opts RunOptions) *yieldBacking {
+	sizes := d.Sizes()
+	so := opts.ssta()
+	return &yieldBacking{build: func() *ssta.Result {
+		at := d
+		if !slices.Equal(d.Sizes(), sizes) {
+			at = d.Clone()
+			at.d.Circuit.RestoreSizes(sizes)
+		}
+		return ssta.Analyze(at.d, at.vm, so)
+	}}
 }
 
 // Analyze runs FULLSSTA (the accurate discrete-PDF engine) with default
@@ -292,16 +337,17 @@ func (d *Design) AnalyzeOpts(opts RunOptions) *Analysis {
 		NominalDelay: full.STA.MaxArrival,
 		PDFX:         xs,
 		PDFY:         ps,
-		full:         full,
+		full:         &yieldBacking{full: full},
 	}
 }
 
 // AnalyzeCtx is AnalyzeOpts with an explicit context: it refuses to start
 // (returning ctx.Err()) when ctx is already cancelled, and records ctx in
-// the options so future cancellation points inherit it. One FULLSSTA pass
-// is not internally interruptible — it completes in milliseconds to
-// seconds — so a cancellation arriving mid-analysis is only reported by
-// whichever caller polls ctx next.
+// the options so future cancellation points inherit it. Like AnalyzeOpts
+// it runs its FULLSSTA pass eagerly, and the pass is not internally
+// interruptible — it completes in milliseconds to seconds — so a
+// cancellation arriving mid-analysis is only reported by whichever
+// caller polls ctx next.
 func (d *Design) AnalyzeCtx(ctx context.Context, opts RunOptions) (*Analysis, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -316,12 +362,15 @@ func (d *Design) AnalyzeCtx(ctx context.Context, opts RunOptions) (*Analysis, er
 }
 
 // Yield returns the probability that the circuit meets clock period T.
-func (a *Analysis) Yield(T float64) float64 { return a.full.Yield(T) }
+// On a Monte-Carlo Analysis the first yield query runs FULLSSTA (see
+// Analysis).
+func (a *Analysis) Yield(T float64) float64 { return a.full.result().Yield(T) }
 
 // PeriodForYield returns the smallest clock period achieving the target
-// yield.
+// yield. On a Monte-Carlo Analysis the first yield query runs FULLSSTA
+// (see Analysis).
 func (a *Analysis) PeriodForYield(target float64) (float64, error) {
-	return yield.PeriodFor(a.full.CircuitPDF, target)
+	return yield.PeriodFor(a.full.result().CircuitPDF, target)
 }
 
 // MonteCarlo runs the golden-reference sampling engine with default
@@ -331,9 +380,10 @@ func (d *Design) MonteCarlo(samples int, seed int64) (*Analysis, error) {
 	return d.MonteCarloOpts(samples, seed, RunOptions{})
 }
 
-// MonteCarloOpts is MonteCarlo with explicit execution options; the same
-// options also drive the FULLSSTA pass that backs Yield queries on the
-// returned Analysis.
+// MonteCarloOpts is MonteCarlo with explicit execution options.
+// NominalDelay comes from deterministic STA. The FULLSSTA pass behind
+// Yield and PeriodForYield runs, with the same options, on the first
+// such query, for the sizing the design has now (see Analysis).
 func (d *Design) MonteCarloOpts(samples int, seed int64, opts RunOptions) (*Analysis, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -344,15 +394,20 @@ func (d *Design) MonteCarloOpts(samples int, seed int64, opts RunOptions) (*Anal
 	if err != nil {
 		return nil, err
 	}
-	p := mc.PDF(15)
-	xs, ps := p.Support()
-	full := ssta.Analyze(d.d, d.vm, opts.ssta()) // for Yield support
+	return d.monteCarloAnalysis(mc, opts), nil
+}
+
+// monteCarloAnalysis wraps a Monte-Carlo result for the design's current
+// sizing: moments and empirical PDF from mc, the nominal delay from
+// deterministic STA and a lazy FULLSSTA backing for yield queries.
+func (d *Design) monteCarloAnalysis(mc *montecarlo.Result, opts RunOptions) *Analysis {
+	xs, ps := mc.PDF(15).Support()
 	return &Analysis{
 		Mean: mc.Mean, Sigma: mc.Sigma,
-		NominalDelay: full.STA.MaxArrival,
+		NominalDelay: sta.Analyze(d.d).MaxArrival,
 		PDFX:         xs, PDFY: ps,
-		full: full,
-	}, nil
+		full: d.lazyBacking(opts),
+	}
 }
 
 // MonteCarloShard draws the circuit-delay samples of trials [lo, hi) of
@@ -376,7 +431,8 @@ func (d *Design) MonteCarloShard(seed int64, lo, hi int, opts RunOptions) ([]flo
 // set (the concatenation of MonteCarloShard ranges, in trial order) into
 // the same Analysis MonteCarloOpts would have produced had it drawn the
 // samples itself: moments accumulated over the sorted sample set, the
-// empirical PDF, and a FULLSSTA pass backing the Yield queries.
+// empirical PDF, the deterministic STA delay, and a FULLSSTA pass that
+// runs on the first Yield or PeriodForYield query (see Analysis).
 func (d *Design) MonteCarloFromSamples(samples []float64, opts RunOptions) (*Analysis, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -385,15 +441,7 @@ func (d *Design) MonteCarloFromSamples(samples []float64, opts RunOptions) (*Ana
 	if err != nil {
 		return nil, err
 	}
-	p := mc.PDF(15)
-	xs, ps := p.Support()
-	full := ssta.Analyze(d.d, d.vm, opts.ssta()) // for Yield support
-	return &Analysis{
-		Mean: mc.Mean, Sigma: mc.Sigma,
-		NominalDelay: full.STA.MaxArrival,
-		PDFX:         xs, PDFY: ps,
-		full: full,
-	}, nil
+	return d.monteCarloAnalysis(mc, opts), nil
 }
 
 // OptResult summarizes one optimization run.
@@ -539,8 +587,7 @@ func (d *Design) WNSSPath(lambda float64) []string {
 // CriticalPath traces the deterministic worst-slack path, for comparison
 // with WNSSPath.
 func (d *Design) CriticalPath() []string {
-	full := ssta.Analyze(d.d, d.vm, ssta.Options{})
-	path := full.STA.CriticalPath(d.d)
+	path := sta.Analyze(d.d).CriticalPath(d.d)
 	names := make([]string, len(path))
 	for i, id := range path {
 		names[i] = d.d.Circuit.Gate(id).Name

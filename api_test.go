@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/ssta"
 )
 
 func TestBenchmarksList(t *testing.T) {
@@ -256,5 +258,26 @@ func TestMonteCarloShardRejectsBadInput(t *testing.T) {
 	}
 	if _, err := d.MonteCarloFromSamples([]float64{1}, RunOptions{Workers: -1}); err == nil {
 		t.Error("invalid options accepted")
+	}
+}
+
+// TestCriticalPathMatchesFULLSSTA pins CriticalPath, which runs
+// deterministic STA, to the critical path of FULLSSTA's nominal pass on
+// every Table-1 circuit.
+func TestCriticalPathMatchesFULLSSTA(t *testing.T) {
+	for _, name := range Benchmarks() {
+		d, err := Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := ssta.Analyze(d.d, d.vm, ssta.Options{})
+		var want []string
+		for _, id := range full.STA.CriticalPath(d.d) {
+			want = append(want, d.d.Circuit.Gate(id).Name)
+		}
+		got := d.CriticalPath()
+		if len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("%s: CriticalPath %v, want %v", name, got, want)
+		}
 	}
 }

@@ -185,6 +185,23 @@ func BenchmarkMonteCarlo10kC432(b *testing.B) {
 	}
 }
 
+// BenchmarkMonteCarloOpts is the public Monte-Carlo door as the signoff
+// path calls it: 200 trials with no yield query, so the FULLSSTA pass
+// behind yields never runs.
+func BenchmarkMonteCarloOpts(b *testing.B) {
+	d, err := Generate("c7552")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.MonteCarloOpts(200, int64(i), RunOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkWNSSTraceC7552(b *testing.B) {
 	d, vm, err := experiments.NewDesign("c7552")
 	if err != nil {

@@ -3,7 +3,6 @@ package ingest
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // TokenKind classifies one lexical token of a governed format.
@@ -40,6 +39,34 @@ type LexSpec struct {
 	Skip   string
 }
 
+// byteClass is how the lexer treats one input byte under a LexSpec. Any
+// class but classIdent also ends an identifier.
+type byteClass uint8
+
+const (
+	classIdent   byteClass = iota // starts or continues an identifier
+	classSpace                    // whitespace or LexSpec.Skip: separates tokens
+	classComment                  // '/': opens a // or /* */ comment
+	classString                   // '"': opens a string
+	classPunct                    // LexSpec.Puncts: a one-byte token
+)
+
+// classes tabulates every byte's class. A byte in several sets takes the
+// first of whitespace/Skip, '/', '"', Puncts: later writes win, so they
+// run in the reverse order.
+func (s LexSpec) classes() [256]byteClass {
+	var t [256]byteClass
+	for _, b := range []byte(s.Puncts) {
+		t[b] = classPunct
+	}
+	t['"'] = classString
+	t['/'] = classComment
+	for _, b := range []byte(" \t\r\n" + s.Skip) {
+		t[b] = classSpace
+	}
+	return t
+}
+
 // Lexer produces tokens one at a time from a budget-governed byte
 // stream: every token passes the Meter (token budget + context poll),
 // identifiers and strings are length-bounded, and at most one token of
@@ -48,7 +75,7 @@ type LexSpec struct {
 type Lexer struct {
 	r        *Reader
 	m        *Meter
-	spec     LexSpec
+	class    [256]byteClass
 	maxIdent int
 	buf      []byte // reused token-text scratch
 
@@ -60,7 +87,7 @@ type Lexer struct {
 // NewLexer builds a lexer over a governed Reader/Meter pair (lim must
 // already have defaults applied, as the parsers' entry points ensure).
 func NewLexer(r *Reader, m *Meter, lim Limits, spec LexSpec) *Lexer {
-	return &Lexer{r: r, m: m, spec: spec, maxIdent: lim.MaxIdent, buf: make([]byte, 0, 64)}
+	return &Lexer{r: r, m: m, class: spec.classes(), maxIdent: lim.MaxIdent, buf: make([]byte, 0, 64)}
 }
 
 // Pos reports the 1-based position of the next unread byte.
@@ -103,17 +130,16 @@ func (lx *Lexer) scan() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		switch {
-		case b == ' ' || b == '\t' || b == '\r' || b == '\n' ||
-			strings.IndexByte(lx.spec.Skip, b) >= 0:
+		switch lx.class[b] {
+		case classSpace:
 			continue
-		case b == '/':
+		case classComment:
 			if err := lx.skipComment(); err != nil {
 				return Token{}, err
 			}
-		case b == '"':
+		case classString:
 			return lx.scanString()
-		case strings.IndexByte(lx.spec.Puncts, b) >= 0:
+		case classPunct:
 			if err := lx.m.Tick(); err != nil {
 				return Token{}, err
 			}
@@ -197,11 +223,6 @@ func (lx *Lexer) scanString() (Token, error) {
 	}
 }
 
-func (lx *Lexer) isIdentStop(b byte) bool {
-	return b == ' ' || b == '\t' || b == '\r' || b == '\n' || b == '"' || b == '/' ||
-		strings.IndexByte(lx.spec.Puncts, b) >= 0 || strings.IndexByte(lx.spec.Skip, b) >= 0
-}
-
 func (lx *Lexer) scanIdent(first byte) (Token, error) {
 	if err := lx.m.Tick(); err != nil {
 		return Token{}, err
@@ -218,7 +239,7 @@ func (lx *Lexer) scanIdent(first byte) (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		if lx.isIdentStop(b) {
+		if lx.class[b] != classIdent {
 			lx.r.UnreadByte()
 			break
 		}
