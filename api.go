@@ -163,71 +163,13 @@ type RunOptions struct {
 }
 
 // OptSnapshot is a point-in-time statistical summary inside a
-// checkpoint (the public mirror of the optimizer's internal snapshot).
-type OptSnapshot struct {
-	Mean  float64 `json:"mean"`
-	Sigma float64 `json:"sigma"`
-	Cost  float64 `json:"cost"`
-	Area  float64 `json:"area"`
-}
+// checkpoint: mean, sigma and cost in ps, area in um^2.
+type OptSnapshot = core.Snapshot
 
 // OptCheckpoint is a resumable optimizer state, serializable as JSON
-// for persistence (sstad journals one per optimization iteration). Its
-// fields mirror internal/core.Checkpoint; see RunOptions.Checkpoint for
-// the exactness guarantee.
-type OptCheckpoint struct {
-	Op         string      `json:"op"`
-	Iter       int         `json:"iter"`
-	Cost       float64     `json:"cost"`
-	Sizes      []int       `json:"sizes"`
-	BestSizes  []int       `json:"best_sizes,omitempty"`
-	Best       OptSnapshot `json:"best"`
-	Bad        int         `json:"bad"`
-	Initial    OptSnapshot `json:"initial"`
-	LocalSlack float64     `json:"local_slack,omitempty"`
-	Budget     float64     `json:"budget,omitempty"`
-	Area0      float64     `json:"area0,omitempty"`
-}
-
-func snapFromCore(s core.Snapshot) OptSnapshot {
-	return OptSnapshot{Mean: s.Mean, Sigma: s.Sigma, Cost: s.Cost, Area: s.Area}
-}
-
-func snapToCore(s OptSnapshot) core.Snapshot {
-	return core.Snapshot{Mean: s.Mean, Sigma: s.Sigma, Cost: s.Cost, Area: s.Area}
-}
-
-func checkpointFromCore(cp core.Checkpoint) OptCheckpoint {
-	return OptCheckpoint{
-		Op: cp.Op, Iter: cp.Iter, Cost: cp.Cost,
-		Sizes: cp.Sizes, BestSizes: cp.BestSizes,
-		Best: snapFromCore(cp.Best), Bad: cp.Bad, Initial: snapFromCore(cp.Initial),
-		LocalSlack: cp.LocalSlack, Budget: cp.Budget, Area0: cp.Area0,
-	}
-}
-
-func checkpointToCore(cp *OptCheckpoint) *core.Checkpoint {
-	if cp == nil {
-		return nil
-	}
-	return &core.Checkpoint{
-		Op: cp.Op, Iter: cp.Iter, Cost: cp.Cost,
-		Sizes: cp.Sizes, BestSizes: cp.BestSizes,
-		Best: snapToCore(cp.Best), Bad: cp.Bad, Initial: snapToCore(cp.Initial),
-		LocalSlack: cp.LocalSlack, Budget: cp.Budget, Area0: cp.Area0,
-	}
-}
-
-// checkpointing translates the public checkpoint knobs into their core
-// forms, shared by every optimizer entry point.
-func (o RunOptions) checkpointing() (func(core.Checkpoint), *core.Checkpoint) {
-	var cb func(core.Checkpoint)
-	if o.Checkpoint != nil {
-		public := o.Checkpoint
-		cb = func(cp core.Checkpoint) { public(checkpointFromCore(cp)) }
-	}
-	return cb, checkpointToCore(o.Resume)
-}
+// for persistence (sstad journals one per optimization iteration). See
+// RunOptions.Checkpoint for the exactness guarantee.
+type OptCheckpoint = core.Checkpoint
 
 // Validate rejects execution options no engine can honor: negative
 // worker counts, PDF resolutions or iteration caps. The zero value is
@@ -529,11 +471,10 @@ func (d *Design) Optimize(lambda float64, opts RunOptions) (OptResult, error) {
 		return OptResult{}, err
 	}
 	o, _ := core.LookupOptimizer(opts.Optimizer) // existence checked by Validate
-	cb, resume := opts.checkpointing()
 	r, err := o.Run(d.d, d.vm, core.Options{
 		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers,
 		MaxIters: opts.MaxIters, Ctx: opts.Ctx, Seed: opts.Seed,
-		Checkpoint: cb, Resume: resume,
+		Checkpoint: opts.Checkpoint, Resume: opts.Resume,
 	})
 	if err != nil {
 		return OptResult{}, err
@@ -565,10 +506,9 @@ func (d *Design) RecoverArea(lambda, slackFrac float64) (float64, error) {
 
 // RecoverAreaOpts is RecoverArea with explicit execution options.
 func (d *Design) RecoverAreaOpts(lambda, slackFrac float64, opts RunOptions) (float64, error) {
-	cb, resume := opts.checkpointing()
 	return core.RecoverArea(d.d, d.vm, core.Options{
 		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers, Ctx: opts.Ctx,
-		Checkpoint: cb, Resume: resume,
+		Checkpoint: opts.Checkpoint, Resume: opts.Resume,
 	}, slackFrac)
 }
 

@@ -142,3 +142,68 @@ func TestOptResultDeltas(t *testing.T) {
 		t.Fatal("zero-value deltas must be 0, not NaN")
 	}
 }
+
+// parentCheckpointJSON is a checkpoint as the facade serialized it
+// before OptCheckpoint became an alias of core.Checkpoint: iteration 2
+// of Optimize(9, RunOptions{Workers: 1, MaxIters: 4}) on alu1 after
+// OptimizeMeanDelay. sstad journals hold checkpoints in this form.
+const parentCheckpointJSON = `{"op":"statistical","iter":2,"cost":1515.748187878935,"sizes":[0,0,0,0,0,0,0,0,0,0,0,0,` +
+	`0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,` +
+	`0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,` +
+	`0,0,0,0,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,` +
+	`0,1,0,1,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,0,0,0,` +
+	`0,1,0,0,2,0,0,0,0,0,0,2,0,1,1,1,0,0,0,2,0,0,0,0,3,1,0,0,0,1,2,2,3,0,1,0,0,1,2,2,3,0,1,2,` +
+	`2,4,0,1,2,2,1,2,2,3,2,0,0,0,1,2,2,3,2,1,2,2,3,0,1,2,2,2,1,2,1,1,1,2,1,2,2,1,3,2],` +
+	`"best_sizes":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,` +
+	`0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,` +
+	`0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,` +
+	`0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,1,0,1,0,1,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,` +
+	`0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,0,0,1,0,0,2,0,0,0,0,0,0,1,0,1,1,1,0,0,0,2,0,0,0,0,2,` +
+	`1,0,0,0,1,1,1,2,0,1,0,0,1,1,1,2,0,1,1,1,3,0,1,1,1,1,1,1,2,1,0,0,0,1,1,1,2,1,1,1,1,2,0,1,` +
+	`1,1,1,1,1,1,1,1,1,1,1,1,1,2,2],"best":{"mean":1043.2659769621193,` +
+	`"sigma":42.623903911350936,"cost":1547.413523163044,"area":912.3519999999994},"bad":0,` +
+	`"initial":{"mean":1011.866124312423,"sigma":53.754863703917955,"cost":1650.205813172296,` +
+	`"area":719.2639999999992}}`
+
+// TestCheckpointJSONCompatible pins the persisted checkpoint format: a
+// journaled checkpoint decodes, re-marshals byte-identical, and resumes
+// to the uninterrupted run's sizing and result.
+func TestCheckpointJSONCompatible(t *testing.T) {
+	var cp OptCheckpoint
+	if err := json.Unmarshal([]byte(parentCheckpointJSON), &cp); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != parentCheckpointJSON {
+		t.Fatalf("re-marshaled checkpoint differs:\ngot  %s\nwant %s", raw, parentCheckpointJSON)
+	}
+
+	run := func(resume *OptCheckpoint) (*Design, OptResult) {
+		d, err := Generate("alu1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.OptimizeMeanDelay(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Optimize(9, RunOptions{Workers: 1, MaxIters: 4, Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, res
+	}
+	ref, want := run(nil)
+	resumed, got := run(&cp)
+	if !sizesEqual(resumed.Sizes(), ref.Sizes()) {
+		t.Fatal("resumed sizing diverged from the uninterrupted run")
+	}
+	if got.Iterations != want.Iterations || got.StoppedBy != want.StoppedBy ||
+		got.MeanBefore != want.MeanBefore || got.SigmaBefore != want.SigmaBefore ||
+		got.MeanAfter != want.MeanAfter || got.SigmaAfter != want.SigmaAfter ||
+		got.AreaAfter != want.AreaAfter {
+		t.Fatalf("resumed result differs\nresumed: %+v\ndirect:  %+v", got, want)
+	}
+}

@@ -49,7 +49,7 @@ func main() {
 	}
 	opts := repro.RunOptions{Workers: *workers}
 
-	d, err := load(*genName, *bench, *format, *libPath, ingest.Limits(), *lint)
+	d, err := cliutil.LoadDesign(*genName, *bench, *format, *libPath, ingest.Limits(), *lint, os.Stderr)
 	if err != nil {
 		fail(err)
 	}
@@ -165,25 +165,6 @@ func tail(s []string, n int) []string {
 		return s
 	}
 	return append([]string{"..."}, s[len(s)-n:]...)
-}
-
-func load(genName, bench, format, libPath string, lim repro.IngestLimits, lint bool) (*repro.Design, error) {
-	switch {
-	case genName != "" && bench != "":
-		return nil, fmt.Errorf("use either -gen or -bench, not both")
-	case genName != "":
-		if libPath != "" {
-			return nil, fmt.Errorf("-liberty does not combine with -gen (built-ins use the default library)")
-		}
-		d, err := repro.Generate(genName)
-		if err != nil {
-			return nil, err
-		}
-		return d, cliutil.CheckDesign(d, lint, os.Stderr)
-	case bench != "":
-		return cliutil.LoadNetlist(bench, format, libPath, lim, lint, os.Stderr)
-	}
-	return nil, fmt.Errorf("nothing to analyze: pass -gen <name> or -bench <file>")
 }
 
 func fail(err error) {

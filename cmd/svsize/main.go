@@ -5,6 +5,7 @@
 //
 //	svsize -gen c432 -lambda 9
 //	svsize -bench netlist.bench -lambda 3 -recover 0.01 -out sized.bench
+//	svsize -bench design.v -format verilog -liberty my90.lib -lambda 3
 package main
 
 import (
@@ -22,9 +23,7 @@ func main() {
 		genName = flag.String("gen", "", "generate a built-in benchmark (see -list)")
 		bench   = flag.String("bench", "", "load a netlist file (see -format)")
 		format  = flag.String("format", "bench", "netlist format of -bench: bench (ISCAS) or verilog (gate-level structural)")
-		vlog    = flag.String("verilog", "", "load a structural Verilog netlist (same as -bench <file> -format verilog)")
-		libFile = flag.String("lib", "", "map onto a Liberty (.lib) library instead of the built-in one (alias: -liberty)")
-		libAlt  = flag.String("liberty", "", "alias of -lib, matching ssta")
+		libPath = flag.String("liberty", "", "map the netlist onto this Liberty library instead of the built-in one")
 		lambda  = flag.Float64("lambda", 3, "sigma weight in the cost mu + lambda*sigma")
 		backend = flag.String("optimizer", repro.DefaultOptimizer,
 			fmt.Sprintf("sizing backend: %s", strings.Join(repro.Optimizers(), "|")))
@@ -47,12 +46,6 @@ func main() {
 	if err := ingest.Check(); err != nil {
 		fail(err)
 	}
-	if *libAlt != "" {
-		if *libFile != "" && *libFile != *libAlt {
-			fail(fmt.Errorf("-lib and -liberty disagree; pass one"))
-		}
-		*libFile = *libAlt
-	}
 	opts := repro.RunOptions{Workers: *workers, Optimizer: *backend, Seed: *seed}
 	if err := opts.Validate(); err != nil {
 		fail(err)
@@ -63,7 +56,7 @@ func main() {
 		}
 		return
 	}
-	d, err := load(*genName, *bench, *format, *vlog, *libFile, ingest.Limits(), *lint)
+	d, err := cliutil.LoadDesign(*genName, *bench, *format, *libPath, ingest.Limits(), *lint, os.Stderr)
 	if err != nil {
 		fail(err)
 	}
@@ -115,34 +108,6 @@ func main() {
 		}
 		fmt.Printf("netlist written to %s (sizes are not part of .bench)\n", *out)
 	}
-}
-
-func load(genName, bench, format, vlog, libFile string, lim repro.IngestLimits, lint bool) (*repro.Design, error) {
-	sources := 0
-	for _, s := range []string{genName, bench, vlog} {
-		if s != "" {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return nil, fmt.Errorf("pass exactly one of -gen, -bench, -verilog")
-	}
-	// -verilog <file> is shorthand for -bench <file> -format verilog;
-	// every file load funnels through the shared governed front door.
-	if vlog != "" {
-		bench, format = vlog, "verilog"
-	}
-	if genName != "" {
-		if libFile != "" {
-			return nil, fmt.Errorf("-lib does not combine with -gen (built-ins use the default library)")
-		}
-		d, err := repro.Generate(genName)
-		if err != nil {
-			return nil, err
-		}
-		return d, cliutil.CheckDesign(d, lint, os.Stderr)
-	}
-	return cliutil.LoadNetlist(bench, format, libFile, lim, lint, os.Stderr)
 }
 
 func fail(err error) {

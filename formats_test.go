@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/ingest"
 )
 
 func TestVerilogRoundTripThroughFacade(t *testing.T) {
@@ -199,5 +202,41 @@ func TestDiagnosticsOnMalformedVerilog(t *testing.T) {
 	}
 	if diags[0].Line == 0 {
 		t.Fatalf("diagnostic missing position: %+v", diags[0])
+	}
+}
+
+// TestLibertyWithoutTransitionsRejected: a library whose cells carry no
+// rise/fall transition tables is refused at load with a positioned
+// semantic diagnostic. Such a library used to load, map c432 and then
+// panic in the first output-slew lookup of Analyze.
+func TestLibertyWithoutTransitionsRejected(t *testing.T) {
+	d, err := Generate("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lib bytes.Buffer
+	if err := d.SaveLiberty(&lib); err != nil {
+		t.Fatal(err)
+	}
+	src := regexp.MustCompile(`(?s)\s*(rise|fall)_transition \(.*?\}`).ReplaceAllString(lib.String(), "")
+	parsed, err := LoadLiberty(strings.NewReader(src))
+	if err == nil {
+		var net bytes.Buffer
+		if err := d.SaveBench(&net); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := LoadBenchWithLibrary(&net, "c432", parsed)
+		if err == nil {
+			d2.Analyze()
+		}
+		t.Fatal("library without transition tables accepted")
+	}
+	diags := Diagnostics(err)
+	if len(diags) == 0 || diags[0].Check != ingest.CheckSemantic || diags[0].Line == 0 ||
+		!strings.Contains(diags[0].Msg, "has no transition tables") {
+		t.Fatalf("want a positioned semantic missing-transition diagnostic, got %v", err)
+	}
+	if line := strings.Split(src, "\n")[diags[0].Line-1]; !strings.Contains(line, "cell (") {
+		t.Fatalf("diagnostic points at %q, not at a cell", line)
 	}
 }

@@ -202,12 +202,8 @@ func (c *Cell) validate() error {
 	if err := c.Delay.Validate(); err != nil {
 		return fmt.Errorf("delay table: %v", err)
 	}
-	// A Liberty cell read without transition tables has a zero OutSlew;
-	// only a table that is present is checked.
-	if len(c.OutSlew.Slews)+len(c.OutSlew.Loads)+len(c.OutSlew.Values) > 0 {
-		if err := c.OutSlew.Validate(); err != nil {
-			return fmt.Errorf("slew table: %v", err)
-		}
+	if err := c.OutSlew.Validate(); err != nil {
+		return fmt.Errorf("slew table: %v", err)
 	}
 	return nil
 }

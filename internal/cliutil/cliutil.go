@@ -163,6 +163,29 @@ func CheckFormat(format string) error {
 	return fmt.Errorf("-format must be bench or verilog, got %q", format)
 }
 
+// LoadDesign is the commands' input selection, spelled the same on
+// every CLI: -gen names a built-in benchmark (linted, on the default
+// library), or -bench names a netlist file in -format, optionally
+// mapped onto the -liberty library (see LoadNetlist).
+func LoadDesign(genName, bench, format, libertyPath string, lim repro.IngestLimits, lint bool, w io.Writer) (*repro.Design, error) {
+	switch {
+	case genName != "" && bench != "":
+		return nil, fmt.Errorf("use either -gen or -bench, not both")
+	case genName != "":
+		if libertyPath != "" {
+			return nil, fmt.Errorf("-liberty does not combine with -gen (built-ins use the default library)")
+		}
+		d, err := repro.Generate(genName)
+		if err != nil {
+			return nil, err
+		}
+		return d, CheckDesign(d, lint, w)
+	case bench != "":
+		return LoadNetlist(bench, format, libertyPath, lim, lint, w)
+	}
+	return nil, fmt.Errorf("no input: pass -gen <name> or -bench <file>")
+}
+
 // LoadNetlist is the shared governed front door of the commands: it
 // loads a netlist file in the named format ("bench", the default, or
 // "verilog") under the budget envelope, optionally mapping it onto a

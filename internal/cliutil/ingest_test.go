@@ -172,3 +172,35 @@ func TestLoadBenchLintedStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoadDesignSelectsOneInput pins the commands' shared input
+// selection: exactly one of -gen and -bench, and -liberty only with a
+// netlist file.
+func TestLoadDesignSelectsOneInput(t *testing.T) {
+	benchPath, verilogPath, libPath := writeTempDesign(t)
+	for _, tc := range []struct {
+		name, gen, bench, format, lib, err string
+	}{
+		{"gen", "alu1", "", "", "", ""},
+		{"verilog with liberty", "", verilogPath, "verilog", libPath, ""},
+		{"both", "alu1", benchPath, "", "", "not both"},
+		{"gen with liberty", "alu1", "", "", libPath, "does not combine"},
+		{"neither", "", "", "", "", "no input"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := LoadDesign(tc.gen, tc.bench, tc.format, tc.lib, repro.IngestLimits{}, true, io.Discard)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("want error containing %q, got %v", tc.err, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Stats().Gates == 0 {
+				t.Fatal("loaded an empty design")
+			}
+		})
+	}
+}

@@ -33,10 +33,11 @@ type analyzer struct {
 
 	dur time.Duration
 
-	// evals counts whole-circuit analyses plus what-if candidates scored;
-	// nodeEvals counts the per-gate timing evaluations behind them (every
-	// gate for the initial analysis, only the repaired or probed cone
-	// afterwards). They surface as Result.Evals / Result.NodeEvals: the
+	// evals counts whole-circuit analyses, what-if candidates scored and
+	// (added by the optimizer loops) FASSTA subcircuit scorings;
+	// nodeEvals counts the per-gate timing evaluations behind the
+	// whole-circuit work (every gate for the initial analysis, only the
+	// repaired or probed cone afterwards). They surface as Result.Evals / Result.NodeEvals: the
 	// work metric the scoreboard compares, deliberately NOT part of the
 	// bit-exactness contract.
 	evals     int64

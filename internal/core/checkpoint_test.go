@@ -195,22 +195,43 @@ func TestRecoverAreaResumeBitExact(t *testing.T) {
 	}
 }
 
-// TestCheckpointEveryIteration pins the emission schedule: one
-// checkpoint at the end of every outer iteration, numbered 1..n.
+// TestCheckpointEveryIteration pins the emission schedule of every
+// backend: checkpoints numbered 1..n, one at the end of every outer
+// iteration (pass) that ran to its end. For the greedy backends n is
+// len(History); the area-recovery pass emits none for the pass that
+// finds it has converged.
 func TestCheckpointEveryIteration(t *testing.T) {
-	d, vm := setup(t, gen.ALU("alu", 8))
-	col := &collector{}
-	res, err := MeanDelayGreedy(d, vm, Options{MaxIters: 9, Checkpoint: col.take})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(col.cps) != len(res.History) || len(col.cps) == 0 {
-		t.Fatalf("%d checkpoints for %d iterations", len(col.cps), len(res.History))
-	}
-	for i, cp := range col.cps {
-		if cp.Iter != i+1 {
-			t.Fatalf("checkpoint %d has iter %d, want %d", i, cp.Iter, i+1)
-		}
+	mapped, vm := setup(t, gen.ALU("alu", 8))
+	orig, _ := original(t, gen.ALU("alu", 8))
+	for _, name := range Optimizers() {
+		t.Run(name, func(t *testing.T) {
+			d := cloneDesign(orig)
+			if name == "meandelay" {
+				d = cloneDesign(mapped)
+			}
+			o, _ := LookupOptimizer(name)
+			col := &collector{}
+			res, err := o.Run(d, vm, Options{Lambda: 9, MaxIters: 9, Checkpoint: col.take})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(res.History)
+			if name == "recoverarea" {
+				want = res.Iterations
+				if res.StoppedBy == "converged" {
+					want--
+				}
+			}
+			if len(col.cps) != want || len(col.cps) == 0 {
+				t.Fatalf("%d checkpoints, want %d (%d iterations, stopped by %s)",
+					len(col.cps), want, res.Iterations, res.StoppedBy)
+			}
+			for i, cp := range col.cps {
+				if cp.Iter != i+1 {
+					t.Fatalf("checkpoint %d has iter %d, want %d", i, cp.Iter, i+1)
+				}
+			}
+		})
 	}
 }
 

@@ -1,14 +1,20 @@
 // Package core implements the paper's primary contribution: the
 // StatisticalGreedy gate-sizing optimizer (Fig. 2) that reduces the
 // variance of a circuit's delay, plus the deterministic mean-delay greedy
-// baseline that produces the "Original" designs of Table 1, and an area
-// recovery pass.
+// baseline that produces the "Original" designs of Table 1, a
+// sensitivity-driven sizer, and an area recovery pass.
 //
 // StatisticalGreedy runs two nested statistical engines, exactly as the
 // paper prescribes: the slow accurate FULLSSTA in the outer loop (tracks
 // the statistical state of the whole circuit and the WNSS path) and the
 // fast FASSTA in the inner loop (scores every candidate size of every
 // gate on the WNSS path over a small extracted subcircuit).
+//
+// The three greedy backends share one outer loop, runGreedy: it owns
+// validation, resume, best-seen tracking with patience, cancellation,
+// History, checkpoints and the final best-restore, and each backend
+// supplies only its per-iteration moves. The backends are reachable by
+// name through a fixed table (LookupOptimizer, Optimizers).
 package core
 
 import (
@@ -167,37 +173,6 @@ type Checkpoint struct {
 	Area0      float64 `json:"area0,omitempty"`
 }
 
-// resumeFor validates Options.Resume against the engine op and the
-// design's gate count, returning the checkpoint (nil when not resuming).
-func (o Options) resumeFor(op string, d *synth.Design) (*Checkpoint, error) {
-	cp := o.Resume
-	if cp == nil {
-		return nil, nil
-	}
-	if cp.Op != op {
-		return nil, fmt.Errorf("core: resume checkpoint is for %q, not %q", cp.Op, op)
-	}
-	if want := len(d.Circuit.SizeSnapshot()); len(cp.Sizes) != want {
-		return nil, fmt.Errorf("core: resume checkpoint has %d sizes, design has %d gates", len(cp.Sizes), want)
-	}
-	if cp.Iter < 0 {
-		return nil, fmt.Errorf("core: resume checkpoint has negative iteration %d", cp.Iter)
-	}
-	return cp, nil
-}
-
-// emit delivers a checkpoint to the Checkpoint callback, if any.
-func (o Options) emit(cp Checkpoint) {
-	if o.Checkpoint == nil {
-		return
-	}
-	// Copies guard the engine's retained slices from the callback's
-	// consumer (which typically serializes asynchronously).
-	cp.Sizes = append([]int(nil), cp.Sizes...)
-	cp.BestSizes = append([]int(nil), cp.BestSizes...)
-	o.Checkpoint(cp)
-}
-
 // ctxErr reports the cancellation state of the run's context.
 func (o Options) ctxErr() error {
 	if o.Ctx == nil {
@@ -221,10 +196,10 @@ func (o Options) sstaOpts() ssta.Options {
 
 // Snapshot captures the statistical state of a design at one point.
 type Snapshot struct {
-	Mean  float64 // circuit delay mean, ps
-	Sigma float64 // circuit delay std deviation, ps
-	Cost  float64 // max over POs of mean + lambda*sigma
-	Area  float64 // total cell area, um^2
+	Mean  float64 `json:"mean"`  // circuit delay mean, ps
+	Sigma float64 `json:"sigma"` // circuit delay std deviation, ps
+	Cost  float64 `json:"cost"`  // max over POs of mean + lambda*sigma
+	Area  float64 `json:"area"`  // total cell area, um^2
 }
 
 // IterStats records one outer iteration for analysis and plotting.
@@ -234,9 +209,12 @@ type IterStats struct {
 	Mean    float64
 	Sigma   float64
 	Area    float64
-	PathLen int    // WNSS (or WNS) path length examined
-	Resized int    // gates actually rescheduled this iteration
-	Move    string // which move was kept: "per-gate", "path-bump", "single", "sens-batch", "sens-single"
+	PathLen int // WNSS (or WNS) path length examined; candidates priced by SensitivitySizer
+	Resized int // gates actually rescheduled this iteration
+	// Move is the move the iteration kept: "per-gate" or "path-bump"
+	// (both greedy optimizers), "single" (StatisticalGreedy's fallback),
+	// "sens-batch" or "sens-single" (SensitivitySizer).
+	Move string
 }
 
 // Result reports an optimization run.
@@ -288,187 +266,101 @@ func StatisticalGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Res
 // statisticalGreedy is StatisticalGreedy over a given analyzer, which
 // serves every whole-circuit analysis of the run.
 func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *analyzer) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{StoppedBy: "max-iters"}
 	ex := fassta.NewExtractor(d)
-	var subEvals int64 // FASSTA subcircuit scorings (one per path gate examined)
-
-	resume, err := opts.resumeFor("statistical", d)
-	if err != nil {
-		return nil, err
-	}
-	if resume != nil {
-		d.Circuit.RestoreSizes(resume.Sizes)
-	}
-
-	// All whole-circuit analyses go through the analyzer. `full` is the
-	// incremental engine's shared in-place-updated object, so the loop
-	// below captures every cost it needs as a scalar and re-refreshes
-	// after each RestoreSizes instead of retaining result pointers.
-	full := az.refresh()
-	res.Initial = snapshot(d, full, opts.Lambda)
-	best := res.Initial
-	bestSizes := d.Circuit.SizeSnapshot()
-	bad := 0
-	startIter := 0
-	if resume != nil {
-		// Restore the loop-carried state exactly as the uninterrupted run
-		// would have held it at this iteration boundary.
-		res.Initial = resume.Initial
-		best = resume.Best
-		bestSizes = append([]int(nil), resume.BestSizes...)
-		bad = resume.Bad
-		startIter = resume.Iter
-		res.Iterations = startIter
-	}
-
-	for iter := startIter; iter < opts.maxIters(); iter++ {
-		if err := opts.ctxErr(); err != nil {
-			return nil, err
-		}
-		res.Iterations = iter + 1
-		cur := snapshot(d, full, opts.Lambda)
-		// Lexicographic best: lower cost wins; at (numerically) equal
-		// cost prefer the lower sigma, so cost-neutral mean/sigma trades
-		// can never leave the final design with a worse sigma than an
-		// earlier iterate.
-		if cur.Cost < best.Cost-1e-9 || (cur.Cost < best.Cost+1e-9 && cur.Sigma < best.Sigma) {
-			best = cur
-			bestSizes = d.Circuit.SizeSnapshot()
-			bad = 0
-		} else if iter > 0 {
-			bad++
-			if bad >= patience {
-				res.StoppedBy = "converged"
-				break
+	return runGreedy(d, opts, az, greedy{
+		op:      "statistical",
+		measure: func(full *ssta.Result) Snapshot { return snapshot(d, full, opts.Lambda) },
+		step: func(full *ssta.Result, cur Snapshot) (*ssta.Result, IterStats, bool) {
+			path := wnss.TraceTopK(d, full, vm, opts.Lambda, topKPaths)
+			if len(path) == 0 {
+				return nil, IterStats{}, false
 			}
-		}
 
-		path := wnss.TraceTopK(d, full, vm, opts.Lambda, topKPaths)
-		if len(path) == 0 {
-			res.StoppedBy = "converged"
-			break
-		}
-
-		// Move A (the paper's inner loop): greedy per-gate resizing along
-		// the WNSS paths, each gate scored on its extracted subcircuit.
-		startSizes := d.Circuit.SizeSnapshot()
-		resized := 0
-		bestSingleGain := 0.0
-		bestSingleGate, bestSingleSize := circuit.None, 0
-		for _, g := range path {
-			s := ex.Extract(full, vm, g, opts.SubcktDepth)
-			bestSize, bestCost, curCost := s.BestSize(opts.Lambda, maxStep)
-			if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-minGain {
-				if gain := curCost - bestCost; gain > bestSingleGain {
-					bestSingleGain = gain
-					bestSingleGate, bestSingleSize = g, bestSize
+			// Move A (the paper's inner loop): greedy per-gate resizing
+			// along the WNSS paths, each gate scored on its extracted
+			// subcircuit.
+			startSizes := d.Circuit.SizeSnapshot()
+			resized := 0
+			bestSingleGain := 0.0
+			bestSingleGate, bestSingleSize := circuit.None, 0
+			for _, g := range path {
+				s := ex.Extract(full, vm, g, opts.SubcktDepth)
+				bestSize, bestCost, curCost := s.BestSize(opts.Lambda, maxStep)
+				if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-minGain {
+					if gain := curCost - bestCost; gain > bestSingleGain {
+						bestSingleGain = gain
+						bestSingleGate, bestSingleSize = g, bestSize
+					}
+					d.Circuit.Gate(g).SizeIdx = bestSize
+					resized++
 				}
-				d.Circuit.Gate(g).SizeIdx = bestSize
-				resized++
 			}
-		}
-		subEvals += int64(len(path))
-		sizesA := d.Circuit.SizeSnapshot()
+			az.evals += int64(len(path)) // one subcircuit scoring per path gate
+			sizesA := d.Circuit.SizeSnapshot()
 
-		// Move B: a coordinated escape — one notch up on every path gate
-		// simultaneously. Single-gate moves can be individually rejected
-		// because each one slows its (still small) drivers, even though
-		// upsizing the whole path together is strictly better (internal
-		// R*C is size-invariant, and lower sigma also lowers the
-		// statistical mean of the max). Trying the uniform move and
-		// keeping whichever of A/B wins globally escapes that
-		// coordination trap while staying greedy.
-		d.Circuit.RestoreSizes(startSizes)
-		bumped := 0
-		for _, g := range path {
-			gate := d.Circuit.Gate(g)
-			if gate.SizeIdx+1 < d.Lib.NumSizes(cells.Kind(gate.CellRef)) {
-				gate.SizeIdx++
-				bumped++
+			// Move B: a coordinated escape — one notch up on every path
+			// gate simultaneously. Single-gate moves can be individually
+			// rejected because each one slows its (still small) drivers,
+			// even though upsizing the whole path together is strictly
+			// better (internal R*C is size-invariant, and lower sigma also
+			// lowers the statistical mean of the max). Trying the uniform
+			// move and keeping whichever of A/B wins globally escapes that
+			// coordination trap while staying greedy.
+			d.Circuit.RestoreSizes(startSizes)
+			bumped := bumpPath(d, path)
+			var sizesB []int
+			if bumped > 0 {
+				sizesB = d.Circuit.SizeSnapshot()
 			}
-		}
-		var sizesB []int
-		if bumped > 0 {
-			sizesB = d.Circuit.SizeSnapshot()
-		}
 
-		// Move A — the most common winner — is scored by refreshing the
-		// analyzer at its sizing: its application IS its analysis, so the
-		// engine's dirty-cone repair does double duty and no separate
-		// probe overlay is ever built for it. Move B is scored as a what-if
-		// candidate expressed against sizesA (the circuit's configuration
-		// at probe time); the cost is bit-identical to applying the move
-		// and re-analyzing.
-		d.Circuit.RestoreSizes(sizesA)
-		costA := az.refresh().Cost(d, opts.Lambda)
-		costB := math.Inf(1)
-		if bumped > 0 {
-			costB = az.whatIf([][]ssta.SizeChange{changesBetween(sizesA, sizesB)}, opts.Lambda)[0]
-		}
+			// Move A — the most common winner — is scored by refreshing
+			// the analyzer at its sizing: its application IS its analysis,
+			// so the engine's dirty-cone repair does double duty and no
+			// separate probe overlay is ever built for it. Move B is scored
+			// as a what-if candidate expressed against sizesA (the
+			// circuit's configuration at probe time); the cost is
+			// bit-identical to applying the move and re-analyzing.
+			d.Circuit.RestoreSizes(sizesA)
+			costA := az.refresh().Cost(d, opts.Lambda)
+			costB := math.Inf(1)
+			if bumped > 0 {
+				costB = az.whatIf([][]ssta.SizeChange{changesBetween(sizesA, sizesB)}, opts.Lambda)[0]
+			}
 
-		// Pick the winner by the scalar costs; a move-B winner is applied
-		// (and `full` refreshed) once, after the move-C probe below has
-		// also been scored.
-		move := "per-gate"
-		chosenCost := costA
-		winnerSizes := sizesA
-		if bumped > 0 && costB < costA {
-			chosenCost, winnerSizes, resized, move = costB, sizesB, bumped, "path-bump"
-		}
-		// Move C, the verified single-step fallback: when every batch move
-		// made the global cost worse, a whole first batch has overshot.
-		// Retry with only the single most promising gate move; if even
-		// that fails globally, the iteration counts as non-improving and
-		// patience handles termination.
-		if chosenCost >= cur.Cost && bestSingleGate != circuit.None {
-			sizesC := append([]int(nil), startSizes...)
-			sizesC[bestSingleGate] = bestSingleSize
-			costC := az.whatIf([][]ssta.SizeChange{
-				changesBetween(sizesA, sizesC),
-			}, opts.Lambda)[0]
-			if costC < cur.Cost {
-				d.Circuit.RestoreSizes(sizesC)
-				resized = 1
-				move = "single"
+			// Pick the winner by the scalar costs; a move-B winner is
+			// applied once, after the move-C probe below has also been
+			// scored.
+			move := "per-gate"
+			chosenCost := costA
+			winnerSizes := sizesA
+			if bumped > 0 && costB < costA {
+				chosenCost, winnerSizes, resized, move = costB, sizesB, bumped, "path-bump"
+			}
+			// Move C, the verified single-step fallback: when every batch
+			// move made the global cost worse, a whole first batch has
+			// overshot. Retry with only the single most promising gate
+			// move; if even that fails globally, the iteration counts as
+			// non-improving and patience handles termination.
+			if chosenCost >= cur.Cost && bestSingleGate != circuit.None {
+				sizesC := append([]int(nil), startSizes...)
+				sizesC[bestSingleGate] = bestSingleSize
+				costC := az.whatIf([][]ssta.SizeChange{
+					changesBetween(sizesA, sizesC),
+				}, opts.Lambda)[0]
+				if costC < cur.Cost {
+					d.Circuit.RestoreSizes(sizesC)
+					resized = 1
+					move = "single"
+				} else {
+					// Keep the batch result anyway; best-restore protects us.
+					d.Circuit.RestoreSizes(sizesA)
+				}
 			} else {
-				// Keep the batch result anyway; best-restore protects us.
-				d.Circuit.RestoreSizes(sizesA)
+				d.Circuit.RestoreSizes(winnerSizes)
 			}
-		} else {
-			d.Circuit.RestoreSizes(winnerSizes)
-		}
-		full = az.refresh()
-		res.History = append(res.History, IterStats{
-			Iter: iter, Cost: cur.Cost, Mean: cur.Mean, Sigma: cur.Sigma,
-			Area: cur.Area, PathLen: len(path), Resized: resized, Move: move,
-		})
-		opts.emit(Checkpoint{
-			Op: "statistical", Iter: iter + 1, Cost: full.Cost(d, opts.Lambda),
-			Sizes: d.Circuit.SizeSnapshot(), BestSizes: bestSizes,
-			Best: best, Bad: bad, Initial: res.Initial,
-		})
-		if resized == 0 {
-			res.StoppedBy = "converged"
-			break
-		}
-	}
-
-	// Keep the best sizing seen.
-	final := snapshot(d, az.refresh(), opts.Lambda)
-	if best.Cost < final.Cost {
-		d.Circuit.RestoreSizes(bestSizes)
-		final = best
-	}
-	res.Final = final
-	res.Runtime = time.Since(start)
-	res.AnalysisTime = az.dur
-	res.Evals = az.evals + subEvals
-	res.NodeEvals = az.nodeEvals
-	return res, nil
+			return az.refresh(), IterStats{PathLen: len(path), Resized: resized, Move: move}, true
+		},
+	})
 }
 
 // MeanDelayGreedy is the deterministic baseline: greedy WNS-path sizing
@@ -480,128 +372,63 @@ func MeanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options) (*Resul
 }
 
 // meanDelayGreedy is MeanDelayGreedy over a given deterministic analyzer.
+// Its cost is the nominal delay, so every snapshot has a zero sigma.
 func meanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options, az *analyzer) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{StoppedBy: "max-iters"}
 	ex := fassta.NewExtractor(d)
-	var subEvals int64
-
-	resume, err := opts.resumeFor("mean-delay", d)
-	if err != nil {
-		return nil, err
-	}
-	if resume != nil {
-		d.Circuit.RestoreSizes(resume.Sizes)
-	}
-
-	// Same analyzer discipline as StatisticalGreedy: `nominal` shares the
-	// incremental engine's timing, so the loop keeps scalar costs and
-	// re-refreshes after every RestoreSizes.
-	nominal := az.refresh()
-	res.Initial = Snapshot{Mean: nominal.STA.MaxArrival, Cost: nominal.STA.MaxArrival, Area: d.Area()}
-	best := res.Initial
-	bestSizes := d.Circuit.SizeSnapshot()
-	bad := 0
-	startIter := 0
-	if resume != nil {
-		res.Initial = resume.Initial
-		best = resume.Best
-		bestSizes = append([]int(nil), resume.BestSizes...)
-		bad = resume.Bad
-		startIter = resume.Iter
-		res.Iterations = startIter
-	}
-
-	for iter := startIter; iter < opts.maxIters(); iter++ {
-		if err := opts.ctxErr(); err != nil {
-			return nil, err
-		}
-		res.Iterations = iter + 1
-		cur := Snapshot{Mean: nominal.STA.MaxArrival, Cost: nominal.STA.MaxArrival, Area: d.Area()}
-		if cur.Cost < best.Cost {
-			best = cur
-			bestSizes = d.Circuit.SizeSnapshot()
-			bad = 0
-		} else if iter > 0 {
-			bad++
-			if bad >= patience {
-				res.StoppedBy = "converged"
-				break
+	return runGreedy(d, opts, az, greedy{
+		op: "mean-delay",
+		measure: func(nominal *ssta.Result) Snapshot {
+			arr := nominal.STA.MaxArrival
+			return Snapshot{Mean: arr, Cost: arr, Area: d.Area()}
+		},
+		step: func(nominal *ssta.Result, _ Snapshot) (*ssta.Result, IterStats, bool) {
+			path := nominal.STA.CriticalPath(d)
+			if len(path) == 0 {
+				return nil, IterStats{}, false
 			}
-		}
-
-		path := nominal.STA.CriticalPath(d)
-		if len(path) == 0 {
-			res.StoppedBy = "converged"
-			break
-		}
-		// Move A: greedy per-gate resizing along the WNS path.
-		startSizes := d.Circuit.SizeSnapshot()
-		resized := 0
-		for _, g := range path {
-			s := ex.Extract(nominal, vm, g, opts.SubcktDepth)
-			bestSize, bestCost, curCost := s.BestSizeDeterministic(maxStep)
-			if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-minGain {
-				d.Circuit.Gate(g).SizeIdx = bestSize
-				resized++
+			// Move A: greedy per-gate resizing along the WNS path.
+			startSizes := d.Circuit.SizeSnapshot()
+			resized := 0
+			for _, g := range path {
+				s := ex.Extract(nominal, vm, g, opts.SubcktDepth)
+				bestSize, bestCost, curCost := s.BestSizeDeterministic(maxStep)
+				if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-minGain {
+					d.Circuit.Gate(g).SizeIdx = bestSize
+					resized++
+				}
 			}
-		}
-		subEvals += int64(len(path))
-		costA := az.refresh().STA.MaxArrival
-		sizesA := d.Circuit.SizeSnapshot()
+			az.evals += int64(len(path)) // one subcircuit scoring per path gate
+			costA := az.refresh().STA.MaxArrival
+			sizesA := d.Circuit.SizeSnapshot()
 
-		// Move B: uniform one-notch bump of the whole path (same
-		// coordination escape as the statistical optimizer).
-		d.Circuit.RestoreSizes(startSizes)
-		bumped := 0
-		for _, g := range path {
-			gate := d.Circuit.Gate(g)
-			if gate.SizeIdx+1 < d.Lib.NumSizes(cells.Kind(gate.CellRef)) {
-				gate.SizeIdx++
-				bumped++
+			// Move B: uniform one-notch bump of the whole path (same
+			// coordination escape as the statistical optimizer).
+			d.Circuit.RestoreSizes(startSizes)
+			move := "per-gate"
+			if bumped := bumpPath(d, path); bumped > 0 && az.refresh().STA.MaxArrival < costA {
+				resized, move = bumped, "path-bump"
+			} else {
+				d.Circuit.RestoreSizes(sizesA)
 			}
-		}
-		move := "per-gate"
-		if bumped > 0 && az.refresh().STA.MaxArrival < costA {
-			resized = bumped
-			move = "path-bump"
-		}
-		if move == "per-gate" {
-			d.Circuit.RestoreSizes(sizesA)
-		}
-		// Re-refresh so `nominal` is the analysis of the winning sizing
-		// (a no-op repair when move A won and was never left).
-		nominal = az.refresh()
-		res.History = append(res.History, IterStats{
-			Iter: iter, Cost: cur.Cost, Mean: cur.Mean, Area: cur.Area,
-			PathLen: len(path), Resized: resized, Move: move,
-		})
-		opts.emit(Checkpoint{
-			Op: "mean-delay", Iter: iter + 1, Cost: nominal.STA.MaxArrival,
-			Sizes: d.Circuit.SizeSnapshot(), BestSizes: bestSizes,
-			Best: best, Bad: bad, Initial: res.Initial,
-		})
-		if resized == 0 {
-			res.StoppedBy = "converged"
-			break
+			// A no-op repair when move A won and was never left.
+			return az.refresh(), IterStats{PathLen: len(path), Resized: resized, Move: move}, true
+		},
+	})
+}
+
+// bumpPath moves every gate on path one size up where its cell has a
+// larger size, and returns how many gates moved: the greedy backends'
+// coordinated path-bump move.
+func bumpPath(d *synth.Design, path []circuit.GateID) int {
+	bumped := 0
+	for _, g := range path {
+		gate := d.Circuit.Gate(g)
+		if gate.SizeIdx+1 < d.Lib.NumSizes(cells.Kind(gate.CellRef)) {
+			gate.SizeIdx++
+			bumped++
 		}
 	}
-
-	finalArr := az.refresh().STA.MaxArrival
-	final := Snapshot{Mean: finalArr, Cost: finalArr, Area: d.Area()}
-	if best.Cost < final.Cost {
-		d.Circuit.RestoreSizes(bestSizes)
-		final = best
-	}
-	res.Final = final
-	res.Runtime = time.Since(start)
-	res.AnalysisTime = az.dur
-	res.Evals = az.evals + subEvals
-	res.NodeEvals = az.nodeEvals
-	return res, nil
+	return bumped
 }
 
 // RecoverArea downsizes gates whose size does not pay for itself,
@@ -620,29 +447,18 @@ func RecoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 }
 
 // recoverArea is the shared runner behind RecoverArea and the
-// "recoverarea" Optimizer backend: the historical pass loop, unchanged,
-// plus a Result so the interface port reports the same fields as every
-// other backend. The sizing trajectory is bit-identical to the
-// pre-refactor RecoverArea (the added snapshots are pure reads).
+// "recoverarea" Optimizer backend: its own pass loop between the shared
+// optimizer prologue and epilogue, plus a Result so the backend reports
+// the same fields as every other one. slackFrac is checked by
+// RecoverArea; the backend passes the fixed recoverSlackFrac.
 func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac float64, az *analyzer) (*Result, float64, error) {
-	if err := opts.validate(); err != nil {
-		return nil, 0, err
-	}
-	if math.IsNaN(slackFrac) || math.IsInf(slackFrac, 0) || slackFrac < 0 {
-		return nil, 0, fmt.Errorf("core: negative slack fraction %g", slackFrac)
-	}
 	start := time.Now()
-	res := &Result{StoppedBy: "max-iters"}
-	var subEvals int64
-	ex := fassta.NewExtractor(d)
-
-	resume, err := opts.resumeFor("recover-area", d)
+	resume, err := opts.begin("recover-area", d)
 	if err != nil {
 		return nil, 0, err
 	}
-	if resume != nil {
-		d.Circuit.RestoreSizes(resume.Sizes)
-	}
+	res := &Result{StoppedBy: "max-iters"}
+	ex := fassta.NewExtractor(d)
 
 	full := az.refresh()
 	res.Initial = snapshot(d, full, opts.Lambda)
@@ -683,7 +499,7 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 				continue
 			}
 			s := ex.Extract(full, vm, g.ID, opts.SubcktDepth)
-			subEvals++
+			az.evals++ // one subcircuit scoring
 			curCost := s.Cost(g.SizeIdx, opts.Lambda)
 			if s.Cost(g.SizeIdx-1, opts.Lambda) <= curCost+localSlack {
 				g.SizeIdx--
@@ -694,9 +510,8 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 			res.StoppedBy = "converged"
 			break
 		}
-		newFull := az.refresh()
-		newCost := newFull.Cost(d, opts.Lambda)
-		if newCost > budget {
+		full = az.refresh()
+		if full.Cost(d, opts.Lambda) > budget {
 			// Batch overshot the global budget: roll back and retry more
 			// conservatively, re-refreshing so `full` again reflects the
 			// pre-batch sizing (served by the engine's Rollback).
@@ -707,25 +522,15 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 				res.StoppedBy = "converged"
 				break
 			}
-			opts.emit(Checkpoint{
-				Op: "recover-area", Iter: pass + 1, Cost: full.Cost(d, opts.Lambda),
-				Sizes: d.Circuit.SizeSnapshot(), Initial: res.Initial,
-				LocalSlack: localSlack, Budget: budget, Area0: area0,
-			})
-			continue
 		}
-		full = newFull
 		opts.emit(Checkpoint{
-			Op: "recover-area", Iter: pass + 1, Cost: newCost,
+			Op: "recover-area", Iter: pass + 1, Cost: full.Cost(d, opts.Lambda),
 			Sizes: d.Circuit.SizeSnapshot(), Initial: res.Initial,
 			LocalSlack: localSlack, Budget: budget, Area0: area0,
 		})
 	}
 	res.Final = snapshot(d, az.refresh(), opts.Lambda)
-	res.Runtime = time.Since(start)
-	res.AnalysisTime = az.dur
-	res.Evals = az.evals + subEvals
-	res.NodeEvals = az.nodeEvals
+	res.finish(start, az)
 	return res, area0 - d.Area(), nil
 }
 

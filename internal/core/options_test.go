@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"strings"
 	"testing"
@@ -60,5 +61,29 @@ func TestEqSizes(t *testing.T) {
 	}
 	if eqSizes([]int{1, 2}, []int{1, 3}) || eqSizes([]int{1}, []int{1, 2}) {
 		t.Error("different vectors reported equal")
+	}
+}
+
+// TestOptimizerTable pins the backend table's contract: names sorted and
+// unique, the empty name resolving to the default, and each entry
+// reporting its own name.
+func TestOptimizerTable(t *testing.T) {
+	names := Optimizers()
+	for i := 1; i < len(names); i++ {
+		if names[i-1] >= names[i] {
+			t.Fatalf("backend table not sorted and unique: %v", names)
+		}
+	}
+	for _, n := range append(names, "") {
+		o, ok := LookupOptimizer(n)
+		if !ok {
+			t.Fatalf("%q not found", n)
+		}
+		if want := cmp.Or(n, DefaultOptimizer); o.Name() != want {
+			t.Fatalf("LookupOptimizer(%q).Name() = %q, want %q", n, o.Name(), want)
+		}
+	}
+	if _, ok := LookupOptimizer("frobnicate"); ok {
+		t.Fatal("unknown backend found")
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/cells"
 	"repro/internal/circuit"
@@ -95,170 +94,100 @@ func SensitivitySizer(d *synth.Design, vm *variation.Model, opts Options) (*Resu
 
 // sensitivitySizer is SensitivitySizer over a given analyzer.
 func sensitivitySizer(d *synth.Design, vm *variation.Model, opts Options, az *analyzer) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := &Result{StoppedBy: "max-iters"}
-
-	resume, err := opts.resumeFor("sensitivity", d)
-	if err != nil {
-		return nil, err
-	}
-	if resume != nil {
-		d.Circuit.RestoreSizes(resume.Sizes)
-	}
-
-	full := az.refresh()
-	res.Initial = snapshot(d, full, opts.Lambda)
-	best := res.Initial
-	bestSizes := d.Circuit.SizeSnapshot()
-	bad := 0
-	startIter := 0
-	if resume != nil {
-		res.Initial = resume.Initial
-		best = resume.Best
-		bestSizes = append([]int(nil), resume.BestSizes...)
-		bad = resume.Bad
-		startIter = resume.Iter
-		res.Iterations = startIter
-	}
-
-	for iter := startIter; iter < opts.maxIters(); iter++ {
-		if err := opts.ctxErr(); err != nil {
-			return nil, err
-		}
-		res.Iterations = iter + 1
-		cur := snapshot(d, full, opts.Lambda)
-		// Same lexicographic best tracking as StatisticalGreedy: lower
-		// cost wins, numerically equal cost prefers the lower sigma.
-		if cur.Cost < best.Cost-1e-9 || (cur.Cost < best.Cost+1e-9 && cur.Sigma < best.Sigma) {
-			best = cur
-			bestSizes = d.Circuit.SizeSnapshot()
-			bad = 0
-		} else if iter > 0 {
-			bad++
-			if bad >= patience {
-				res.StoppedBy = "converged"
-				break
-			}
-		}
-
-		// Enumerate every candidate single-gate move within maxStep
-		// notches, and price them all in one batched what-if pass.
-		var cands [][]ssta.SizeChange
-		var moves []sensMove
-		for i := range d.Circuit.Gates {
-			g := &d.Circuit.Gates[i]
-			if !g.Fn.IsLogic() || g.CellRef < 0 {
-				continue
-			}
-			kind := cells.Kind(g.CellRef)
-			lo := max(g.SizeIdx-maxStep, 0)
-			hi := min(g.SizeIdx+maxStep, d.Lib.NumSizes(kind)-1)
-			curArea := d.Lib.Cell(kind, g.SizeIdx).Area
-			for s := lo; s <= hi; s++ {
-				if s == g.SizeIdx {
+	return runGreedy(d, opts, az, greedy{
+		op:      "sensitivity",
+		measure: func(full *ssta.Result) Snapshot { return snapshot(d, full, opts.Lambda) },
+		step: func(_ *ssta.Result, cur Snapshot) (*ssta.Result, IterStats, bool) {
+			// Enumerate every candidate single-gate move within maxStep
+			// notches, and price them all in one batched what-if pass.
+			var cands [][]ssta.SizeChange
+			var moves []sensMove
+			for i := range d.Circuit.Gates {
+				g := &d.Circuit.Gates[i]
+				if !g.Fn.IsLogic() || g.CellRef < 0 {
 					continue
 				}
-				cands = append(cands, []ssta.SizeChange{{Gate: g.ID, Size: s}})
-				moves = append(moves, sensMove{
-					gate:  g.ID,
-					size:  s,
-					dArea: d.Lib.Cell(kind, s).Area - curArea,
-					tie:   sensTieHash(opts.Seed, g.ID, s),
-				})
+				kind := cells.Kind(g.CellRef)
+				lo := max(g.SizeIdx-maxStep, 0)
+				hi := min(g.SizeIdx+maxStep, d.Lib.NumSizes(kind)-1)
+				curArea := d.Lib.Cell(kind, g.SizeIdx).Area
+				for s := lo; s <= hi; s++ {
+					if s == g.SizeIdx {
+						continue
+					}
+					cands = append(cands, []ssta.SizeChange{{Gate: g.ID, Size: s}})
+					moves = append(moves, sensMove{
+						gate:  g.ID,
+						size:  s,
+						dArea: d.Lib.Cell(kind, s).Area - curArea,
+						tie:   sensTieHash(opts.Seed, g.ID, s),
+					})
+				}
 			}
-		}
-		if len(cands) == 0 {
-			res.StoppedBy = "converged"
-			break
-		}
-		costs := az.whatIf(cands, opts.Lambda)
+			if len(cands) == 0 {
+				return nil, IterStats{}, false
+			}
+			costs := az.whatIf(cands, opts.Lambda)
 
-		// Keep the improving moves, ranked by sensitivity, remembering
-		// the single highest-gain move as the overshoot fallback (ties
-		// keep the first in enumeration order — deterministic).
-		var improving []sensMove
-		singleGain := 0.0
-		singleGate, singleSize := circuit.None, 0
-		for i := range moves {
-			moves[i].gain = cur.Cost - costs[i]
-			if moves[i].gain <= minGain {
-				continue
+			// Keep the improving moves, ranked by sensitivity, remembering
+			// the single highest-gain move as the overshoot fallback (ties
+			// keep the first in enumeration order — deterministic).
+			var improving []sensMove
+			singleGain := 0.0
+			singleGate, singleSize := circuit.None, 0
+			for i := range moves {
+				moves[i].gain = cur.Cost - costs[i]
+				if moves[i].gain <= minGain {
+					continue
+				}
+				if moves[i].gain > singleGain {
+					singleGain = moves[i].gain
+					singleGate, singleSize = moves[i].gate, moves[i].size
+				}
+				improving = append(improving, moves[i])
 			}
-			if moves[i].gain > singleGain {
-				singleGain = moves[i].gain
-				singleGate, singleSize = moves[i].gate, moves[i].size
+			if len(improving) == 0 {
+				return nil, IterStats{}, false
 			}
-			improving = append(improving, moves[i])
-		}
-		if len(improving) == 0 {
-			res.StoppedBy = "converged"
-			break
-		}
-		sort.Slice(improving, func(i, j int) bool { return sensLess(improving[i], improving[j]) })
+			sort.Slice(improving, func(i, j int) bool { return sensLess(improving[i], improving[j]) })
 
-		// Commit the best move-set under the per-iteration area budget:
-		// one move per gate, walked in sensitivity order. The top move
-		// always commits (progress is never budget-starved) and
-		// downsizing moves refund budget for paid moves further down.
-		budget := areaBudgetFrac * cur.Area
-		spent := 0.0
-		used := make(map[circuit.GateID]bool, len(improving))
-		var chosen []sensMove
-		for _, m := range improving {
-			if used[m.gate] {
-				continue
+			// Commit the best move-set under the per-iteration area
+			// budget: one move per gate, walked in sensitivity order. The
+			// top move always commits (progress is never budget-starved)
+			// and downsizing moves refund budget for paid moves further
+			// down.
+			budget := areaBudgetFrac * cur.Area
+			spent := 0.0
+			used := make(map[circuit.GateID]bool, len(improving))
+			var chosen []sensMove
+			for _, m := range improving {
+				if used[m.gate] {
+					continue
+				}
+				if m.dArea > 0 && len(chosen) > 0 && spent+m.dArea > budget {
+					continue
+				}
+				used[m.gate] = true
+				chosen = append(chosen, m)
+				spent += m.dArea
 			}
-			if m.dArea > 0 && len(chosen) > 0 && spent+m.dArea > budget {
-				continue
+
+			startSizes := d.Circuit.SizeSnapshot()
+			for _, m := range chosen {
+				d.Circuit.Gate(m.gate).SizeIdx = m.size
 			}
-			used[m.gate] = true
-			chosen = append(chosen, m)
-			spent += m.dArea
-		}
-
-		startSizes := d.Circuit.SizeSnapshot()
-		for _, m := range chosen {
-			d.Circuit.Gate(m.gate).SizeIdx = m.size
-		}
-		// Applying the set IS its analysis: the refresh repairs the dirty
-		// cones and verifies the set globally in one shot.
-		full = az.refresh()
-		move := "sens-batch"
-		resized := len(chosen)
-		if len(chosen) > 1 && full.Cost(d, opts.Lambda) >= cur.Cost {
-			// The committed moves interacted badly. Fall back to the
-			// single highest-gain move, already proven improving by the
-			// batch pass.
-			d.Circuit.RestoreSizes(startSizes)
-			d.Circuit.Gate(singleGate).SizeIdx = singleSize
-			full = az.refresh()
-			move = "sens-single"
-			resized = 1
-		}
-		res.History = append(res.History, IterStats{
-			Iter: iter, Cost: cur.Cost, Mean: cur.Mean, Sigma: cur.Sigma,
-			Area: cur.Area, PathLen: len(cands), Resized: resized, Move: move,
-		})
-		opts.emit(Checkpoint{
-			Op: "sensitivity", Iter: iter + 1, Cost: full.Cost(d, opts.Lambda),
-			Sizes: d.Circuit.SizeSnapshot(), BestSizes: bestSizes,
-			Best: best, Bad: bad, Initial: res.Initial,
-		})
-	}
-
-	// Keep the best sizing seen, exactly like StatisticalGreedy.
-	final := snapshot(d, az.refresh(), opts.Lambda)
-	if best.Cost < final.Cost {
-		d.Circuit.RestoreSizes(bestSizes)
-		final = best
-	}
-	res.Final = final
-	res.Runtime = time.Since(start)
-	res.AnalysisTime = az.dur
-	res.Evals = az.evals
-	res.NodeEvals = az.nodeEvals
-	return res, nil
+			// Applying the set IS its analysis: the refresh repairs the
+			// dirty cones and verifies the set globally in one shot.
+			full := az.refresh()
+			if len(chosen) > 1 && full.Cost(d, opts.Lambda) >= cur.Cost {
+				// The committed moves interacted badly. Fall back to the
+				// single highest-gain move, already proven improving by
+				// the batch pass.
+				d.Circuit.RestoreSizes(startSizes)
+				d.Circuit.Gate(singleGate).SizeIdx = singleSize
+				return az.refresh(), IterStats{PathLen: len(cands), Resized: 1, Move: "sens-single"}, true
+			}
+			return full, IterStats{PathLen: len(cands), Resized: len(chosen), Move: "sens-batch"}, true
+		},
+	})
 }

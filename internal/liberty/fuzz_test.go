@@ -60,8 +60,9 @@ func FuzzLiberty(f *testing.F) {
 	f.Add(allValues(fuzzSeedLibrary, "nan"))
 	f.Add(firstValue(fuzzSeedLibrary, "nan"))
 	f.Add(strings.Replace(fuzzSeedLibrary, "area : 1;", "area : -1;", 1))
-	// No transition tables: accepted, so it must also write and read back.
+	// No transition tables: rejected at the cell.
 	f.Add(`library(){cell(INV_X1){area:1;pin(){direction:input;capacitance:1;}pin(){direction:output;timing(){cell_fall(){index_1("0,1");index_2("0,1");values("0,0""0,0");}}}}}`)
+	f.Add(withoutTransitions(fuzzSeedLibrary))
 	f.Fuzz(func(t *testing.T, src string) {
 		lim := fuzzLimits()
 		lib, err := ParseOpts(strings.NewReader(src), lim)

@@ -127,6 +127,7 @@ func TestParseRecoversFromMalformedCells(t *testing.T) {
       direction : output;
       timing () {
         cell_rise (t) { index_1 ("0, 10"); index_2 ("0, 100"); values ("10, 20", "30, 40"); }
+        rise_transition (t) { index_1 ("0, 10"); index_2 ("0, 100"); values ("1, 2", "3, 4"); }
       }
     }
   }
@@ -208,6 +209,7 @@ func TestParseSkipsUnknownGroups(t *testing.T) {
       direction : output;
       timing () {
         cell_rise (t) { index_1 ("0, 10"); index_2 ("0, 100"); values ("10, 20", "30, 40"); }
+        rise_transition (t) { index_1 ("0, 10"); index_2 ("0, 100"); values ("1, 2", "3, 4"); }
       }
     }
   }

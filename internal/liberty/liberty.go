@@ -9,7 +9,8 @@
 // timing() groups holding cell_rise/cell_fall lookup tables over
 // (input_net_transition, total_output_net_capacitance), and rise/fall
 // transition tables. Rise and fall are written identically (this module
-// models one delay per cell) and averaged when read.
+// models one delay per cell) and averaged when read; a cell needs at
+// least one delay and one transition table.
 package liberty
 
 import (
@@ -62,12 +63,8 @@ func writeCell(b *strings.Builder, c *cells.Cell) {
 	fmt.Fprintf(b, "      timing () {\n")
 	writeTable(b, "cell_rise", &c.Delay)
 	writeTable(b, "cell_fall", &c.Delay)
-	// A cell read without transition tables keeps a zero OutSlew, which
-	// is written as no table at all.
-	if len(c.OutSlew.Values) > 0 {
-		writeTable(b, "rise_transition", &c.OutSlew)
-		writeTable(b, "fall_transition", &c.OutSlew)
-	}
+	writeTable(b, "rise_transition", &c.OutSlew)
+	writeTable(b, "fall_transition", &c.OutSlew)
 	fmt.Fprintf(b, "      }\n")
 	fmt.Fprintf(b, "    }\n")
 	fmt.Fprintf(b, "  }\n")
@@ -618,6 +615,11 @@ func parseCell(g *group) (*cells.Cell, error) {
 	}
 	if haveDelay == 0 {
 		return nil, fmt.Errorf("liberty: cell %s has no delay tables", c.Name)
+	}
+	if haveSlew == 0 {
+		// Without an output slew the cell's fanout delays cannot be looked
+		// up; a zero table would fail the first lookup during analysis.
+		return nil, fmt.Errorf("liberty: cell %s has no transition tables", c.Name)
 	}
 	if c.Drive == 0 {
 		// Fall back to the name suffix.

@@ -82,3 +82,12 @@ func TestParseRejectsNonPhysicalValues(t *testing.T) {
 		}
 	}
 }
+
+// transitionGroup matches one rise_transition or fall_transition group.
+var transitionGroup = regexp.MustCompile(`(?s)\s*(rise|fall)_transition \(.*?\}`)
+
+// withoutTransitions drops every transition table from a library, which
+// must then be rejected at its first cell.
+func withoutTransitions(src string) string {
+	return transitionGroup.ReplaceAllString(src, "")
+}
