@@ -276,3 +276,29 @@ func TestEvictionUnderConcurrentInternAndFetch(t *testing.T) {
 		t.Fatalf("cache holds %d designs, cap is 2", s.Designs)
 	}
 }
+
+// TestHashDesignPinned freezes the content address of two built-in
+// designs. Journal replay, JobStatus.DesignHash and the cluster worker's
+// re-hash check all compare hashes computed by different processes and
+// builds, so a change to HashDesign, the canonical .bench writer or the
+// default library's Liberty text must fail here rather than silently
+// orphan journaled jobs. Do not re-pin these values to make a change
+// pass: an address change is a wire-compatibility break.
+func TestHashDesignPinned(t *testing.T) {
+	for _, tc := range []struct{ name, hash string }{
+		{"alu2", "b34552262036b470ea10fdfe82e3bee1b5b2c69c324e81efd9a0990c97c368b4"},
+		{"c432", "8d37e8b1f8dc9ab5a57e363e72a01da4065457910b355dcd79aa93d780c5723e"},
+	} {
+		d, err := repro.Generate(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := HashDesign(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != tc.hash {
+			t.Errorf("%s: content address %s, pinned %s", tc.name, h, tc.hash)
+		}
+	}
+}
