@@ -302,3 +302,19 @@ func TestHashDesignPinned(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHashDesign measures the content address of c2670 on the
+// default library: the canonical .bench text plus the Liberty text of
+// the library, as every sstad submission computes it.
+func BenchmarkHashDesign(b *testing.B) {
+	d, err := repro.Generate("c2670")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := HashDesign(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
