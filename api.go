@@ -53,9 +53,17 @@ func LoadBench(r io.Reader, name string) (*Design, error) {
 	return FromCircuit(c)
 }
 
+// defaultLibrary is the built-in library every FromCircuit design maps
+// onto, built once per process. Libraries are immutable once built, so
+// all such designs (and their clones) share this one instance.
+var defaultLibrary = sync.OnceValue(cells.Default90nm)
+
 // FromCircuit maps an arbitrary generic netlist onto the default library.
+// The library is built once per process and shared by every design
+// FromCircuit returns; callers must never modify it (map onto a fresh
+// cells.Default90nm with LoadBenchWithLibrary to experiment with one).
 func FromCircuit(c *circuit.Circuit) (*Design, error) {
-	lib := cells.Default90nm()
+	lib := defaultLibrary()
 	d, err := synth.Map(c, lib)
 	if err != nil {
 		return nil, err
@@ -80,6 +88,9 @@ func (d *Design) Clone() *Design {
 
 // Internal exposes the underlying mapped design and variation model for
 // advanced callers inside this module (the experiment harness, benches).
+// The netlist is the design's own, but its library (synth.Design.Lib) is
+// shared with every clone and, for FromCircuit designs, with every other
+// such design in the process: never modify it.
 func (d *Design) Internal() (*synth.Design, *variation.Model) { return d.d, d.vm }
 
 // Sizes returns a copy of the design's sizing vector: one library size

@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"io"
+	"sync"
 
 	"repro/internal/benchfmt"
 	"repro/internal/cells"
@@ -116,9 +118,28 @@ func LoadBenchSeq(r io.Reader, name string) (*Design, []benchfmt.FF, error) {
 	return d, info.FFs, nil
 }
 
+// defaultLiberty is the Liberty text of defaultLibrary, rendered once per
+// process: every content address of a default-library design covers it.
+var defaultLiberty = sync.OnceValues(func() ([]byte, error) {
+	var buf bytes.Buffer
+	err := liberty.Write(&buf, defaultLibrary())
+	return buf.Bytes(), err
+})
+
 // SaveLiberty exports the design's cell library in Liberty (.lib) format.
+// Designs on the shared default library (every FromCircuit design) write
+// its text rendered once per process; any other library is rendered on
+// each call. Both give the same bytes for libraries of equal content.
 func (d *Design) SaveLiberty(w io.Writer) error {
-	return liberty.Write(w, d.d.Lib)
+	if d.d.Lib != defaultLibrary() {
+		return liberty.Write(w, d.d.Lib)
+	}
+	text, err := defaultLiberty()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(text)
+	return err
 }
 
 // LoadLiberty reads a Liberty library (the subset written by SaveLiberty)

@@ -334,6 +334,9 @@ var paramsByKind = [NumKinds]kindParams{
 
 // Default90nm builds the built-in library: every kind in 8 drive
 // strengths, 5x6 NLDM tables generated from the RC prototype above.
+// Each call returns a fresh library that the caller owns and may modify;
+// the designs repro.FromCircuit builds share one instance of their own,
+// which a caller's copy never reaches.
 func Default90nm() *Library {
 	lib := &Library{
 		Name:              "repro90",

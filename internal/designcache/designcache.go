@@ -7,12 +7,13 @@
 //
 // # Keying
 //
-// A design's identity is the SHA-256 of its canonical .bench text: the
-// netlist is parsed and re-emitted through benchfmt.Write, so two
-// netlists that differ only in formatting, comment placement or line
-// order hash to the same key. Result memoization keys are the design
-// hash joined with an opaque, caller-built option string (the server
-// uses the canonical JSON of the job request minus the netlist).
+// A design's identity is the SHA-256 of its canonical .bench text
+// followed by its library's Liberty text (see HashDesign): the netlist
+// is parsed and re-emitted through benchfmt.Write, so two netlists that
+// differ only in formatting, comment placement or line order hash to the
+// same key. Result memoization keys are the design hash joined with an
+// opaque, caller-built option string (the server uses the canonical JSON
+// of the job request minus the netlist).
 //
 // # Concurrency and mutability
 //

@@ -3,6 +3,7 @@ package designcache
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -316,5 +317,78 @@ func BenchmarkHashDesign(b *testing.B) {
 		if _, err := HashDesign(d); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLibertyRoundTripBitIdentical closes the Liberty round trip on c432:
+// SaveLiberty -> LoadLiberty -> LoadBenchWithLibrary must reproduce the
+// default-library design exactly — the same Liberty bytes, the same
+// content address and a bit-identical analysis. The original design
+// writes the once-rendered text of the shared default library while the
+// reloaded one renders its own library on each call, so this also pins
+// that the two paths agree for libraries of equal content. It starts by
+// mutating a caller-owned cells.Default90nm to show that such a copy
+// never reaches the designs FromCircuit builds.
+func TestLibertyRoundTripBitIdentical(t *testing.T) {
+	text := benchText(t, "c432")
+	mut := cells.Default90nm()
+	mut.PrimaryOutputLoad *= 2
+	mut.Cell(cells.INV, 0).Area *= 2
+	dMut, err := repro.LoadBenchWithLibrary(strings.NewReader(text), "c432", mut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dFresh, err := repro.LoadBenchWithLibrary(strings.NewReader(text), "c432", cells.Default90nm())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := repro.Generate("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	libText := func(d *repro.Design) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := d.SaveLiberty(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	orig := libText(d)
+	if !bytes.Equal(orig, libText(dFresh)) {
+		t.Fatal("default-library Liberty text differs from a fresh library's rendering")
+	}
+	if bytes.Equal(orig, libText(dMut)) {
+		t.Fatal("a mutated caller-owned library reached a FromCircuit design")
+	}
+
+	lib, err := repro.LoadLiberty(bytes.NewReader(orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := repro.LoadBenchWithLibrary(strings.NewReader(text), "c432", lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(orig, libText(d2)) {
+		t.Fatal("Liberty text changed across SaveLiberty -> LoadLiberty")
+	}
+	h1, err := HashDesign(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := HashDesign(d2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1 != h2 {
+		t.Fatalf("round-tripped design hashes %s, default-library design %s", h2, h1)
+	}
+	a1, a2 := d.Analyze(), d2.Analyze()
+	if a1.Mean != a2.Mean || a1.Sigma != a2.Sigma || a1.NominalDelay != a2.NominalDelay ||
+		!slices.Equal(a1.PDFX, a2.PDFX) || !slices.Equal(a1.PDFY, a2.PDFY) {
+		t.Fatalf("round trip changed the analysis: mean %v/%v sigma %v/%v nominal %v/%v",
+			a1.Mean, a2.Mean, a1.Sigma, a2.Sigma, a1.NominalDelay, a2.NominalDelay)
 	}
 }
