@@ -53,9 +53,8 @@ func LoadBench(r io.Reader, name string) (*Design, error) {
 	return FromCircuit(c)
 }
 
-// defaultLibrary is the built-in library every FromCircuit design maps
-// onto, built once per process. Libraries are immutable once built, so
-// all such designs (and their clones) share this one instance.
+// defaultLibrary is the library every FromCircuit design maps onto.
+// Libraries are immutable once built, so one instance serves them all.
 var defaultLibrary = sync.OnceValue(cells.Default90nm)
 
 // FromCircuit maps an arbitrary generic netlist onto the default library.

@@ -313,7 +313,8 @@ func BenchmarkHashDesign(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	for b.Loop() {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		if _, err := HashDesign(d); err != nil {
 			b.Fatal(err)
 		}
