@@ -65,15 +65,16 @@ cover-update:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covercheck -profile cover.out -update
 
-# Short fuzz pass (~75s) over the differential incremental-SSTA target,
+# Short fuzz pass (~85s) over the differential incremental-SSTA target,
 # the Max merge-walk oracle, the four format front doors (.bench,
-# Liberty, Verilog, SDF), and the crash-journal replayer; run in CI on
-# every push.
+# Liberty, Verilog, SDF), the repro.Load door, and the crash-journal
+# replayer; run in CI on every push.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMaxMergeWalk -fuzztime 5s ./internal/dpdf
 	$(GO) test -run xxx -fuzz FuzzIncrementalResize -fuzztime 20s ./internal/difftest
 	$(GO) test -run xxx -fuzz FuzzOptimizerInvariants -fuzztime 10s ./internal/difftest
 	$(GO) test -run xxx -fuzz FuzzParseLint -fuzztime 10s ./internal/benchfmt
+	$(GO) test -run xxx -fuzz FuzzLoad -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzJournalReplay -fuzztime 10s ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzLiberty -fuzztime 10s ./internal/liberty
 	$(GO) test -run xxx -fuzz FuzzVerilog -fuzztime 10s ./internal/verilog

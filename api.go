@@ -44,13 +44,10 @@ func Generate(name string) (*Design, error) {
 	return FromCircuit(c)
 }
 
-// LoadBench parses an ISCAS .bench netlist and maps it.
+// LoadBench loads an ISCAS .bench netlist onto the default library under
+// the default budgets: Load(r, LoadSpec{Name: name}).
 func LoadBench(r io.Reader, name string) (*Design, error) {
-	c, err := benchfmt.Parse(r, name)
-	if err != nil {
-		return nil, err
-	}
-	return FromCircuit(c)
+	return Load(r, LoadSpec{Name: name})
 }
 
 // defaultLibrary is the library every FromCircuit design maps onto.
@@ -60,9 +57,13 @@ var defaultLibrary = sync.OnceValue(cells.Default90nm)
 // FromCircuit maps an arbitrary generic netlist onto the default library.
 // The library is built once per process and shared by every design
 // FromCircuit returns; callers must never modify it (map onto a fresh
-// cells.Default90nm with LoadBenchWithLibrary to experiment with one).
+// cells.Default90nm through LoadSpec.Library to experiment with one).
 func FromCircuit(c *circuit.Circuit) (*Design, error) {
-	lib := defaultLibrary()
+	return mapDesign(c, defaultLibrary())
+}
+
+// mapDesign maps c onto lib under lib's default variation model.
+func mapDesign(c *circuit.Circuit, lib *cells.Library) (*Design, error) {
 	d, err := synth.Map(c, lib)
 	if err != nil {
 		return nil, err

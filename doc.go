@@ -18,8 +18,9 @@
 //   - the StatisticalGreedy variance-reduction gate-sizing optimizer, a
 //     deterministic mean-delay baseline, and an area-recovery pass.
 //
-// This package is the public facade: Generate or LoadBench a Design,
-// Analyze it, optimize it, and query yields. The cmd/ directory holds
+// This package is the public facade: Generate a Design or Load one from
+// .bench or Verilog text (under ingest budgets), Analyze it, optimize
+// it, and query yields. The cmd/ directory holds
 // CLIs, examples/ holds runnable walkthroughs, and the benches in
 // bench_test.go regenerate every table and figure of the paper (see
 // DESIGN.md and EXPERIMENTS.md).

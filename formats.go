@@ -2,49 +2,26 @@ package repro
 
 import (
 	"bytes"
-	"context"
+	"fmt"
 	"io"
 	"sync"
 
 	"repro/internal/benchfmt"
 	"repro/internal/cells"
+	"repro/internal/circuit"
+	"repro/internal/circuitlint"
 	"repro/internal/corrssta"
 	"repro/internal/ingest"
 	"repro/internal/liberty"
-	"repro/internal/synth"
-	"repro/internal/variation"
 	"repro/internal/verilog"
 )
 
 // IngestLimits is the public budget envelope for loading untrusted
-// netlist and library text. Zero fields select production defaults
-// (see internal/ingest); it exists so callers outside the module can
-// govern a load without importing internal packages. Budget violations
-// surface as an error for which IsBudgetError reports true, while
-// malformed input carries positioned diagnostics (Diagnostics).
-type IngestLimits struct {
-	// Ctx is polled at token granularity during the parse; nil means
-	// context.Background. Cancellation surfaces as the ctx error, not
-	// as a budget violation.
-	Ctx context.Context
-	// MaxBytes bounds raw input size; MaxTokens the lexical token
-	// count; MaxIdent one identifier or string; MaxDepth nesting;
-	// MaxGates/MaxNets circuit element counts; MaxErrors the
-	// recoverable-diagnostic list.
-	MaxBytes           int64
-	MaxTokens          int64
-	MaxIdent, MaxDepth int
-	MaxGates, MaxNets  int
-	MaxErrors          int
-}
-
-func (l IngestLimits) internal() ingest.Limits {
-	return ingest.Limits{
-		Ctx: l.Ctx, MaxBytes: l.MaxBytes, MaxTokens: l.MaxTokens,
-		MaxIdent: l.MaxIdent, MaxDepth: l.MaxDepth,
-		MaxGates: l.MaxGates, MaxNets: l.MaxNets, MaxErrors: l.MaxErrors,
-	}
-}
+// netlist and library text (see ingest.Limits for the fields). Zero
+// fields select production defaults and Ctx cancels the parse. Budget
+// violations surface as an error for which IsBudgetError reports true,
+// while malformed input carries positioned diagnostics (Diagnostics).
+type IngestLimits = ingest.Limits
 
 // IsBudgetError reports whether err is an ingestion failure caused by a
 // resource budget (input too big, too deep, too many elements) rather
@@ -62,60 +39,73 @@ func Diagnostics(err error) []ingest.Diagnostic {
 	return nil
 }
 
-// LoadVerilog parses a gate-level structural Verilog module (primitive
-// gates only) and maps it onto the default library.
-func LoadVerilog(r io.Reader, name string) (*Design, error) {
-	c, err := verilog.Parse(r, name)
-	if err != nil {
-		return nil, err
-	}
-	return FromCircuit(c)
+// LoadSpec says how Load reads a netlist.
+type LoadSpec struct {
+	// Format is "bench" (ISCAS .bench, also when empty) or "verilog"
+	// (gate-level structural Verilog, primitive gates only).
+	Format string
+	// Name is the design name: .bench has no name line, and a Verilog
+	// module without one falls back to it.
+	Name string
+	// Library is the cell library the netlist is mapped onto; nil selects
+	// the shared default library (see FromCircuit).
+	Library *cells.Library
+	// Limits is the budget envelope of the parse, Limits.Ctx included.
+	Limits IngestLimits
 }
 
-// LoadVerilogOpts is LoadVerilog under an explicit budget envelope: the
-// parse streams the input, never materializes it, and stops at the
-// first exceeded budget or at ctx cancellation.
-func LoadVerilogOpts(r io.Reader, name string, lim IngestLimits) (*Design, error) {
-	c, err := verilog.ParseOpts(r, name, lim.internal())
+// Load is the one door through which netlist text becomes a Design. The
+// parse streams r once under spec.Limits: the context is polled while it
+// runs, and an exceeded budget fails it with a budget diagnostic
+// (IsBudgetError). A .bench netlist is parsed to its raw form, linted
+// (internal/circuitlint), then built; error-severity lint findings fail
+// the load as one error whose Diagnostics list every finding, up to
+// Limits.MaxErrors. The circuit is then mapped onto spec.Library.
+func Load(r io.Reader, spec LoadSpec) (*Design, error) {
+	var (
+		c   *circuit.Circuit
+		err error
+	)
+	switch spec.Format {
+	case "", "bench":
+		c, err = loadBench(r, spec.Name, spec.Limits)
+	case "verilog":
+		c, err = verilog.ParseOpts(r, spec.Name, spec.Limits)
+	default:
+		return nil, fmt.Errorf("unknown netlist format %q (want bench|verilog)", spec.Format)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return FromCircuit(c)
+	lib := spec.Library
+	if lib == nil {
+		lib = defaultLibrary()
+	}
+	return mapDesign(c, lib)
 }
 
-// LoadVerilogWithLibrary parses structural Verilog under the budget
-// envelope and maps it onto the given library instead of the default.
-func LoadVerilogWithLibrary(r io.Reader, name string, lib *cells.Library, lim IngestLimits) (*Design, error) {
-	c, err := verilog.ParseOpts(r, name, lim.internal())
+// loadBench tokenizes .bench text once: the raw netlist is linted and
+// then built, so lint and Build read the same parse.
+func loadBench(r io.Reader, name string, lim IngestLimits) (*circuit.Circuit, error) {
+	nl, err := benchfmt.ParseNetlistOpts(r, name, lim)
 	if err != nil {
 		return nil, err
 	}
-	d, err := synth.Map(c, lib)
-	if err != nil {
-		return nil, err
+	if errs := circuitlint.Errors(circuitlint.LintNetlist(nl)); len(errs) > 0 {
+		diag := ingest.NewCollector("bench", lim.WithDefaults())
+		for _, d := range errs {
+			if !diag.Add(ingest.Diagnostic(d)) {
+				break
+			}
+		}
+		return nil, fmt.Errorf("design fails lint: %d error(s): %w", len(errs), diag.Err())
 	}
-	return &Design{d: d, vm: variation.Default(lib)}, nil
+	return nl.Build()
 }
 
 // SaveVerilog writes the design's netlist as structural Verilog.
 func (d *Design) SaveVerilog(w io.Writer) error {
 	return verilog.Write(w, d.d.Circuit)
-}
-
-// LoadBenchSeq parses an ISCAS-89-style sequential .bench netlist,
-// cutting registers into pseudo primary inputs/outputs so the
-// register-to-register combinational core can be analyzed and sized. The
-// returned FF list records the cut points (Q net, D net).
-func LoadBenchSeq(r io.Reader, name string) (*Design, []benchfmt.FF, error) {
-	c, info, err := benchfmt.ParseSeq(r, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, err := FromCircuit(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, info.FFs, nil
 }
 
 // defaultLiberty is the Liberty text of defaultLibrary, rendered once per
@@ -142,39 +132,10 @@ func (d *Design) SaveLiberty(w io.Writer) error {
 	return err
 }
 
-// LoadLiberty reads a Liberty library (the subset written by SaveLiberty)
-// for use with LoadBenchWithLibrary.
-func LoadLiberty(r io.Reader) (*cells.Library, error) {
-	return liberty.Parse(r)
-}
-
-// LoadLibertyOpts is LoadLiberty under an explicit budget envelope.
-func LoadLibertyOpts(r io.Reader, lim IngestLimits) (*cells.Library, error) {
-	return liberty.ParseOpts(r, lim.internal())
-}
-
-// LoadBenchCtx is LoadBench with cancellation: the line scan polls ctx
-// so a load on behalf of a cancelled request stops mid-file.
-func LoadBenchCtx(ctx context.Context, r io.Reader, name string) (*Design, error) {
-	c, err := benchfmt.ParseCtx(ctx, r, name)
-	if err != nil {
-		return nil, err
-	}
-	return FromCircuit(c)
-}
-
-// LoadBenchWithLibrary parses a .bench netlist and maps it onto the
-// given library.
-func LoadBenchWithLibrary(r io.Reader, name string, lib *cells.Library) (*Design, error) {
-	c, err := benchfmt.Parse(r, name)
-	if err != nil {
-		return nil, err
-	}
-	d, err := synth.Map(c, lib)
-	if err != nil {
-		return nil, err
-	}
-	return &Design{d: d, vm: variation.Default(lib)}, nil
+// LoadLiberty reads a Liberty library (the subset SaveLiberty writes)
+// under the budget envelope lim, for use as LoadSpec.Library.
+func LoadLiberty(r io.Reader, lim IngestLimits) (*cells.Library, error) {
+	return liberty.ParseOpts(r, lim)
 }
 
 // CorrelatedAnalysis reports a correlation-aware timing analysis.

@@ -20,7 +20,7 @@ func TestVerilogRoundTripThroughFacade(t *testing.T) {
 	if err := d.SaveVerilog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := LoadVerilog(&buf, "alu2")
+	d2, err := Load(&buf, LoadSpec{Format: "verilog", Name: "alu2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLibertyRoundTripThroughFacade(t *testing.T) {
 	if err := d.SaveLiberty(&lib); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := LoadLiberty(&lib)
+	parsed, err := LoadLiberty(&lib, IngestLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,33 +48,13 @@ func TestLibertyRoundTripThroughFacade(t *testing.T) {
 	if err := d.SaveBench(&net); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := LoadBenchWithLibrary(&net, "c432", parsed)
+	d2, err := Load(&net, LoadSpec{Name: "c432", Library: parsed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a1, a2 := d.Analyze(), d2.Analyze()
 	if diff := abs(a1.Mean-a2.Mean) / a1.Mean; diff > 1e-9 {
 		t.Fatalf("Liberty round trip changed timing: %g vs %g", a1.Mean, a2.Mean)
-	}
-}
-
-func TestSequentialLoad(t *testing.T) {
-	src := `INPUT(a)
-OUTPUT(y)
-q = DFF(d)
-d = NAND(a, q)
-y = NOT(q)
-`
-	design, ffs, err := LoadBenchSeq(strings.NewReader(src), "seq")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ffs) != 1 || ffs[0].Q != "q" || ffs[0].D != "d" {
-		t.Fatalf("ffs = %+v", ffs)
-	}
-	a := design.Analyze()
-	if a.Mean <= 0 {
-		t.Fatal("core not analyzable")
 	}
 }
 
@@ -141,7 +121,7 @@ func TestLoadVerilogOptsBudget(t *testing.T) {
 	if err := d.SaveVerilog(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadVerilogOpts(bytes.NewReader(buf.Bytes()), "alu2", IngestLimits{MaxBytes: 64})
+	_, err = Load(bytes.NewReader(buf.Bytes()), LoadSpec{Format: "verilog", Name: "alu2", Limits: IngestLimits{MaxBytes: 64}})
 	if !IsBudgetError(err) {
 		t.Fatalf("want budget error, got %v", err)
 	}
@@ -149,7 +129,7 @@ func TestLoadVerilogOptsBudget(t *testing.T) {
 	if len(diags) == 0 {
 		t.Fatal("budget error carries no diagnostics")
 	}
-	if _, err := LoadVerilogOpts(bytes.NewReader(buf.Bytes()), "alu2", IngestLimits{}); err != nil {
+	if _, err := Load(bytes.NewReader(buf.Bytes()), LoadSpec{Format: "verilog", Name: "alu2"}); err != nil {
 		t.Fatalf("default limits rejected a real design: %v", err)
 	}
 }
@@ -166,11 +146,11 @@ func TestLoadVerilogWithLibraryAgrees(t *testing.T) {
 	if err := d.SaveVerilog(&net); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := LoadLibertyOpts(&lib, IngestLimits{})
+	parsed, err := LoadLiberty(&lib, IngestLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := LoadVerilogWithLibrary(&net, "c432", parsed, IngestLimits{})
+	d2, err := Load(&net, LoadSpec{Format: "verilog", Name: "c432", Library: parsed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +162,14 @@ func TestLoadVerilogWithLibraryAgrees(t *testing.T) {
 func TestLoadBenchCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := LoadBenchCtx(ctx, strings.NewReader("INPUT(a)\nOUTPUT(a)\n"), "x")
+	_, err := Load(strings.NewReader("INPUT(a)\nOUTPUT(a)\n"), LoadSpec{Name: "x", Limits: IngestLimits{Ctx: ctx}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
 
 func TestDiagnosticsOnMalformedVerilog(t *testing.T) {
-	_, err := LoadVerilog(strings.NewReader("module m(; endmodule"), "m")
+	_, err := Load(strings.NewReader("module m(; endmodule"), LoadSpec{Format: "verilog", Name: "m"})
 	if err == nil {
 		t.Fatal("malformed verilog accepted")
 	}
@@ -219,13 +199,13 @@ func TestLibertyWithoutTransitionsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := regexp.MustCompile(`(?s)\s*(rise|fall)_transition \(.*?\}`).ReplaceAllString(lib.String(), "")
-	parsed, err := LoadLiberty(strings.NewReader(src))
+	parsed, err := LoadLiberty(strings.NewReader(src), IngestLimits{})
 	if err == nil {
 		var net bytes.Buffer
 		if err := d.SaveBench(&net); err != nil {
 			t.Fatal(err)
 		}
-		d2, err := LoadBenchWithLibrary(&net, "c432", parsed)
+		d2, err := Load(&net, LoadSpec{Name: "c432", Library: parsed})
 		if err == nil {
 			d2.Analyze()
 		}

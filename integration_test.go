@@ -59,7 +59,7 @@ func TestFullPipelineRoundTrip(t *testing.T) {
 	if err := d.SaveVerilog(&v); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadVerilog(&v, "c432"); err != nil {
+	if _, err := Load(&v, LoadSpec{Format: "verilog", Name: "c432"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -142,10 +142,10 @@ func TestMalformedInputsFailLoudly(t *testing.T) {
 		if _, err := LoadBench(strings.NewReader(src), "x"); err == nil && src != "" {
 			t.Errorf("LoadBench accepted %.20q", src)
 		}
-		if _, err := LoadVerilog(strings.NewReader(src), "x"); err == nil {
-			t.Errorf("LoadVerilog accepted %.20q", src)
+		if _, err := Load(strings.NewReader(src), LoadSpec{Format: "verilog", Name: "x"}); err == nil {
+			t.Errorf("Load (verilog) accepted %.20q", src)
 		}
-		if _, err := LoadLiberty(strings.NewReader(src)); err == nil {
+		if _, err := LoadLiberty(strings.NewReader(src), IngestLimits{}); err == nil {
 			t.Errorf("LoadLiberty accepted %.20q", src)
 		}
 	}

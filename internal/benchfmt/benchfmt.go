@@ -8,11 +8,12 @@
 //
 // Only combinational circuits are supported; DFF lines are rejected with a
 // clear error (the paper restricts itself to combinational circuits).
+// ParseNetlistOpts is the governed reader: it runs under the same
+// internal/ingest budget envelope as the Verilog and Liberty parsers.
 package benchfmt
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -41,21 +42,14 @@ var benchNameByFn = map[circuit.Fn]string{
 	circuit.Not: "NOT", circuit.Buf: "BUFF",
 }
 
-// Parse reads a .bench netlist. The circuit name is taken from the caller
-// since the format has no name line. It is the strict path: the first
-// syntactic or semantic problem aborts with an error. For a complete
-// structural diagnosis of a bad netlist, feed ParseNetlist's raw form to
-// internal/circuitlint instead.
+// Parse reads a .bench netlist with no resource budget and builds it.
+// The circuit name is taken from the caller since the format has no name
+// line. It is the strict path: any syntax problem (all of them, as one
+// *ingest.Error) or the first semantic problem aborts with an error. For
+// a complete structural diagnosis of a bad netlist, feed ParseNetlist's
+// raw form to internal/circuitlint instead.
 func Parse(r io.Reader, name string) (*circuit.Circuit, error) {
-	return ParseCtx(context.Background(), r, name)
-}
-
-// ParseCtx is Parse with cancellation: the underlying line scan polls ctx
-// every ctxPollLines lines (see ParseNetlistCtx), so design loads started
-// on behalf of a cancelled request stop promptly instead of finishing a
-// multi-million-line file.
-func ParseCtx(ctx context.Context, r io.Reader, name string) (*circuit.Circuit, error) {
-	nl, err := ParseNetlistCtx(ctx, r, name)
+	nl, err := ParseNetlist(r, name)
 	if err != nil {
 		return nil, err
 	}

@@ -2,18 +2,24 @@ package benchfmt
 
 import (
 	"bufio"
-	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/circuit"
+	"repro/internal/ingest"
 )
 
 // ctxPollLines is how many netlist lines pass between context polls in
-// ParseNetlistCtx: cancellation lands within a few microseconds of real
+// ParseNetlistOpts: cancellation lands within a few microseconds of real
 // parse work without ctx.Err showing up in a profile.
 const ctxPollLines = 256
+
+// maxLine bounds one netlist line in bytes: the scanner never buffers
+// more than this, whatever MaxBytes allows.
+const maxLine = 1 << 20
 
 // Port is one INPUT or OUTPUT declaration of a raw netlist, with the
 // source line it came from.
@@ -44,94 +50,183 @@ type Netlist struct {
 	Gates   []RawGate
 }
 
-// ParseNetlist reads a .bench file into its raw form. It errors only on
-// syntax: unrecognized lines, malformed definitions, empty names, empty
-// fanins, unknown or sequential (DFF) functions. Semantic problems are
-// left in the returned Netlist for Build or circuitlint to find.
+// ParseNetlist is ParseNetlistOpts with no resource budget
+// (ingest.Unlimited), for trusted text.
 func ParseNetlist(r io.Reader, name string) (*Netlist, error) {
-	return ParseNetlistCtx(context.Background(), r, name)
+	return ParseNetlistOpts(r, name, ingest.Unlimited())
 }
 
-// ParseNetlistCtx is ParseNetlist with cancellation: ctx is polled every
-// ctxPollLines netlist lines so a caller-side deadline or cancel stops a
-// long parse mid-file. A nil ctx means context.Background. Cancellation
-// surfaces as the ctx error (context.Canceled / context.DeadlineExceeded),
-// matching the streaming parsers in internal/liberty, verilog and sdf.
-func ParseNetlistCtx(ctx context.Context, r io.Reader, name string) (*Netlist, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
+// ParseNetlistOpts reads a .bench file into its raw form under the budget
+// envelope lim, in one line scan. Syntax problems (unrecognized lines,
+// malformed definitions, empty names or fanins, unknown or sequential
+// (DFF) functions) are collected as positioned diagnostics, one per bad
+// line, up to lim.MaxErrors, and returned as an *ingest.Error. The
+// budgets are MaxBytes (raw input, enforced on the reader so the scan
+// stops one byte past it), MaxTokens (every name and function keyword),
+// MaxIdent (one name), MaxGates (gate definitions) and MaxNets (declared
+// ports, gate outputs and fanin references); the first one exceeded
+// fails the parse with a budget diagnostic. lim.Ctx is polled every
+// ctxPollLines lines and its error is returned unwrapped. Semantic
+// problems are left in the returned Netlist for circuitlint or Build.
+func ParseNetlistOpts(r io.Reader, name string, lim ingest.Limits) (*Netlist, error) {
+	lim = lim.WithDefaults()
+	if err := lim.Ctx.Err(); err != nil {
 		return nil, err
 	}
-	nl := &Netlist{Name: name}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	lineNo := 0
+	in := &io.LimitedReader{R: r, N: lim.MaxBytes}
+	if in.N < math.MaxInt64 {
+		in.N++ // reading one byte past the budget proves the input is over it
+	}
+	p := &lineParser{lim: lim, nl: &Netlist{Name: name}}
+	diag := ingest.NewCollector("bench", lim)
+	sc := bufio.NewScanner(in)
+	sc.Buffer(nil, maxLine)
 	for sc.Scan() {
-		lineNo++
-		if lineNo%ctxPollLines == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		p.line++
+		err := p.overBytes(in)
+		if err == nil && p.line%ctxPollLines == 0 {
+			err = lim.Ctx.Err()
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+		if err == nil {
+			err = p.parseLine(sc.Text())
 		}
-		switch {
-		case strings.HasPrefix(strings.ToUpper(line), "INPUT(") && strings.HasSuffix(line, ")"):
-			n := strings.TrimSpace(line[len("INPUT(") : len(line)-1])
-			if n == "" {
-				return nil, fmt.Errorf("benchfmt:%d: empty INPUT name", lineNo)
+		if err != nil {
+			if _, fatal := diag.File(err, p.line, 0); fatal != nil {
+				return nil, fatal
 			}
-			nl.Inputs = append(nl.Inputs, Port{Name: n, Line: lineNo})
-		case strings.HasPrefix(strings.ToUpper(line), "OUTPUT(") && strings.HasSuffix(line, ")"):
-			n := strings.TrimSpace(line[len("OUTPUT(") : len(line)-1])
-			if n == "" {
-				return nil, fmt.Errorf("benchfmt:%d: empty OUTPUT name", lineNo)
-			}
-			nl.Outputs = append(nl.Outputs, Port{Name: n, Line: lineNo})
-		default:
-			eq := strings.Index(line, "=")
-			if eq < 0 {
-				return nil, fmt.Errorf("benchfmt:%d: unrecognized line %q", lineNo, line)
-			}
-			lhs := strings.TrimSpace(line[:eq])
-			rhs := strings.TrimSpace(line[eq+1:])
-			open := strings.Index(rhs, "(")
-			if open < 0 || !strings.HasSuffix(rhs, ")") {
-				return nil, fmt.Errorf("benchfmt:%d: malformed gate definition %q", lineNo, line)
-			}
-			if lhs == "" {
-				return nil, fmt.Errorf("benchfmt:%d: empty gate name in %q", lineNo, line)
-			}
-			fnName := strings.ToUpper(strings.TrimSpace(rhs[:open]))
-			if fnName == "DFF" {
-				return nil, fmt.Errorf("benchfmt:%d: sequential element DFF not supported (combinational circuits only)", lineNo)
-			}
-			fn, ok := fnByBenchName[fnName]
-			if !ok {
-				return nil, fmt.Errorf("benchfmt:%d: unknown function %q", lineNo, fnName)
-			}
-			var fanins []string
-			for _, f := range strings.Split(rhs[open+1:len(rhs)-1], ",") {
-				f = strings.TrimSpace(f)
-				if f == "" {
-					return nil, fmt.Errorf("benchfmt:%d: empty fanin in %q", lineNo, line)
-				}
-				fanins = append(fanins, f)
-			}
-			if len(fanins) == 0 {
-				return nil, fmt.Errorf("benchfmt:%d: gate %q has no fanins", lineNo, lhs)
-			}
-			nl.Gates = append(nl.Gates, RawGate{Name: lhs, Fn: fn, Fanins: fanins, Line: lineNo})
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("benchfmt: read: %v", err)
+	err := sc.Err()
+	if errors.Is(err, bufio.ErrTooLong) {
+		err = ingest.Budgetf("line %d is longer than %d bytes", p.line+1, maxLine)
 	}
-	return nl, nil
+	if err == nil {
+		err = p.overBytes(in)
+	}
+	if err != nil {
+		if _, fatal := diag.File(err, p.line+1, 0); fatal != nil {
+			return nil, fatal
+		}
+	}
+	if err := diag.Err(); err != nil {
+		return nil, err
+	}
+	return p.nl, nil
+}
+
+// lineParser carries the state of one ParseNetlistOpts scan: the netlist
+// under construction, the current line and the token and net counts
+// charged against the budgets.
+type lineParser struct {
+	lim          ingest.Limits
+	nl           *Netlist
+	line         int
+	tokens, nets int64
+}
+
+// overBytes reports a budget error once the reader has delivered the
+// byte past MaxBytes.
+func (p *lineParser) overBytes(in *io.LimitedReader) error {
+	if in.N == 0 {
+		return ingest.Budgetf("input exceeds the %d-byte budget", p.lim.MaxBytes)
+	}
+	return nil
+}
+
+// charge counts names (and one function keyword per gate) against the
+// token, net and identifier budgets.
+func (p *lineParser) charge(keywords int, names ...string) error {
+	p.tokens += int64(keywords + len(names))
+	if p.tokens > p.lim.MaxTokens {
+		return ingest.Budgetf("input exceeds the %d-token budget", p.lim.MaxTokens)
+	}
+	p.nets += int64(len(names))
+	if p.nets > int64(p.lim.MaxNets) {
+		return ingest.Budgetf("netlist references more than %d nets", p.lim.MaxNets)
+	}
+	for _, n := range names {
+		if len(n) > p.lim.MaxIdent {
+			return ingest.Budgetf("name of %d bytes exceeds the %d-byte identifier budget", len(n), p.lim.MaxIdent)
+		}
+	}
+	return nil
+}
+
+// port parses the name of an INPUT(...) or OUTPUT(...) line.
+func (p *lineParser) port(line, kind string) (Port, error) {
+	n := strings.TrimSpace(line[len(kind)+1 : len(line)-1])
+	if n == "" {
+		return Port{}, fmt.Errorf("empty %s name", kind)
+	}
+	return Port{Name: n, Line: p.line}, p.charge(0, n)
+}
+
+// hasPrefixFold is strings.HasPrefix under ASCII case folding.
+func hasPrefixFold(s, prefix string) bool {
+	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
+}
+
+// parseLine adds one source line to the netlist. Comments and blank
+// lines are skipped; a syntax problem or an exceeded budget is returned.
+func (p *lineParser) parseLine(raw string) error {
+	line := strings.TrimSpace(raw)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return nil
+	}
+	closed := strings.HasSuffix(line, ")")
+	switch {
+	case closed && hasPrefixFold(line, "INPUT("):
+		port, err := p.port(line, "INPUT")
+		if err != nil {
+			return err
+		}
+		p.nl.Inputs = append(p.nl.Inputs, port)
+	case closed && hasPrefixFold(line, "OUTPUT("):
+		port, err := p.port(line, "OUTPUT")
+		if err != nil {
+			return err
+		}
+		p.nl.Outputs = append(p.nl.Outputs, port)
+	default:
+		eq := strings.Index(line, "=")
+		if eq < 0 {
+			return fmt.Errorf("unrecognized line %q", line)
+		}
+		lhs := strings.TrimSpace(line[:eq])
+		rhs := strings.TrimSpace(line[eq+1:])
+		open := strings.Index(rhs, "(")
+		if open < 0 || !strings.HasSuffix(rhs, ")") {
+			return fmt.Errorf("malformed gate definition %q", line)
+		}
+		if lhs == "" {
+			return fmt.Errorf("empty gate name in %q", line)
+		}
+		fnName := strings.ToUpper(strings.TrimSpace(rhs[:open]))
+		if fnName == "DFF" {
+			return errors.New("sequential element DFF not supported (combinational circuits only)")
+		}
+		fn, ok := fnByBenchName[fnName]
+		if !ok {
+			return fmt.Errorf("unknown function %q", fnName)
+		}
+		if len(p.nl.Gates) >= p.lim.MaxGates {
+			return ingest.Budgetf("netlist declares more than %d gates", p.lim.MaxGates)
+		}
+		fanins := strings.Split(rhs[open+1:len(rhs)-1], ",")
+		for i, f := range fanins {
+			if fanins[i] = strings.TrimSpace(f); fanins[i] == "" {
+				return fmt.Errorf("empty fanin in %q", line)
+			}
+		}
+		if err := p.charge(1, lhs); err != nil {
+			return err
+		}
+		if err := p.charge(0, fanins...); err != nil {
+			return err
+		}
+		p.nl.Gates = append(p.nl.Gates, RawGate{Name: lhs, Fn: fn, Fanins: fanins, Line: p.line})
+	}
+	return nil
 }
 
 // Build converts the raw netlist into a validated circuit. It fails on

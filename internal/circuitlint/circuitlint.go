@@ -2,7 +2,8 @@
 // mapped designs, reporting every structural problem it can find as a
 // collected list of diagnostics instead of failing on the first one the
 // way the strict parse/Validate path does. It is wired in wherever a
-// design enters the system: the ssta/svsize/repro CLIs (-lint flag), the
+// design enters the system: repro.Load (every .bench netlist, on the one
+// raw parse the load makes), the ssta/svsize/repro CLIs (-lint flag), the
 // sstad service (invalid designs are rejected with the diagnostics in the
 // 400 body) and the design cache.
 //

@@ -5,13 +5,13 @@
 // per available CPU" internally, but at the CLI boundary a negative
 // value is almost always a typo (e.g. "-workers -4" intending 4), so
 // the commands reject it with a clear error instead of silently
-// saturating the host. It also owns the shared -lint knob and the
-// structural-lint entry points the commands run on every design they
-// load (see internal/circuitlint).
+// saturating the host. It also owns the shared -lint and -ingest-max-*
+// knobs and the commands' one file-loading door, LoadNetlist, which
+// streams every netlist through repro.Load (see internal/circuitlint for
+// the structural lint).
 package cliutil
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/cells"
 	"repro/internal/circuitlint"
 )
 
@@ -93,7 +92,7 @@ func CheckAttempts(name string, n int) error {
 // unless explicitly disabled.
 func LintFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("lint", true,
-		"run the structural design linter before analysis; error findings abort (-lint=false skips)")
+		"run the structural design linter before analysis; error findings abort (-lint=false skips it, except for .bench netlists, which are always linted at load)")
 }
 
 // IngestFlags is the shared set of -ingest-max-* overrides: one
@@ -186,85 +185,50 @@ func LoadDesign(genName, bench, format, libertyPath string, lim repro.IngestLimi
 	return nil, fmt.Errorf("no input: pass -gen <name> or -bench <file>")
 }
 
-// LoadNetlist is the shared governed front door of the commands: it
-// loads a netlist file in the named format ("bench", the default, or
-// "verilog") under the budget envelope, optionally mapping it onto a
-// Liberty library file instead of the default library. For .bench input
-// the structural lint runs concurrently with the parse (the two walk
-// the same text independently) and error findings abort the load;
-// Verilog input streams straight from the file and is design-linted
-// after the build.
+// LoadNetlist is the commands' governed front door: it streams a netlist
+// file in the named format ("bench", the default, or "verilog") through
+// repro.Load under the budget envelope, optionally mapping it onto a
+// Liberty library file instead of the default library. The diagnostics
+// of a failed load go to w. A .bench netlist is always linted at load;
+// a Verilog design is design-linted after the build when lint is true.
 func LoadNetlist(path, format, libertyPath string, lim repro.IngestLimits, lint bool, w io.Writer) (*repro.Design, error) {
-	var lib *cells.Library
+	spec := repro.LoadSpec{Format: format, Name: path, Limits: lim}
 	if libertyPath != "" {
 		lf, err := os.Open(libertyPath)
 		if err != nil {
 			return nil, err
 		}
-		lib, err = repro.LoadLibertyOpts(lf, lim)
+		spec.Library, err = repro.LoadLiberty(lf, lim)
 		lf.Close()
 		if err != nil {
+			printDiagnostics(w, err)
 			return nil, fmt.Errorf("%s: %w", libertyPath, err)
 		}
 	}
-	switch format {
-	case "", "bench":
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var lintCh chan []circuitlint.Diagnostic
-		if lint {
-			lintCh = make(chan []circuitlint.Diagnostic, 1)
-			text := string(data)
-			go func() { lintCh <- circuitlint.LintText(text, path) }()
-		}
-		var d *repro.Design
-		var perr error
-		if lib != nil {
-			d, perr = repro.LoadBenchWithLibrary(bytes.NewReader(data), path, lib)
-		} else {
-			d, perr = repro.LoadBenchCtx(lim.Ctx, bytes.NewReader(data), path)
-		}
-		if lintCh != nil {
-			diags := <-lintCh
-			if len(diags) > 0 {
-				fmt.Fprint(w, circuitlint.Format(diags))
-			}
-			if circuitlint.HasErrors(diags) {
-				return nil, fmt.Errorf("%s fails lint: %d error finding(s)", path, len(circuitlint.Errors(diags)))
-			}
-		}
-		return d, perr
-	case "verilog":
-		vf, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer vf.Close()
-		var d *repro.Design
-		if lib != nil {
-			d, err = repro.LoadVerilogWithLibrary(vf, path, lib, lim)
-		} else {
-			d, err = repro.LoadVerilogOpts(vf, path, lim)
-		}
-		if err != nil {
-			return nil, err
-		}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	d, err := repro.Load(f, spec)
+	if err != nil {
+		printDiagnostics(w, err)
+		return nil, err
+	}
+	if format == "verilog" {
 		if err := CheckDesign(d, lint, w); err != nil {
 			return nil, err
 		}
-		return d, nil
 	}
-	return nil, fmt.Errorf("unknown netlist format %q (want bench|verilog)", format)
+	return d, nil
 }
 
-// LoadBenchLinted reads an ISCAS .bench file and builds the design,
-// first linting the raw netlist text when lint is true: every
-// diagnostic (with gate names and line numbers) goes to w, and
-// error-severity findings abort the load.
-func LoadBenchLinted(path string, lint bool, w io.Writer) (*repro.Design, error) {
-	return LoadNetlist(path, "bench", "", repro.IngestLimits{}, lint, w)
+// printDiagnostics writes the positioned diagnostics of a failed load to
+// w, one per line.
+func printDiagnostics(w io.Writer, err error) {
+	for _, d := range repro.Diagnostics(err) {
+		fmt.Fprintln(w, d)
+	}
 }
 
 // CheckDesign lints an already-built design (generated benchmarks,

@@ -117,10 +117,12 @@ func TestLoadNetlistAllFormats(t *testing.T) {
 		{"bench with liberty", benchPath, "bench", libPath},
 		{"verilog", verilogPath, "verilog", ""},
 		{"verilog with liberty", verilogPath, "verilog", libPath},
+		{"verilog without lint", verilogPath, "verilog", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := LoadNetlist(tc.path, tc.format, tc.lib, repro.IngestLimits{}, true, &out)
+			lint := tc.name != "verilog without lint"
+			d, err := LoadNetlist(tc.path, tc.format, tc.lib, repro.IngestLimits{}, lint, &out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,10 +134,41 @@ func TestLoadNetlistAllFormats(t *testing.T) {
 }
 
 func TestLoadNetlistRejectsOverBudget(t *testing.T) {
-	_, verilogPath, _ := writeTempDesign(t)
-	_, err := LoadNetlist(verilogPath, "verilog", "", repro.IngestLimits{MaxBytes: 32}, true, io.Discard)
-	if !repro.IsBudgetError(err) {
-		t.Fatalf("want budget error, got %v", err)
+	benchPath, verilogPath, _ := writeTempDesign(t)
+	for _, tc := range []struct{ format, path string }{{"bench", benchPath}, {"verilog", verilogPath}} {
+		_, err := LoadNetlist(tc.path, tc.format, "", repro.IngestLimits{MaxBytes: 32}, true, io.Discard)
+		if !repro.IsBudgetError(err) {
+			t.Fatalf("%s: want budget error, got %v", tc.format, err)
+		}
+	}
+}
+
+// TestLoadNetlistReportsBadFiles: a missing netlist or library file is
+// an error, and a malformed library prints its positioned diagnostics.
+func TestLoadNetlistReportsBadFiles(t *testing.T) {
+	benchPath, _, _ := writeTempDesign(t)
+	dir := t.TempDir()
+	badLib := filepath.Join(dir, "bad.lib")
+	if err := os.WriteFile(badLib, []byte("library (x) {\n  cell ( {\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path, lib string
+		printed         bool
+	}{
+		{"missing netlist", filepath.Join(dir, "none.bench"), "", false},
+		{"missing library", benchPath, filepath.Join(dir, "none.lib"), false},
+		{"malformed library", benchPath, badLib, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if _, err := LoadNetlist(tc.path, "bench", tc.lib, repro.IngestLimits{}, true, &out); err == nil {
+				t.Fatal("load succeeded")
+			}
+			if printed := out.Len() > 0; printed != tc.printed {
+				t.Fatalf("diagnostics printed = %v, want %v: %q", printed, tc.printed, out.String())
+			}
+		})
 	}
 }
 
@@ -159,17 +192,6 @@ func TestLoadNetlistLintAborts(t *testing.T) {
 	}
 	if out.Len() == 0 {
 		t.Fatal("no diagnostics printed")
-	}
-}
-
-func TestLoadBenchLintedStillWorks(t *testing.T) {
-	benchPath, _, _ := writeTempDesign(t)
-	d, err := LoadBenchLinted(benchPath, true, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckDesign(d, true, io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -73,7 +73,8 @@ type Options struct {
 	QuadLevels int
 	// Share is the fraction of each gate's delay VARIANCE carried by the
 	// shared spatial factors (split evenly across quad-tree levels); the
-	// rest is gate-independent. 0 means 0.5.
+	// rest is gate-independent. 0 (or any value <= 0, NaN or ±Inf)
+	// means 0.5; finite values above 1 mean 1.
 	Share float64
 }
 
@@ -85,7 +86,7 @@ func (o Options) quadLevels() int {
 }
 
 func (o Options) share() float64 {
-	if o.Share <= 0 {
+	if !(o.Share > 0) || math.IsInf(o.Share, 1) {
 		return 0.5
 	}
 	if o.Share > 1 {

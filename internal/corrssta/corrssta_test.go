@@ -194,3 +194,16 @@ func TestShareZeroMatchesIndependentMoments(t *testing.T) {
 		t.Errorf("sigmas diverge: %g vs %g", canon.Sigma, indep.Sigma)
 	}
 }
+
+// TestNonFiniteShareSelectsDefault: NaN and ±Inf shares analyze exactly
+// like the default share (0.5) instead of poisoning mean and sigma.
+func TestNonFiniteShareSelectsDefault(t *testing.T) {
+	d, vm := setup(t, gen.Comparator("cmp", 6))
+	want := Analyze(d, vm, Options{})
+	for _, share := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		got := Analyze(d, vm, Options{Share: share})
+		if got.Mean != want.Mean || got.Sigma != want.Sigma {
+			t.Errorf("share %v: (%g, %g), want the default (%g, %g)", share, got.Mean, got.Sigma, want.Mean, want.Sigma)
+		}
+	}
+}

@@ -129,11 +129,12 @@ func HashDesign(d *repro.Design) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// Parse canonicalizes benchText and returns the shared cached design for
-// it, parsing and interning on first sight. The returned design is
-// shared: treat it as read-only (Clone before optimizing).
+// Parse loads benchText through repro.Load (default library and budgets)
+// and returns the shared cached design for it, interning on first sight.
+// The returned design is shared: treat it as read-only (Clone before
+// optimizing).
 func (c *Cache) Parse(benchText, name string) (*repro.Design, string, error) {
-	d, err := repro.LoadBench(strings.NewReader(benchText), name)
+	d, err := repro.Load(strings.NewReader(benchText), repro.LoadSpec{Name: name})
 	if err != nil {
 		return nil, "", err
 	}

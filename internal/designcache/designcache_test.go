@@ -77,7 +77,7 @@ func TestLibraryChangesHash(t *testing.T) {
 	}
 	lib := cells.Default90nm()
 	lib.PrimaryOutputLoad *= 2
-	d2, err := repro.LoadBenchWithLibrary(strings.NewReader(text), "x", lib)
+	d2, err := repro.Load(strings.NewReader(text), repro.LoadSpec{Name: "x", Library: lib})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func BenchmarkHashDesign(b *testing.B) {
 }
 
 // TestLibertyRoundTripBitIdentical closes the Liberty round trip on c432:
-// SaveLiberty -> LoadLiberty -> LoadBenchWithLibrary must reproduce the
+// SaveLiberty -> LoadLiberty -> Load must reproduce the
 // default-library design exactly — the same Liberty bytes, the same
 // content address and a bit-identical analysis. The original design
 // writes the once-rendered text of the shared default library while the
@@ -335,11 +335,11 @@ func TestLibertyRoundTripBitIdentical(t *testing.T) {
 	mut := cells.Default90nm()
 	mut.PrimaryOutputLoad *= 2
 	mut.Cell(cells.INV, 0).Area *= 2
-	dMut, err := repro.LoadBenchWithLibrary(strings.NewReader(text), "c432", mut)
+	dMut, err := repro.Load(strings.NewReader(text), repro.LoadSpec{Name: "c432", Library: mut})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dFresh, err := repro.LoadBenchWithLibrary(strings.NewReader(text), "c432", cells.Default90nm())
+	dFresh, err := repro.Load(strings.NewReader(text), repro.LoadSpec{Name: "c432", Library: cells.Default90nm()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,11 +364,11 @@ func TestLibertyRoundTripBitIdentical(t *testing.T) {
 		t.Fatal("a mutated caller-owned library reached a FromCircuit design")
 	}
 
-	lib, err := repro.LoadLiberty(bytes.NewReader(orig))
+	lib, err := repro.LoadLiberty(bytes.NewReader(orig), repro.IngestLimits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := repro.LoadBenchWithLibrary(strings.NewReader(text), "c432", lib)
+	d2, err := repro.Load(strings.NewReader(text), repro.LoadSpec{Name: "c432", Library: lib})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package ingest is the resource-governance layer shared by every
-// industrial-format front door (internal/liberty, internal/verilog,
-// internal/sdf and the .bench reader in internal/benchfmt). A netlist or
+// format front door (internal/liberty, internal/verilog, internal/sdf
+// and the .bench line reader benchfmt.ParseNetlistOpts). A netlist or
 // library upload is the last untrusted input boundary of the system: a
 // single hostile — or merely enormous — file must not be able to drive a
 // parser to unbounded allocation, pathological parse times, or an
@@ -11,8 +11,9 @@
 //     recoverable-error list, plus a context polled at token granularity
 //     so cancellation and deadlines bite mid-parse.
 //   - Reader: a counting, budget-enforcing byte source with line/column
-//     tracking, the only way the streaming parsers touch their input (no
-//     parser ever materializes the full text).
+//     tracking, the only way the token-streaming parsers touch their
+//     input (no parser ever materializes the full text; the line-based
+//     .bench reader enforces MaxBytes on its own bounded line scan).
 //   - Meter: the per-token budget/cancellation turnstile.
 //   - Diagnostic / Error: the machine-readable failure shape, matching
 //     internal/circuitlint's diagnostics (check name, severity, line,

@@ -107,6 +107,25 @@ func TestE2ESubmitStatusContract(t *testing.T) {
 		}
 	})
 
+	t.Run(".bench over ingest budget is 413", func(t *testing.T) {
+		_, base := startServiceCfg(t, Config{Ingest: repro.IngestLimits{MaxGates: 16}})
+		d, err := repro.Generate("c432")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var net bytes.Buffer
+		if err := d.SaveBench(&net); err != nil {
+			t.Fatal(err)
+		}
+		code, _, eb := postSubmit(t, base, client.JobRequest{Op: client.OpAnalyze, Bench: net.String()})
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("over-budget .bench: HTTP %d (%s), want 413", code, eb.Error)
+		}
+		if len(eb.Diagnostics) == 0 || eb.Diagnostics[0].Check != "budget" {
+			t.Fatalf("budget rejection carries no budget diagnostic: %+v", eb)
+		}
+	})
+
 	t.Run("malformed verilog is 400 with positions", func(t *testing.T) {
 		_, base := startServiceCfg(t, Config{})
 		code, _, eb := postSubmit(t, base, client.JobRequest{
@@ -158,7 +177,7 @@ func TestE2EVerilogSubmission(t *testing.T) {
 	if st.DesignHash == "" {
 		t.Fatal("no design hash on verilog submission")
 	}
-	d, err := repro.LoadVerilog(strings.NewReader(vtext), "alu2v")
+	d, err := repro.Load(strings.NewReader(vtext), repro.LoadSpec{Format: "verilog", Name: "alu2v"})
 	if err != nil {
 		t.Fatal(err)
 	}

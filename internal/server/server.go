@@ -44,8 +44,6 @@ import (
 	"repro"
 	"repro/client"
 	"repro/internal/buildinfo"
-	"repro/internal/cells"
-	"repro/internal/circuitlint"
 	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/designcache"
@@ -440,47 +438,12 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, client.ErrorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// writeLintError rejects a submission whose netlist failed structural
-// lint: HTTP 400 with every diagnostic (errors and warnings) mirrored
-// into the machine-readable wire form.
-func writeLintError(w http.ResponseWriter, diags []circuitlint.Diagnostic) {
-	wire := make([]client.Diagnostic, len(diags))
-	for i, d := range diags {
-		wire[i] = client.Diagnostic{
-			Check:    d.Check,
-			Severity: d.Severity,
-			Gate:     d.Gate,
-			Line:     d.Line,
-			Col:      d.Col,
-			Msg:      d.Msg,
-		}
-	}
-	nerr := len(circuitlint.Errors(diags))
-	writeJSON(w, http.StatusBadRequest, client.ErrorBody{
-		Error:       fmt.Sprintf("design fails lint: %d error(s)", nerr),
-		Diagnostics: wire,
-	})
-}
-
-// lintError carries a full circuitlint diagnosis out of resolveDesign so
-// the submit handler can answer with every structural problem at once.
-type lintError struct{ diags []circuitlint.Diagnostic }
-
-func (e *lintError) Error() string {
-	return fmt.Sprintf("design fails lint: %d error(s)", len(circuitlint.Errors(e.diags)))
-}
-
 // writeResolveError maps a design-resolution failure onto the wire
 // contract: structural lint and malformed input answer 400 with the
 // positioned diagnostic list; an ingestion budget violation (input too
 // big / too deep / too many elements) answers 413, mirroring the raw
 // body-size limit; everything else is a plain 400.
 func writeResolveError(w http.ResponseWriter, err error) {
-	var le *lintError
-	if errors.As(err, &le) {
-		writeLintError(w, le.diags)
-		return
-	}
 	diags := repro.Diagnostics(err)
 	if len(diags) == 0 && !repro.IsBudgetError(err) {
 		writeError(w, http.StatusBadRequest, "resolve design: %v", err)
@@ -507,75 +470,34 @@ func writeResolveError(w http.ResponseWriter, err error) {
 	})
 }
 
-// resolveDesign parses, lints and interns the request's design under the
-// server's ingestion budgets (with ctx threaded into the parse so a
-// dropped connection stops a large load mid-file). For .bench input the
-// structural lint runs concurrently with the parse — the two walk the
-// same text independently — and a lint failure wins the rejection so the
-// client sees the complete diagnosis, not the first parse error.
+// resolveDesign loads and interns the request's design: the inline
+// Liberty library (if any) and the netlist each go through the one
+// governed door (repro.LoadLiberty, repro.Load) under the server's
+// ingestion budgets, with ctx threaded into the parse so a dropped
+// connection stops a large load mid-file. A .bench netlist is tokenized
+// once and linted at load, so a structural failure carries every lint
+// finding as a diagnostic.
 func (s *Server) resolveDesign(ctx context.Context, req *client.JobRequest) (*repro.Design, string, error) {
 	if req.Bench == "" {
 		return s.cache.Generate(req.Generate)
 	}
-	name := req.Name
-	if name == "" {
-		name = "design"
+	spec := repro.LoadSpec{Format: req.Format, Name: req.Name, Limits: s.cfg.Ingest}
+	if spec.Name == "" {
+		spec.Name = "design"
 	}
-	lim := s.cfg.Ingest
-	lim.Ctx = ctx
-	var lib *cells.Library
+	spec.Limits.Ctx = ctx
 	if req.Liberty != "" {
-		l, err := repro.LoadLibertyOpts(strings.NewReader(req.Liberty), lim)
+		lib, err := repro.LoadLiberty(strings.NewReader(req.Liberty), spec.Limits)
 		if err != nil {
 			return nil, "", fmt.Errorf("liberty: %w", err)
 		}
-		lib = l
+		spec.Library = lib
 	}
-	if req.Format == client.FormatVerilog {
-		var (
-			d0  *repro.Design
-			err error
-		)
-		if lib != nil {
-			d0, err = repro.LoadVerilogWithLibrary(strings.NewReader(req.Bench), name, lib, lim)
-		} else {
-			d0, err = repro.LoadVerilogOpts(strings.NewReader(req.Bench), name, lim)
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		return s.cache.Intern(d0)
+	d, err := repro.Load(strings.NewReader(req.Bench), spec)
+	if err != nil {
+		return nil, "", err
 	}
-	lintCh := make(chan []circuitlint.Diagnostic, 1)
-	text := req.Bench
-	go func() { lintCh <- circuitlint.LintText(text, name) }()
-	var (
-		d    *repro.Design
-		hash string
-		perr error
-	)
-	if lib != nil {
-		d0, err := repro.LoadBenchWithLibrary(strings.NewReader(req.Bench), name, lib)
-		if err != nil {
-			perr = err
-		} else {
-			d, hash, perr = s.cache.Intern(d0)
-		}
-	} else {
-		d0, err := repro.LoadBenchCtx(ctx, strings.NewReader(req.Bench), name)
-		if err != nil {
-			perr = err
-		} else {
-			d, hash, perr = s.cache.Intern(d0)
-		}
-	}
-	if diags := <-lintCh; circuitlint.HasErrors(diags) {
-		return nil, "", &lintError{diags: diags}
-	}
-	if perr != nil {
-		return nil, "", perr
-	}
-	return d, hash, nil
+	return s.cache.Intern(d)
 }
 
 // validOps is the accepted operation set.
