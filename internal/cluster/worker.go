@@ -243,9 +243,11 @@ func (w *Worker) run(ctx context.Context, lease *Lease, hb *heartbeater) (any, e
 }
 
 // design resolves the lease's design through the local mirror:
-// built-ins generate locally; hashed designs fetch from the coordinator
-// on miss, with the text re-hashed to prove it matches the content
-// address. Repeated units for the same design hit the mirror.
+// built-ins generate once, and later leases of the same name hit the
+// mirror's source index (designcache.Generate) without regenerating or
+// re-hashing; hashed designs fetch from the coordinator on miss, with
+// the text re-hashed to prove it matches the content address, and later
+// units for that design hit the mirror.
 func (w *Worker) design(ctx context.Context, lease *Lease) (*repro.Design, error) {
 	if lease.Request.Generate != "" {
 		d, _, err := w.cache.Generate(lease.Request.Generate)

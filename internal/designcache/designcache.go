@@ -15,6 +15,16 @@
 // opaque, caller-built option string (the server uses the canonical JSON
 // of the job request minus the netlist).
 //
+// In front of the content address sits a source index: the SHA-256 of
+// one load's inputs (SourceKey: the netlist format, the raw netlist text
+// and the inline Liberty text; a built-in is ("generate", name)) maps to
+// the content address that load interned as. Resolve asks it first, so
+// a repeated submission of the same text skips parse, lint, mapping and
+// HashDesign. A key is recorded only after its load interned, so
+// rejected text is loaded and diagnosed again on every submission. The
+// index holds 32-byte digests, never text, at most maxSources per
+// design, and a design's keys leave with it when the LRU evicts it.
+//
 // # Concurrency and mutability
 //
 // Cached *repro.Design values are shared between callers and MUST be
@@ -30,8 +40,10 @@ import (
 	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 
@@ -45,6 +57,10 @@ const (
 	DefaultDesigns = 64
 	DefaultResults = 1024
 )
+
+// maxSources bounds the source keys one design keeps in the index (the
+// same netlist can arrive as many texts); the oldest key goes first.
+const maxSources = 8
 
 // Stats counts cache traffic. Hits and misses are cumulative since the
 // cache was built; Designs and Results are current occupancy.
@@ -62,6 +78,7 @@ type Cache struct {
 	maxResults int
 	designs    map[string]*list.Element // hash -> *designEntry
 	designLRU  *list.List               // front = most recently used
+	sources    map[Key]*list.Element    // source key -> design element
 	results    map[string]*list.Element // hash+"\x00"+optsKey -> *resultEntry
 	resultLRU  *list.List
 	stats      Stats
@@ -70,6 +87,7 @@ type Cache struct {
 type designEntry struct {
 	hash string
 	d    *repro.Design
+	keys []Key // source keys indexed to this design, oldest first
 }
 
 type resultEntry struct {
@@ -91,6 +109,7 @@ func New(maxDesigns, maxResults int) *Cache {
 		maxResults: maxResults,
 		designs:    make(map[string]*list.Element),
 		designLRU:  list.New(),
+		sources:    make(map[Key]*list.Element),
 		results:    make(map[string]*list.Element),
 		resultLRU:  list.New(),
 	}
@@ -113,49 +132,114 @@ func HashDesign(d *repro.Design) (string, error) {
 		return "", fmt.Errorf("designcache: canonicalize: %w", err)
 	}
 	h := sha256.New()
-	for _, line := range strings.Split(buf.String(), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "#") {
-			continue
+	// Every piece between newlines, the one after the last newline
+	// included, is hashed with a trailing '\n' unless it is a comment.
+	text := buf.Bytes()
+	for {
+		line, rest, more := bytes.Cut(text, newline)
+		if !bytes.HasPrefix(bytes.TrimSpace(line), comment) {
+			h.Write(line)
+			h.Write(newline)
 		}
-		h.Write([]byte(line))
-		h.Write([]byte{'\n'})
+		if !more {
+			break
+		}
+		text = rest
 	}
-	var lib bytes.Buffer
-	if err := d.SaveLiberty(&lib); err != nil {
+	h.Write(libertySep)
+	if err := d.SaveLiberty(h); err != nil {
 		return "", fmt.Errorf("designcache: library fingerprint: %w", err)
 	}
-	h.Write([]byte("\x00liberty\x00"))
-	h.Write(lib.Bytes())
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// Parse loads benchText through repro.Load (default library and budgets)
-// and returns the shared cached design for it, interning on first sight.
+var (
+	newline    = []byte{'\n'}
+	comment    = []byte{'#'}
+	libertySep = []byte("\x00liberty\x00")
+)
+
+// Key is a source-index key: the SHA-256 of one load's inputs. It
+// stands in for the text, which the index never holds.
+type Key [sha256.Size]byte
+
+// SourceKey returns the key of an inline load: its netlist format (""
+// is "bench"), the raw netlist text and the inline Liberty text ("" for
+// the default library). The load's name and budgets are not part of it:
+// the content address ignores the name, and one cache's loads share one
+// budget envelope.
+func SourceKey(format, netlist, liberty string) Key {
+	if format == "" {
+		format = "bench"
+	}
+	return sourceKey(format, netlist, liberty)
+}
+
+// sourceKey hashes each part behind its length, so that no two part
+// lists hash the same byte stream.
+func sourceKey(parts ...string) Key {
+	h := sha256.New()
+	var n [8]byte
+	for _, p := range parts {
+		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		io.WriteString(h, p)
+	}
+	var k Key
+	h.Sum(k[:0])
+	return k
+}
+
+// Resolve returns the shared cached design of the load whose inputs key
+// stands for. On an index hit it returns the design and its content
+// address with a design hit counted, and load does not run. Otherwise it
+// runs load and interns the result by content address: an equivalent
+// cached design is returned in its place (a design hit), a new one is
+// stored with its levelization primed (a miss). Interning refuses
+// designs with lint errors. key is recorded only when interning
+// succeeds, so rejected input is loaded, and diagnosed, every time.
+// Concurrent misses on one key may both load; they intern to one entry.
 // The returned design is shared: treat it as read-only (Clone before
 // optimizing).
-func (c *Cache) Parse(benchText, name string) (*repro.Design, string, error) {
-	d, err := repro.Load(strings.NewReader(benchText), repro.LoadSpec{Name: name})
+func (c *Cache) Resolve(key Key, load func() (*repro.Design, error)) (*repro.Design, string, error) {
+	c.mu.Lock()
+	if el, ok := c.sources[key]; ok {
+		c.designLRU.MoveToFront(el)
+		c.stats.DesignHits++
+		e := el.Value.(*designEntry)
+		c.mu.Unlock()
+		return e.d, e.hash, nil
+	}
+	c.mu.Unlock()
+	d, err := load()
 	if err != nil {
 		return nil, "", err
 	}
-	return c.Intern(d)
+	return c.intern(d, key)
+}
+
+// Parse loads benchText through repro.Load (default library and budgets)
+// and returns the shared cached design for it, resolving by SourceKey.
+func (c *Cache) Parse(benchText, name string) (*repro.Design, string, error) {
+	return c.Resolve(SourceKey("bench", benchText, ""), func() (*repro.Design, error) {
+		return repro.Load(strings.NewReader(benchText), repro.LoadSpec{Name: name})
+	})
 }
 
 // Generate returns the shared cached design for a built-in benchmark,
-// generating and interning on first sight.
+// resolving by the key ("generate", name).
 func (c *Cache) Generate(name string) (*repro.Design, string, error) {
-	d, err := repro.Generate(name)
-	if err != nil {
-		return nil, "", err
-	}
-	return c.Intern(d)
+	return c.Resolve(sourceKey("generate", name), func() (*repro.Design, error) {
+		return repro.Generate(name)
+	})
 }
 
-// Intern deduplicates d against the cache by content address: when an
-// equivalent design is already cached, the CACHED instance and a design
-// hit are returned and d is dropped; otherwise d itself is stored (with
-// its levelization primed) and returned with a miss counted.
-func (c *Cache) Intern(d *repro.Design) (*repro.Design, string, error) {
+// intern deduplicates d against the cache by content address and
+// indexes key to the result: when an equivalent design is already
+// cached, the CACHED instance and a design hit are returned and d is
+// dropped; otherwise d itself is stored (with its levelization primed)
+// and returned with a miss counted.
+func (c *Cache) intern(d *repro.Design, key Key) (*repro.Design, string, error) {
 	// The cache is the last gate before a design is shared service-wide:
 	// refuse anything with structural lint errors (warnings — dead logic
 	// — are analyzable and admitted).
@@ -169,23 +253,38 @@ func (c *Cache) Intern(d *repro.Design) (*repro.Design, string, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.designs[hash]; ok {
+	el, ok := c.designs[hash]
+	if ok {
 		c.designLRU.MoveToFront(el)
 		c.stats.DesignHits++
-		return el.Value.(*designEntry).d, hash, nil
+	} else {
+		c.stats.DesignMisses++
+		// Prime the lazy topological-order and level caches under the
+		// cache lock, so every future (possibly concurrent) reader takes
+		// the read-only fast path.
+		sd.Circuit.Levels()
+		el = c.designLRU.PushFront(&designEntry{hash: hash, d: d})
+		c.designs[hash] = el
+		for c.designLRU.Len() > c.maxDesigns {
+			old := c.designLRU.Back()
+			c.designLRU.Remove(old)
+			e := old.Value.(*designEntry)
+			delete(c.designs, e.hash)
+			for _, k := range e.keys {
+				delete(c.sources, k)
+			}
+		}
 	}
-	c.stats.DesignMisses++
-	// Prime the lazy topological-order and level caches under the cache
-	// lock, so every future (possibly concurrent) reader takes the
-	// read-only fast path.
-	sd.Circuit.Levels()
-	c.designs[hash] = c.designLRU.PushFront(&designEntry{hash: hash, d: d})
-	for c.designLRU.Len() > c.maxDesigns {
-		el := c.designLRU.Back()
-		c.designLRU.Remove(el)
-		delete(c.designs, el.Value.(*designEntry).hash)
+	e := el.Value.(*designEntry)
+	if _, ok := c.sources[key]; !ok {
+		if len(e.keys) == maxSources {
+			delete(c.sources, e.keys[0])
+			e.keys = append(e.keys[:0], e.keys[1:]...)
+		}
+		e.keys = append(e.keys, key)
+		c.sources[key] = el
 	}
-	return d, hash, nil
+	return e.d, hash, nil
 }
 
 // Design returns the cached design for a hash, without affecting hit

@@ -2,6 +2,7 @@ package designcache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -93,10 +94,10 @@ func TestLibraryChangesHash(t *testing.T) {
 		t.Fatal("same netlist on two libraries collided on one content address")
 	}
 	c := New(0, 0)
-	if _, _, err := c.Intern(d1); err != nil {
+	if _, _, err := c.intern(d1, sourceKey("d1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Intern(d2); err != nil {
+	if _, _, err := c.intern(d2, sourceKey("d2")); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Designs != 2 {
@@ -211,7 +212,7 @@ func TestInternRefusesLintFailure(t *testing.T) {
 			break
 		}
 	}
-	if _, _, err := c.Intern(d); err == nil || !strings.Contains(err.Error(), "lint") {
+	if _, _, err := c.intern(d, sourceKey("corrupt")); err == nil || !strings.Contains(err.Error(), "lint") {
 		t.Fatalf("corrupted design interned, err = %v", err)
 	}
 	if s := c.Stats(); s.Designs != 0 {
@@ -223,7 +224,7 @@ func TestInternRefusesLintFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Intern(good); err != nil {
+	if _, _, err := c.intern(good, sourceKey("good")); err != nil {
 		t.Fatalf("warning-only design refused: %v", err)
 	}
 }
@@ -391,5 +392,305 @@ func TestLibertyRoundTripBitIdentical(t *testing.T) {
 		!slices.Equal(a1.PDFX, a2.PDFX) || !slices.Equal(a1.PDFY, a2.PDFY) {
 		t.Fatalf("round trip changed the analysis: mean %v/%v sigma %v/%v nominal %v/%v",
 			a1.Mean, a2.Mean, a1.Sigma, a2.Sigma, a1.NominalDelay, a2.NominalDelay)
+	}
+}
+
+// checkIndex asserts the source index invariants: every key points at a
+// design still in the LRU and is listed on it, no design lists a key
+// the index lacks, and no design keeps more than maxSources keys.
+func checkIndex(t *testing.T, c *Cache) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	listed := 0
+	for el := c.designLRU.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*designEntry)
+		if len(e.keys) > maxSources {
+			t.Errorf("design %s keeps %d source keys, bound is %d", e.hash, len(e.keys), maxSources)
+		}
+		for _, k := range e.keys {
+			if c.sources[k] != el {
+				t.Errorf("design %s lists a key the index does not map to it", e.hash)
+			}
+		}
+		listed += len(e.keys)
+	}
+	for _, el := range c.sources {
+		e := el.Value.(*designEntry)
+		if c.designs[e.hash] != el {
+			t.Errorf("index holds a key of design %s, which has left the cache", e.hash)
+		}
+	}
+	if listed != len(c.sources) {
+		t.Errorf("designs list %d source keys, index holds %d", listed, len(c.sources))
+	}
+}
+
+// countingLoad returns a load of text that counts its calls.
+func countingLoad(text, name string, calls *int) func() (*repro.Design, error) {
+	return func() (*repro.Design, error) {
+		*calls++
+		return repro.Load(strings.NewReader(text), repro.LoadSpec{Name: name})
+	}
+}
+
+func TestSourceKeyParts(t *testing.T) {
+	text := benchText(t, "alu1")
+	if SourceKey("", text, "") != SourceKey("bench", text, "") {
+		t.Fatal(`Format "" and "bench" key differently`)
+	}
+	if SourceKey("bench", text, "") == SourceKey("verilog", text, "") {
+		t.Fatal("two formats share a key")
+	}
+	if SourceKey("bench", text, "") == SourceKey("bench", text, "library x {}") {
+		t.Fatal("the same netlist with two Liberty texts shares a key")
+	}
+	// Length prefixes keep part boundaries apart.
+	if sourceKey("ab", "c") == sourceKey("a", "bc") || sourceKey("generate", "c432") == sourceKey("generate", "c432", "") {
+		t.Fatal("part boundaries collide")
+	}
+}
+
+// TestResolveSameTextTwoNamesOneEntry shows the name stays out of the
+// key: the second submission under another name is an index hit that
+// does not load, and returns the first one's design.
+func TestResolveSameTextTwoNamesOneEntry(t *testing.T) {
+	c := New(0, 0)
+	text := benchText(t, "c432")
+	key := SourceKey("", text, "")
+	calls := 0
+	d1, h1, err := c.Resolve(key, countingLoad(text, "a", &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, h2, err := c.Resolve(key, countingLoad(text, "b", &calls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("load ran %d times, want 1", calls)
+	}
+	if d1 != d2 || h1 != h2 {
+		t.Fatalf("index hit returned another design: %s vs %s", h1, h2)
+	}
+	if s := c.Stats(); s.DesignHits != 1 || s.DesignMisses != 1 || s.Designs != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 design", s)
+	}
+	checkIndex(t, c)
+}
+
+// TestResolveTwoLibrariesTwoKeys submits one netlist with no library and
+// with an inline library: two keys, two content addresses.
+func TestResolveTwoLibrariesTwoKeys(t *testing.T) {
+	text := benchText(t, "alu1")
+	lib := cells.Default90nm()
+	lib.PrimaryOutputLoad *= 2
+	dLib, err := repro.Load(strings.NewReader(text), repro.LoadSpec{Name: "x", Library: lib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var libText bytes.Buffer
+	if err := dLib.SaveLiberty(&libText); err != nil {
+		t.Fatal(err)
+	}
+	c := New(0, 0)
+	_, h1, err := c.Parse(text, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, h2, err := c.Resolve(SourceKey("bench", text, libText.String()), func() (*repro.Design, error) {
+		l, err := repro.LoadLiberty(bytes.NewReader(libText.Bytes()), repro.IngestLimits{})
+		if err != nil {
+			return nil, err
+		}
+		return repro.Load(strings.NewReader(text), repro.LoadSpec{Name: "x", Library: l})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h1 == h2 {
+		t.Fatal("two libraries resolved to one content address")
+	}
+	if n := len(c.sources); n != 2 {
+		t.Fatalf("index holds %d keys, want 2", n)
+	}
+	checkIndex(t, c)
+}
+
+// TestResolveFailedLoadLeavesNoKey covers each way a load can fail: the
+// load itself, a lint-failing netlist and a design interning refuses. Each
+// resubmission must run the load again and fail the same way.
+func TestResolveFailedLoadLeavesNoKey(t *testing.T) {
+	c := New(0, 0)
+	boom := errors.New("boom")
+	undriven := "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n"
+	corrupt := func() (*repro.Design, error) {
+		d, err := repro.Generate("alu1")
+		if err != nil {
+			return nil, err
+		}
+		sd, _ := d.Internal()
+		for i := range sd.Circuit.Gates {
+			if g := &sd.Circuit.Gates[i]; g.Fn.IsLogic() {
+				g.SizeIdx = 999
+				break
+			}
+		}
+		return d, nil
+	}
+	for _, tc := range []struct {
+		name string
+		key  Key
+		load func() (*repro.Design, error)
+	}{
+		{"load error", sourceKey("t", "boom"), func() (*repro.Design, error) { return nil, boom }},
+		{"lint at load", SourceKey("", undriven, ""), func() (*repro.Design, error) {
+			return repro.Load(strings.NewReader(undriven), repro.LoadSpec{Name: "u"})
+		}},
+		{"lint at intern", sourceKey("t", "corrupt"), corrupt},
+	} {
+		var first error
+		calls := 0
+		for i := 0; i < 2; i++ {
+			_, _, err := c.Resolve(tc.key, func() (*repro.Design, error) {
+				calls++
+				return tc.load()
+			})
+			if err == nil {
+				t.Fatalf("%s: resolve succeeded", tc.name)
+			}
+			if i == 0 {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Fatalf("%s: resubmission failed differently: %v, then %v", tc.name, first, err)
+			}
+		}
+		if calls != 2 {
+			t.Fatalf("%s: load ran %d times, want 2", tc.name, calls)
+		}
+	}
+	if len(c.sources) != 0 {
+		t.Fatalf("failed loads left %d index keys", len(c.sources))
+	}
+	if s := c.Stats(); s.Designs != 0 || s.DesignHits != 0 || s.DesignMisses != 0 {
+		t.Fatalf("failed loads moved the design stats: %+v", s)
+	}
+}
+
+// TestEvictionTakesIndexKeys evicts a design and checks its keys went
+// with it: the next submission of its text loads again as a miss.
+func TestEvictionTakesIndexKeys(t *testing.T) {
+	c := New(1, 1)
+	alu1, c432 := benchText(t, "alu1"), benchText(t, "c432")
+	if _, _, err := c.Parse(alu1, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Generate("alu1"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.sources); n != 2 {
+		t.Fatalf("index holds %d keys, want 2 (text and built-in)", n)
+	}
+	if _, _, err := c.Parse(c432, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.sources[SourceKey("", alu1, "")]; ok {
+		t.Fatal("evicted design left its text key in the index")
+	}
+	if _, ok := c.sources[sourceKey("generate", "alu1")]; ok {
+		t.Fatal("evicted design left its built-in key in the index")
+	}
+	checkIndex(t, c)
+	calls := 0
+	if _, _, err := c.Resolve(SourceKey("", alu1, ""), countingLoad(alu1, "a", &calls)); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatal("resolve after eviction did not load")
+	}
+	if s := c.Stats(); s.DesignMisses != 3 || s.DesignHits != 1 {
+		t.Fatalf("stats = %+v, want 3 misses / 1 hit", s)
+	}
+	checkIndex(t, c)
+}
+
+// TestIndexBoundedUnderChurn interns many texts of one netlist and
+// rotates more designs than the LRU holds: the index never outgrows
+// maxSources keys per cached design and never points at an evicted one.
+func TestIndexBoundedUnderChurn(t *testing.T) {
+	c := New(2, 1)
+	alu1 := benchText(t, "alu1")
+	for i := 0; i < maxSources+3; i++ {
+		if _, _, err := c.Parse(fmt.Sprintf("# variant %d\n%s", i, alu1), "a"); err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(t, c)
+	}
+	if s := c.Stats(); s.Designs != 1 || len(c.sources) != maxSources {
+		t.Fatalf("designs %d, index keys %d; want 1 and %d", s.Designs, len(c.sources), maxSources)
+	}
+	for _, n := range []string{"alu2", "c432", "alu1", "c432", "alu2"} {
+		if _, _, err := c.Generate(n); err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(t, c)
+	}
+	if len(c.sources) > 2*maxSources {
+		t.Fatalf("index holds %d keys for 2 designs", len(c.sources))
+	}
+}
+
+// TestConcurrentResolveSameText races eight resolves of one text: all
+// return one design and address, one design is interned and one key
+// indexed (run under -race in CI).
+func TestConcurrentResolveSameText(t *testing.T) {
+	c := New(0, 0)
+	text := benchText(t, "c432")
+	key := SourceKey("bench", text, "")
+	ds := make([]*repro.Design, 8)
+	hs := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range ds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			ds[i], hs[i], err = c.Resolve(key, func() (*repro.Design, error) {
+				return repro.Load(strings.NewReader(text), repro.LoadSpec{Name: fmt.Sprintf("n%d", i)})
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range ds {
+		if ds[i] != ds[0] || hs[i] != hs[0] {
+			t.Fatalf("resolve %d returned design %s, resolve 0 %s", i, hs[i], hs[0])
+		}
+	}
+	s := c.Stats()
+	if s.Designs != 1 || s.DesignMisses != 1 || s.DesignHits != 7 || len(c.sources) != 1 {
+		t.Fatalf("stats = %+v with %d index keys; want 1 design, 1 miss, 7 hits, 1 key", s, len(c.sources))
+	}
+	checkIndex(t, c)
+}
+
+// TestGenerateRepeatAllocs pins what a repeated built-in costs: the
+// first Generate of c432 generates, maps, lints and hashes it (about
+// 5000 allocations), and a repeat — every cluster lease for the same
+// built-in — must stay within 1 % of that by hitting the index.
+func TestGenerateRepeatAllocs(t *testing.T) {
+	c := New(0, 0)
+	if _, _, err := c.Generate("c432"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := c.Generate("c432"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 50 {
+		t.Fatalf("repeated Generate allocates %.0f times, want <= 50", allocs)
 	}
 }

@@ -470,34 +470,37 @@ func writeResolveError(w http.ResponseWriter, err error) {
 	})
 }
 
-// resolveDesign loads and interns the request's design: the inline
-// Liberty library (if any) and the netlist each go through the one
-// governed door (repro.LoadLiberty, repro.Load) under the server's
-// ingestion budgets, with ctx threaded into the parse so a dropped
-// connection stops a large load mid-file. A .bench netlist is tokenized
-// once and linted at load, so a structural failure carries every lint
-// finding as a diagnostic.
+// resolveDesign returns the request's design and its content address
+// through the cache's source index (designcache.Resolve): a repeat of
+// the same format, netlist text and inline Liberty text (or the same
+// built-in name) is served from the index without parse, lint or hash.
+// On a miss the inline Liberty library (if any) and the netlist each go
+// through the one governed door (repro.LoadLiberty, repro.Load) under
+// the server's ingestion budgets, with ctx threaded into the parse so a
+// dropped connection stops a large load mid-file, and the design is
+// interned. A .bench netlist is tokenized once and linted at load, so a
+// structural failure carries every lint finding as a diagnostic; text
+// that fails is never indexed, so a resubmission fails the same way.
 func (s *Server) resolveDesign(ctx context.Context, req *client.JobRequest) (*repro.Design, string, error) {
 	if req.Bench == "" {
 		return s.cache.Generate(req.Generate)
 	}
-	spec := repro.LoadSpec{Format: req.Format, Name: req.Name, Limits: s.cfg.Ingest}
-	if spec.Name == "" {
-		spec.Name = "design"
-	}
-	spec.Limits.Ctx = ctx
-	if req.Liberty != "" {
-		lib, err := repro.LoadLiberty(strings.NewReader(req.Liberty), spec.Limits)
-		if err != nil {
-			return nil, "", fmt.Errorf("liberty: %w", err)
+	key := designcache.SourceKey(req.Format, req.Bench, req.Liberty)
+	return s.cache.Resolve(key, func() (*repro.Design, error) {
+		spec := repro.LoadSpec{Format: req.Format, Name: req.Name, Limits: s.cfg.Ingest}
+		if spec.Name == "" {
+			spec.Name = "design"
 		}
-		spec.Library = lib
-	}
-	d, err := repro.Load(strings.NewReader(req.Bench), spec)
-	if err != nil {
-		return nil, "", err
-	}
-	return s.cache.Intern(d)
+		spec.Limits.Ctx = ctx
+		if req.Liberty != "" {
+			lib, err := repro.LoadLiberty(strings.NewReader(req.Liberty), spec.Limits)
+			if err != nil {
+				return nil, fmt.Errorf("liberty: %w", err)
+			}
+			spec.Library = lib
+		}
+		return repro.Load(strings.NewReader(req.Bench), spec)
+	})
 }
 
 // validOps is the accepted operation set.
