@@ -16,7 +16,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/circuit"
@@ -93,15 +92,4 @@ func Write(w io.Writer, c *circuit.Circuit) error {
 		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, fnName, strings.Join(names, ", "))
 	}
 	return bw.Flush()
-}
-
-// FnNames returns the .bench function keywords accepted by Parse, sorted;
-// useful for CLI help text.
-func FnNames() []string {
-	var names []string
-	for n := range fnByBenchName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -141,15 +141,3 @@ func TestWriteRejectsConstants(t *testing.T) {
 		t.Fatal("expected constant-not-representable error")
 	}
 }
-
-func TestFnNamesSorted(t *testing.T) {
-	names := FnNames()
-	if len(names) < 8 {
-		t.Fatalf("too few fn names: %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatal("names not sorted")
-		}
-	}
-}

@@ -386,16 +386,6 @@ func Default90nm() *Library {
 	return lib
 }
 
-// ReferenceArea returns the area of the smallest variant of the kind, used
-// by the variation model as the Pelgrom reference.
-func (l *Library) ReferenceArea(k Kind) float64 {
-	g := l.Group(k)
-	if g == nil || len(g.Cells) == 0 {
-		return unitArea
-	}
-	return g.Cells[0].Area
-}
-
 // Validate checks library invariants: the primary-I/O context and every
 // cell's drive, input cap, area and tables finite and non-negative (see
 // Table2D.Validate), every group non-empty, drives strictly ascending,

@@ -175,18 +175,6 @@ func TestValidateRejectsNonPhysicalValues(t *testing.T) {
 	}
 }
 
-func TestReferenceAreaIsSmallest(t *testing.T) {
-	lib := Default90nm()
-	for _, k := range lib.Kinds() {
-		ref := lib.ReferenceArea(k)
-		for _, c := range lib.Group(k).Cells {
-			if c.Area < ref {
-				t.Errorf("%s: cell %s smaller than reference area", k, c.Name)
-			}
-		}
-	}
-}
-
 func TestXORCostlierThanNAND(t *testing.T) {
 	// Sanity on logical-effort scaling: XOR2 should be slower and larger
 	// than NAND2 at equal drive and load.

@@ -52,17 +52,6 @@ func (f Fn) String() string {
 	return fmt.Sprintf("Fn(%d)", uint8(f))
 }
 
-// ParseFn maps a canonical function name (as produced by Fn.String) back to
-// its Fn value. The match is exact and case-sensitive.
-func ParseFn(s string) (Fn, bool) {
-	for i, n := range fnNames {
-		if n == s {
-			return Fn(i), true
-		}
-	}
-	return 0, false
-}
-
 // IsLogic reports whether the function is a real logic gate (not an input
 // or a constant).
 func (f Fn) IsLogic() bool {

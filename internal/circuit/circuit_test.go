@@ -240,18 +240,6 @@ func TestFnEvalTruthTables(t *testing.T) {
 	}
 }
 
-func TestFnStringParseRoundTrip(t *testing.T) {
-	for f := Fn(0); f < numFns; f++ {
-		got, ok := ParseFn(f.String())
-		if !ok || got != f {
-			t.Errorf("ParseFn(%q) = %v,%v", f.String(), got, ok)
-		}
-	}
-	if _, ok := ParseFn("BOGUS"); ok {
-		t.Error("ParseFn accepted BOGUS")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	c := buildSmall(t)
 	cp := c.Clone()

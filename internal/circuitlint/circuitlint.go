@@ -10,8 +10,7 @@
 // Checks on raw netlists (LintNetlist): dupname, multidriven, undriven,
 // arity, cycle, dangling. Checks on built circuits (LintCircuit): cycle,
 // dangling. Checks on mapped designs (LintDesign): the circuit checks
-// plus unmapped and sizeidx. LintPDF validates discrete-PDF
-// well-formedness via dpdf.ValidateSupport.
+// plus unmapped and sizeidx.
 package circuitlint
 
 import (
@@ -21,7 +20,6 @@ import (
 
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
-	"repro/internal/dpdf"
 	"repro/internal/synth"
 )
 
@@ -37,7 +35,6 @@ const (
 	CheckDangling    = "dangling"    // non-output gate drives nothing
 	CheckUnmapped    = "unmapped"    // logic gate with no bound library cell
 	CheckSizeIdx     = "sizeidx"     // drive-strength index outside the cell group
-	CheckPDF         = "pdf"         // discrete PDF violates its invariants
 )
 
 // Severity levels. Errors make a design unusable (rejected by the CLIs'
@@ -392,13 +389,4 @@ func LintDesign(d *synth.Design) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// LintPDF checks a raw discrete-PDF support/mass pair against the dpdf
-// invariants and wraps any violation as a diagnostic.
-func LintPDF(xs, ps []float64) []Diagnostic {
-	if err := dpdf.ValidateSupport(xs, ps); err != nil {
-		return []Diagnostic{{Check: CheckPDF, Severity: SeverityError, Msg: err.Error()}}
-	}
-	return nil
 }

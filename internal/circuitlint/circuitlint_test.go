@@ -170,27 +170,6 @@ y = NOT(a)
 	}
 }
 
-func TestLintPDF(t *testing.T) {
-	if diags := circuitlint.LintPDF([]float64{0, 1}, []float64{0.5, 0.5}); len(diags) != 0 {
-		t.Fatalf("valid PDF flagged: %s", circuitlint.Format(diags))
-	}
-	for name, tc := range map[string]struct{ xs, ps []float64 }{
-		"descending":   {[]float64{1, 0}, []float64{0.5, 0.5}},
-		"negativeMass": {[]float64{0, 1}, []float64{1.5, -0.5}},
-		"badTotal":     {[]float64{0, 1}, []float64{0.5, 0.4}},
-		"nanSupport":   {[]float64{0, nan()}, []float64{0.5, 0.5}},
-		"infMass":      {[]float64{0, 1}, []float64{0.5, inf()}},
-		"empty":        {nil, nil},
-	} {
-		if diags := circuitlint.LintPDF(tc.xs, tc.ps); !hasCheck(diags, circuitlint.CheckPDF, "") {
-			t.Errorf("%s: want pdf diagnostic, got %v", name, diags)
-		}
-	}
-}
-
-func nan() float64 { f := 0.0; return f / f }
-func inf() float64 { f := 1.0; return f / 0.0 }
-
 // TestBenchmarksLintClean pins the contract that makes -lint safe to turn
 // on by default: every built-in benchmark design passes with no errors
 // (the known dead c432-family buffers surface as warnings only), both as

@@ -533,38 +533,3 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 	res.finish(start, az)
 	return res, area0 - d.Area(), nil
 }
-
-// Describe formats a one-line summary of a run for logs and CLIs.
-func (r *Result) Describe() string {
-	dMean := pct(r.Final.Mean, r.Initial.Mean)
-	dSigma := pct(r.Final.Sigma, r.Initial.Sigma)
-	dArea := pct(r.Final.Area, r.Initial.Area)
-	return fmt.Sprintf("iters=%d mean %+.1f%% sigma %+.1f%% area %+.1f%% (%s, %v)",
-		r.Iterations, dMean, dSigma, dArea, r.StoppedBy, r.Runtime.Round(time.Millisecond))
-}
-
-func pct(after, before float64) float64 {
-	if before == 0 {
-		return 0
-	}
-	return 100 * (after - before) / before
-}
-
-// SizeHistogram returns how many logic gates sit at each size index,
-// useful for inspecting what the optimizer did.
-func SizeHistogram(d *synth.Design) []int {
-	max := 0
-	for _, k := range d.Lib.Kinds() {
-		if n := d.Lib.NumSizes(k); n > max {
-			max = n
-		}
-	}
-	h := make([]int, max)
-	for i := range d.Circuit.Gates {
-		g := &d.Circuit.Gates[i]
-		if g.Fn.IsLogic() && g.CellRef >= 0 {
-			h[g.SizeIdx]++
-		}
-	}
-	return h
-}

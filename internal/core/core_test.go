@@ -175,33 +175,6 @@ func TestRecoverAreaRejectsNegativeSlack(t *testing.T) {
 	}
 }
 
-func TestSizeHistogram(t *testing.T) {
-	d, vm := setup(t, gen.ParityTree("p", 8))
-	h := SizeHistogram(d)
-	total := 0
-	for _, n := range h {
-		total += n
-	}
-	if total != d.Circuit.NumLogicGates() {
-		t.Fatalf("histogram total %d != %d gates", total, d.Circuit.NumLogicGates())
-	}
-	if h[0] != total {
-		t.Fatal("freshly mapped design not all at minimum size")
-	}
-	_ = vm
-}
-
-func TestDescribeMentionsOutcome(t *testing.T) {
-	d, vm := original(t, gen.ParityTree("p", 8))
-	r, err := StatisticalGreedy(d, vm, Options{Lambda: 3, MaxIters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := r.Describe(); len(s) == 0 {
-		t.Fatal("empty description")
-	}
-}
-
 func TestDeterministicRepeatability(t *testing.T) {
 	run := func() Snapshot {
 		c, err := gen.ISCASLike("alu2")

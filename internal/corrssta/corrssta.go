@@ -144,9 +144,6 @@ func (c Canon) Var() float64 {
 // Sigma returns the total standard deviation.
 func (c Canon) Sigma() float64 { return math.Sqrt(c.Var()) }
 
-// Moments converts to a plain (mean, variance) pair.
-func (c Canon) Moments() normal.Moments { return normal.Moments{Mean: c.Mean, Var: c.Var()} }
-
 // add returns the canonical form of the sum (residuals independent).
 func (c Canon) add(o Canon) Canon {
 	a := make([]float64, len(c.A))

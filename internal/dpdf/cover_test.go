@@ -28,14 +28,6 @@ func TestPDFEqual(t *testing.T) {
 	}
 }
 
-func TestNewScratchReady(t *testing.T) {
-	s := NewScratch()
-	a, b := FromNormal(5, 1, 10), FromNormal(6, 1.5, 10)
-	if got, want := s.Sum(a, b, 10), Sum(a, b, 10); !got.Equal(want) {
-		t.Fatal("NewScratch Sum differs from package-level Sum")
-	}
-}
-
 func TestArenaAccessorsAndGuards(t *testing.T) {
 	a := NewArena(3, 12)
 	if a.Nodes() != 3 || a.Stride() != 12 {

@@ -41,10 +41,6 @@ type Scratch struct {
 	normN              int
 }
 
-// NewScratch returns an empty scratch. Buffers grow on first use and are
-// then reused.
-func NewScratch() *Scratch { return &Scratch{} }
-
 // Sum is the scratch-buffered distribution of X+Y for independent X, Y
 // (see the package-level Sum). Only the returned PDF is newly allocated.
 func (s *Scratch) Sum(a, b PDF, maxPts int) PDF {

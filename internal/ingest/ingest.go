@@ -1,10 +1,10 @@
 // Package ingest is the resource-governance layer shared by every
-// format front door (internal/liberty, internal/verilog, internal/sdf
-// and the .bench line reader benchfmt.ParseNetlistOpts). A netlist or
-// library upload is the last untrusted input boundary of the system: a
-// single hostile — or merely enormous — file must not be able to drive a
-// parser to unbounded allocation, pathological parse times, or an
-// unkillable load. The package provides:
+// format front door (internal/liberty, internal/verilog and the .bench
+// line reader benchfmt.ParseNetlistOpts). A netlist or library upload
+// is the last untrusted input boundary of the system: a single hostile
+// — or merely enormous — file must not be able to drive a parser to
+// unbounded allocation, pathological parse times, or an unkillable
+// load. The package provides:
 //
 //   - Limits: hard budgets for input bytes, token count, identifier
 //     length, nesting depth, gate/net element counts and a bounded
@@ -68,7 +68,7 @@ type Limits struct {
 	MaxTokens int64
 	// MaxIdent bounds one identifier or quoted string, in bytes.
 	MaxIdent int
-	// MaxDepth bounds grouping depth (Liberty groups, SDF parens).
+	// MaxDepth bounds grouping depth (Liberty groups).
 	MaxDepth int
 	// MaxGates bounds gate/cell definitions; MaxNets bounds declared
 	// nets, ports and pin references.
@@ -175,7 +175,7 @@ func (d Diagnostic) String() string {
 // (bounded by Limits.MaxErrors). Context cancellation is NOT wrapped in
 // an Error — it propagates as the context's own error.
 type Error struct {
-	Format string // "liberty", "verilog", "sdf", "bench"
+	Format string // "liberty", "verilog", "bench"
 	Diags  []Diagnostic
 }
 
@@ -227,7 +227,7 @@ func IsBudgetSentinel(err error) bool { return errors.Is(err, errBudget) }
 
 // Budgetf builds a budget-classified low-level error: parsers use it for
 // budgets they enforce themselves (identifier length, nesting depth,
-// element counts) so Collector.AddErr files them under CheckBudget.
+// element counts) so Collector.File files them under CheckBudget.
 func Budgetf(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, errBudget)...)
 }
@@ -299,11 +299,6 @@ func (r *Reader) UnreadByte() error {
 	return nil
 }
 
-// BytesRead reports how many bytes the parser has consumed: the
-// regression tests assert an over-budget input is rejected after at most
-// budget+1 bytes, i.e. without materializing the input.
-func (r *Reader) BytesRead() int64 { return r.n }
-
 // Pos returns the 1-based line and column of the next byte.
 func (r *Reader) Pos() (line, col int) { return r.line, r.col }
 
@@ -335,13 +330,6 @@ func (m *Meter) Tick() error {
 	}
 	return nil
 }
-
-// Err polls the context immediately (parse entry and statement
-// boundaries), so an already-cancelled context never starts work.
-func (m *Meter) Err() error { return m.ctx.Err() }
-
-// Tokens reports how many tokens have passed the turnstile.
-func (m *Meter) Tokens() int64 { return m.tokens }
 
 // IsCtxErr reports whether err is context cancellation (as opposed to a
 // budget or syntax failure): such errors must propagate unwrapped.
@@ -386,18 +374,6 @@ func (c *Collector) Add(d Diagnostic) bool {
 	return true
 }
 
-// AddErr converts a low-level reader/meter error into a positioned
-// diagnostic (budget class for budget sentinels, syntax otherwise) and
-// records it. Context errors must not reach here — callers check
-// IsCtxErr first.
-func (c *Collector) AddErr(err error, line, col int) bool {
-	check := CheckSyntax
-	if IsBudgetSentinel(err) {
-		check = CheckBudget
-	}
-	return c.Add(Diagnostic{Check: check, Severity: SeverityError, Line: line, Col: col, Msg: err.Error()})
-}
-
 // File converts a failed-parse error into a collected diagnostic: the
 // position is taken from a PosError when present (falling back to the
 // supplied line/col, typically the lexer's current position) and budget
@@ -427,9 +403,6 @@ func (c *Collector) File(err error, line, col int) (recoverable bool, fatal erro
 
 // Empty reports whether no diagnostics were collected.
 func (c *Collector) Empty() bool { return len(c.diags) == 0 }
-
-// Diags returns the collected diagnostics.
-func (c *Collector) Diags() []Diagnostic { return c.diags }
 
 // Err returns the typed parse error for the collected diagnostics, or
 // nil when the parse was clean.

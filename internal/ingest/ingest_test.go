@@ -40,8 +40,8 @@ func TestReaderEnforcesByteBudget(t *testing.T) {
 	if !IsBudgetSentinel(err) {
 		t.Fatalf("want budget sentinel, got %v", err)
 	}
-	if r.BytesRead() != 4 {
-		t.Fatalf("BytesRead = %d, want 4", r.BytesRead())
+	if r.n != 4 {
+		t.Fatalf("read %d bytes, want 4", r.n)
 	}
 }
 
@@ -194,7 +194,7 @@ func TestCollectorBoundsErrors(t *testing.T) {
 	if c.Add(Diagnostic{Check: CheckSyntax, Msg: "after close"}) {
 		t.Fatal("closed collector accepted a diagnostic")
 	}
-	diags := c.Diags()
+	diags := c.diags
 	// 3 real + 1 "too many errors" budget marker.
 	if len(diags) != 4 || diags[3].Check != CheckBudget {
 		t.Fatalf("diags = %+v", diags)
@@ -206,22 +206,6 @@ func TestCollectorBoundsErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "and 3 more diagnostics") {
 		t.Fatalf("Error() = %q", err.Error())
-	}
-}
-
-func TestCollectorAddErrClassifies(t *testing.T) {
-	c := NewCollector("liberty", Default())
-	m := NewMeter(Limits{MaxTokens: 1}.WithDefaults())
-	m.Tick()
-	budgetErr := m.Tick()
-	c.AddErr(budgetErr, 2, 5)
-	c.AddErr(errors.New("unexpected token"), 3, 1)
-	diags := c.Diags()
-	if diags[0].Check != CheckBudget || diags[0].Line != 2 || diags[0].Col != 5 {
-		t.Fatalf("budget diag = %+v", diags[0])
-	}
-	if diags[1].Check != CheckSyntax {
-		t.Fatalf("syntax diag = %+v", diags[1])
 	}
 }
 

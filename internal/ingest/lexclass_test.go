@@ -32,15 +32,14 @@ func oracleIdentStop(spec LexSpec, b byte) bool {
 		strings.IndexByte(spec.Puncts, b) >= 0 || strings.IndexByte(spec.Skip, b) >= 0
 }
 
-// TestByteClassesMatchOracle checks every byte 0-255 under the Verilog,
-// Liberty and SDF specs (copied from internal/verilog, internal/liberty
-// and internal/sdf), under specs whose sets overlap, and under seeded
-// random specs.
+// TestByteClassesMatchOracle checks every byte 0-255 under the Verilog
+// and Liberty specs (copied from internal/verilog and internal/liberty),
+// a parens-only spec, specs whose sets overlap, and seeded random specs.
 func TestByteClassesMatchOracle(t *testing.T) {
 	specs := map[string]LexSpec{
 		"verilog": {Puncts: "();", Skip: ","},
 		"liberty": {Puncts: "(){}:;", Skip: ",\\"},
-		"sdf":     {Puncts: "()"},
+		"parens":  {Puncts: "()"},
 		"empty":   {},
 		// Every overlap the case order decides: Skip over Puncts,
 		// whitespace over Puncts, '/' and '"' over Puncts, NUL and 0xff.

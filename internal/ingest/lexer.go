@@ -70,7 +70,7 @@ func (s LexSpec) classes() [256]byteClass {
 // Lexer produces tokens one at a time from a budget-governed byte
 // stream: every token passes the Meter (token budget + context poll),
 // identifiers and strings are length-bounded, and at most one token of
-// text is held in memory. It is shared by the Liberty, Verilog and SDF
+// text is held in memory. It is shared by the Liberty and Verilog
 // streaming parsers.
 type Lexer struct {
 	r        *Reader

@@ -227,7 +227,7 @@ func TestCollectorFile(t *testing.T) {
 	if !rec || fatal != nil {
 		t.Fatalf("syntax error not recoverable: %v", fatal)
 	}
-	if d := c.Diags()[0]; d.Check != CheckSyntax || d.Line != 7 || d.Col != 3 {
+	if d := c.diags[0]; d.Check != CheckSyntax || d.Line != 7 || d.Col != 3 {
 		t.Fatalf("diag = %+v", d)
 	}
 
@@ -236,7 +236,7 @@ func TestCollectorFile(t *testing.T) {
 	if !rec {
 		t.Fatal("bare error not recoverable")
 	}
-	if d := c.Diags()[1]; d.Line != 9 || d.Col != 2 {
+	if d := c.diags[1]; d.Line != 9 || d.Col != 2 {
 		t.Fatalf("fallback position diag = %+v", d)
 	}
 
@@ -247,10 +247,10 @@ func TestCollectorFile(t *testing.T) {
 	}
 
 	// Context cancellation propagates unwrapped, uncollected.
-	c2 := NewCollector("sdf", lim)
+	c2 := NewCollector("verilog", lim)
 	rec, fatal = c2.File(context.Canceled, 1, 1)
 	if rec || !errors.Is(fatal, context.Canceled) || !c2.Empty() {
-		t.Fatalf("ctx error mishandled: rec=%v fatal=%v diags=%v", rec, fatal, c2.Diags())
+		t.Fatalf("ctx error mishandled: rec=%v fatal=%v diags=%v", rec, fatal, c2.diags)
 	}
 
 	// Exhausting the error budget turns recoverable errors fatal.
@@ -263,22 +263,5 @@ func TestCollectorFile(t *testing.T) {
 	ie, ok := As(fatal)
 	if !ok || !ie.Budget() {
 		t.Fatalf("exhaustion not budget-classified: %v", fatal)
-	}
-}
-
-func TestMeterErrAndTokens(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	m := NewMeter(Limits{Ctx: ctx}.WithDefaults())
-	if m.Err() != nil {
-		t.Fatal("live context reported an error")
-	}
-	m.Tick()
-	m.Tick()
-	if m.Tokens() != 2 {
-		t.Fatalf("Tokens = %d, want 2", m.Tokens())
-	}
-	cancel()
-	if !errors.Is(m.Err(), context.Canceled) {
-		t.Fatal("cancelled context not surfaced by Err")
 	}
 }

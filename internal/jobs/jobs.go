@@ -538,17 +538,6 @@ func (q *Queue) Depth() (queued, running int) {
 	return q.queued, q.active
 }
 
-// CountByState returns how many retained jobs sit in each state.
-func (q *Queue) CountByState() map[State]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	m := make(map[State]int, 5)
-	for _, j := range q.jobs {
-		m[j.state]++
-	}
-	return m
-}
-
 // gcLocked drops finished jobs past the retention window, and the oldest
 // beyond MaxFinished. Callers hold q.mu.
 func (q *Queue) gcLocked() {

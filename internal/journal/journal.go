@@ -58,11 +58,6 @@ const (
 	TypeCancelled Type = "cancelled"
 )
 
-// Terminal reports whether the record type ends a job's lifecycle.
-func (t Type) Terminal() bool {
-	return t == TypeDone || t == TypeFailed || t == TypeCancelled
-}
-
 // Record is one journal line. Only the fields relevant to the type are
 // populated.
 type Record struct {
@@ -107,7 +102,6 @@ type Options struct {
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
 	seq  uint64
 	opts Options
 	now  func() time.Time // test seam
@@ -141,7 +135,7 @@ func Open(path string, opts Options) (*Journal, []Record, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("journal: seek: %w", err)
 	}
-	j := &Journal{f: f, path: path, opts: opts, now: time.Now}
+	j := &Journal{f: f, opts: opts, now: time.Now}
 	for _, r := range recs {
 		if r.Seq > j.seq {
 			j.seq = r.Seq
@@ -252,9 +246,6 @@ func (j *Journal) Append(rec Record) error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close closes the underlying file (a final fsync first, so the tail
 // is durable even under NoSync).

@@ -242,14 +242,3 @@ func TestReplayFolding(t *testing.T) {
 		t.Fatalf("orphan folded wrong: %+v", orphan)
 	}
 }
-
-func TestTerminalTypes(t *testing.T) {
-	for ty, want := range map[Type]bool{
-		TypeSubmit: false, TypeStart: false, TypeCheckpoint: false,
-		TypeDone: true, TypeFailed: true, TypeCancelled: true,
-	} {
-		if ty.Terminal() != want {
-			t.Errorf("%s.Terminal() = %v, want %v", ty, ty.Terminal(), want)
-		}
-	}
-}

@@ -253,42 +253,9 @@ func FromSamples(samples []float64) (*Result, error) {
 	return &Result{Samples: sorted, Mean: mean, Sigma: math.Sqrt(varc)}, nil
 }
 
-// Quantile returns the q-quantile of the empirical distribution.
-func (r *Result) Quantile(q float64) float64 {
-	if len(r.Samples) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(r.Samples)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(r.Samples) {
-		i = len(r.Samples) - 1
-	}
-	return r.Samples[i]
-}
-
-// Yield returns the fraction of trials meeting the period T.
-func (r *Result) Yield(T float64) float64 {
-	// Samples are sorted: binary search.
-	i := sort.SearchFloat64s(r.Samples, T)
-	// Include equal values.
-	for i < len(r.Samples) && r.Samples[i] <= T {
-		i++
-	}
-	return float64(i) / float64(len(r.Samples))
-}
-
 // PDF converts the sample set into an n-point discrete PDF for plotting
 // next to FULLSSTA output.
 func (r *Result) PDF(points int) dpdf.PDF {
 	var s dpdf.Scratch
-	return s.FromSamples(r.Samples, points)
-}
-
-// PDFWith is PDF through a caller-owned scratch, for loops that convert
-// many sample sets (MC-vs-SSTA comparison benches) without re-allocating
-// the histogram workspace each time.
-func (r *Result) PDFWith(s *dpdf.Scratch, points int) dpdf.PDF {
 	return s.FromSamples(r.Samples, points)
 }

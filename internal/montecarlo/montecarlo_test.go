@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cells"
 	"repro/internal/circuit"
-	"repro/internal/dpdf"
 	"repro/internal/gen"
 	"repro/internal/sta"
 	"repro/internal/synth"
@@ -68,7 +67,7 @@ func TestMeanNearNominal(t *testing.T) {
 	}
 }
 
-func TestSamplesSortedAndQuantiles(t *testing.T) {
+func TestSamplesSorted(t *testing.T) {
 	d, vm := setup(t, gen.ALU("alu", 3))
 	r, err := Analyze(d, vm, 2000, 5)
 	if err != nil {
@@ -78,32 +77,6 @@ func TestSamplesSortedAndQuantiles(t *testing.T) {
 		if r.Samples[i] < r.Samples[i-1] {
 			t.Fatal("samples not sorted")
 		}
-	}
-	if r.Quantile(0) != r.Samples[0] {
-		t.Error("q0 != min")
-	}
-	if r.Quantile(0.999999) != r.Samples[len(r.Samples)-1] {
-		t.Error("q1 != max")
-	}
-	if r.Quantile(0.25) > r.Quantile(0.75) {
-		t.Error("quantiles not monotone")
-	}
-}
-
-func TestYieldBoundsAndMonotone(t *testing.T) {
-	d, vm := setup(t, gen.Comparator("cmp", 5))
-	r, err := Analyze(d, vm, 5000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y := r.Yield(r.Samples[0] - 1); y != 0 {
-		t.Errorf("yield below min = %g", y)
-	}
-	if y := r.Yield(r.Samples[len(r.Samples)-1]); y != 1 {
-		t.Errorf("yield at max = %g", y)
-	}
-	if r.Yield(r.Mean) < 0.3 || r.Yield(r.Mean) > 0.7 {
-		t.Errorf("yield at mean = %g, want near 0.5", r.Yield(r.Mean))
 	}
 }
 
@@ -122,15 +95,6 @@ func TestPDFMatchesSampleMoments(t *testing.T) {
 	}
 	if math.Abs(p.Sigma()-r.Sigma) > 0.1*r.Sigma {
 		t.Errorf("PDF sigma %g vs sample sigma %g", p.Sigma(), r.Sigma)
-	}
-	// PDFWith is PDF through a caller-owned scratch: identical output,
-	// and the scratch is reusable across conversions.
-	var s dpdf.Scratch
-	if got := r.PDFWith(&s, 15); !got.Equal(p) {
-		t.Error("PDFWith differs from PDF")
-	}
-	if got := r.PDFWith(&s, 15); !got.Equal(p) {
-		t.Error("PDFWith with a warm scratch differs from PDF")
 	}
 }
 
@@ -281,22 +245,5 @@ func TestSampleRangeRejectsBadRange(t *testing.T) {
 func TestFromSamplesRejectsEmpty(t *testing.T) {
 	if _, err := FromSamples(nil); err == nil {
 		t.Fatal("FromSamples accepted an empty sample set")
-	}
-}
-
-func TestQuantileClamps(t *testing.T) {
-	r := &Result{Samples: []float64{1, 2, 3, 4}}
-	if got := r.Quantile(-0.5); got != 1 {
-		t.Fatalf("Quantile(-0.5) = %v, want first sample", got)
-	}
-	if got := r.Quantile(1.5); got != 4 {
-		t.Fatalf("Quantile(1.5) = %v, want last sample", got)
-	}
-	if got := r.Quantile(0.5); got != 3 {
-		t.Fatalf("Quantile(0.5) = %v, want 3", got)
-	}
-	empty := &Result{}
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Fatalf("empty Quantile = %v, want 0", got)
 	}
 }

@@ -31,16 +31,3 @@ func TestClarkMaxDeterministic(t *testing.T) {
 		t.Errorf("MaxExact(b, a) = %+v, want %+v", got, a)
 	}
 }
-
-// TestMaxNExact pins the exact fold: empty input is the deterministic
-// zero arrival, and the fold is left-associative MaxExact.
-func TestMaxNExact(t *testing.T) {
-	if got := MaxNExact(nil); got != (Moments{}) {
-		t.Errorf("MaxNExact(nil) = %+v, want zero", got)
-	}
-	ms := []Moments{{Mean: 1, Var: 0.1}, {Mean: 2, Var: 0.2}, {Mean: 0.5, Var: 0.05}}
-	want := MaxExact(MaxExact(ms[0], ms[1]), ms[2])
-	if got := MaxNExact(ms); got != want {
-		t.Errorf("MaxNExact = %+v, want folded %+v", got, want)
-	}
-}

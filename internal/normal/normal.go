@@ -158,32 +158,6 @@ func clarkMax(a, b Moments, cdf func(float64) float64) Moments {
 	return Moments{Mean: nu1, Var: v}
 }
 
-// MaxN folds MaxApprox over a list of moments. An empty list returns the
-// zero Moments (deterministic zero arrival), matching the convention for
-// primary inputs.
-func MaxN(ms []Moments) Moments {
-	if len(ms) == 0 {
-		return Moments{}
-	}
-	acc := ms[0]
-	for _, m := range ms[1:] {
-		acc = MaxApprox(acc, m)
-	}
-	return acc
-}
-
-// MaxNExact folds MaxExact over a list of moments.
-func MaxNExact(ms []Moments) Moments {
-	if len(ms) == 0 {
-		return Moments{}
-	}
-	acc := ms[0]
-	for _, m := range ms[1:] {
-		acc = MaxExact(acc, m)
-	}
-	return acc
-}
-
 // VarMaxSensitivity approximates d Var(max(A,B)) / d muA by the coupled
 // forward finite difference of paper section 4.4:
 //

@@ -220,18 +220,6 @@ func TestMaxApproxDominantShortcutExactness(t *testing.T) {
 	}
 }
 
-func TestMaxNAgainstPairwise(t *testing.T) {
-	ms := []Moments{{100, 25}, {105, 64}, {98, 9}, {90, 100}}
-	got := MaxN(ms)
-	want := MaxApprox(MaxApprox(MaxApprox(ms[0], ms[1]), ms[2]), ms[3])
-	if got != want {
-		t.Errorf("MaxN = %v, want %v", got, want)
-	}
-	if (MaxN(nil) != Moments{}) {
-		t.Error("MaxN(nil) not zero")
-	}
-}
-
 func TestMomentsAdd(t *testing.T) {
 	a := Moments{Mean: 10, Var: 4}
 	b := Moments{Mean: 5, Var: 9}

@@ -7,33 +7,6 @@ import (
 	"testing/quick"
 )
 
-// MaxN over a permutation of the same moments lands within the
-// approximation tolerance (the fold is order-dependent, but only within
-// the approximation error envelope).
-func TestMaxNPermutationStability(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(5)
-		ms := make([]Moments, n)
-		for i := range ms {
-			ms[i] = Moments{Mean: 100 + rng.Float64()*60, Var: 1 + rng.Float64()*200}
-		}
-		base := MaxNExact(ms)
-		perm := make([]Moments, n)
-		for i, j := range rng.Perm(n) {
-			perm[i] = ms[j]
-		}
-		got := MaxNExact(perm)
-		scale := math.Sqrt(base.Var) + 1
-		return math.Abs(got.Mean-base.Mean) < 0.25*scale &&
-			math.Abs(got.Sigma()-base.Sigma()) < 0.35*scale
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Dominance is antisymmetric: if A dominates B then B does not dominate A.
 func TestDominanceAntisymmetry(t *testing.T) {
 	prop := func(m1, m2, v1, v2 float64) bool {
 		a := Moments{Mean: math.Mod(m1, 500), Var: math.Abs(math.Mod(v1, 300))}

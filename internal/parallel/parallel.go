@@ -32,19 +32,15 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines.
-// With workers <= 1 (or n <= 1) it degenerates to a plain serial loop on
-// the calling goroutine — no goroutines, no synchronization. Items are
-// handed out dynamically (atomic counter), so uneven item costs balance
-// across workers. fn must be safe to call concurrently for distinct i.
-func ForEach(workers, n int, fn func(i int)) {
-	ForEachWorker(workers, n, func(_, i int) { fn(i) })
-}
-
-// ForEachWorker is ForEach with the worker index exposed: fn(w, i) is
-// called with w in [0, workers), and any two calls with the same w are
-// sequential. This is the hook for per-worker scratch state: index a
-// scratch slice by w and no locking is needed.
+// ForEachWorker runs fn(w, i) for every i in [0, n) on at most workers
+// goroutines. With workers <= 1 (or n <= 1) it degenerates to a plain
+// serial loop on the calling goroutine — no goroutines, no
+// synchronization. Items are handed out dynamically (atomic counter), so
+// uneven item costs balance across workers; fn must be safe to call
+// concurrently for distinct i. The worker index w is in [0, workers),
+// and any two calls with the same w are sequential. This is the hook for
+// per-worker scratch state: index a scratch slice by w and no locking is
+// needed.
 func ForEachWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -92,9 +88,9 @@ func Levels[T any](workers int, levels [][]T, fn func(worker int, item T)) {
 
 // Chunks splits [0, n) into at most workers contiguous half-open ranges
 // of near-equal size and runs fn(w, lo, hi) for each on its own worker.
-// Unlike ForEach the assignment is static, which shards well when every
-// item costs the same (Monte-Carlo trials) and the caller wants one
-// per-shard setup (scratch arrays) amortized over many items.
+// Unlike ForEachWorker the assignment is static, which shards well when
+// every item costs the same (Monte-Carlo trials) and the caller wants
+// one per-shard setup (scratch arrays) amortized over many items.
 func Chunks(workers, n int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -135,12 +131,7 @@ func NewSeedStream(seed int64) SeedStream {
 	return SeedStream{root: mix64(uint64(seed))}
 }
 
-// Seed returns the derived seed for item i.
-func (s SeedStream) Seed(i int) int64 {
-	return int64(s.Uint64(i))
-}
-
-// Uint64 is Seed without the sign reinterpretation, for RNGs that take
+// Uint64 returns the derived seed for item i, for RNGs that take
 // unsigned state (e.g. math/rand/v2 PCG).
 func (s SeedStream) Uint64(i int) uint64 {
 	return mix64(s.root + uint64(i)*0x9e3779b97f4a7c15)

@@ -20,11 +20,11 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-func TestForEachCoversEveryIndexExactlyOnce(t *testing.T) {
+func TestForEachWorkerCoversEveryIndexExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 100} {
 		const n = 257
 		var hits [n]atomic.Int32
-		ForEach(workers, n, func(i int) { hits[i].Add(1) })
+		ForEachWorker(workers, n, func(_, i int) { hits[i].Add(1) })
 		for i := range hits {
 			if c := hits[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d hit %d times", workers, i, c)
@@ -33,10 +33,10 @@ func TestForEachCoversEveryIndexExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestForEachEmptyAndTiny(t *testing.T) {
-	ForEach(4, 0, func(int) { t.Fatal("fn called for n=0") })
+func TestForEachWorkerEmptyAndTiny(t *testing.T) {
+	ForEachWorker(4, 0, func(int, int) { t.Fatal("fn called for n=0") })
 	calls := 0
-	ForEach(8, 1, func(i int) { calls++ })
+	ForEachWorker(8, 1, func(int, int) { calls++ })
 	if calls != 1 {
 		t.Fatalf("n=1: %d calls", calls)
 	}
@@ -104,12 +104,12 @@ func TestChunksPartition(t *testing.T) {
 func TestSeedStreamDeterministicAndDistinct(t *testing.T) {
 	a := NewSeedStream(42)
 	b := NewSeedStream(42)
-	seen := make(map[int64]int)
+	seen := make(map[uint64]int)
 	for i := 0; i < 10000; i++ {
-		if a.Seed(i) != b.Seed(i) {
+		if a.Uint64(i) != b.Uint64(i) {
 			t.Fatalf("same root, same index %d, different seeds", i)
 		}
-		seen[a.Seed(i)] = i
+		seen[a.Uint64(i)] = i
 	}
 	if len(seen) != 10000 {
 		t.Fatalf("only %d distinct seeds out of 10000", len(seen))
@@ -117,7 +117,7 @@ func TestSeedStreamDeterministicAndDistinct(t *testing.T) {
 	// Nearby roots must not collide on the same index either.
 	c := NewSeedStream(43)
 	for i := 0; i < 1000; i++ {
-		if a.Seed(i) == c.Seed(i) {
+		if a.Uint64(i) == c.Uint64(i) {
 			t.Fatalf("roots 42 and 43 collide at index %d", i)
 		}
 	}

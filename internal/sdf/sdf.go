@@ -3,14 +3,14 @@
 // (min:typ:max) triple is (mu - 3 sigma, mu, mu + 3 sigma) from the
 // current sizing, the deterministic analysis and the variation model.
 // This is how the statistical results of this module hand off to a
-// conventional corner-based simulation or sign-off flow.
+// conventional corner-based simulation or sign-off flow. SDF is an
+// output only: no door of the module reads it back.
 package sdf
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/sta"
 	"repro/internal/synth"
@@ -55,32 +55,4 @@ func Write(w io.Writer, d *synth.Design, vm *variation.Model, kSigma float64) er
 	}
 	fmt.Fprintf(bw, ")\n")
 	return bw.Flush()
-}
-
-// CornerSummary reports the aggregate corner spread of a design: the
-// total typ path delay of the worst path and its min/max corner delays,
-// a quick sanity view of how much the statistical window closes after
-// optimization.
-type CornerSummary struct {
-	WorstPathTyp float64
-	WorstPathMin float64
-	WorstPathMax float64
-}
-
-// Corners computes the summary along the deterministic critical path.
-func Corners(d *synth.Design, vm *variation.Model, kSigma float64) CornerSummary {
-	nominal := sta.Analyze(d)
-	var s CornerSummary
-	for _, id := range nominal.CriticalPath(d) {
-		g := d.Circuit.Gate(id)
-		if !g.Fn.IsLogic() {
-			continue
-		}
-		mu := nominal.Delay[id]
-		sigma := vm.Sigma(d.Cell(id), mu)
-		s.WorstPathTyp += mu
-		s.WorstPathMin += math.Max(0, mu-kSigma*sigma)
-		s.WorstPathMax += mu + kSigma*sigma
-	}
-	return s
 }

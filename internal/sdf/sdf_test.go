@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cells"
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/synth"
 	"repro/internal/variation"
@@ -113,34 +112,6 @@ func TestZeroSigmaCollapsesTriples(t *testing.T) {
 		if lo != typ || typ != hi {
 			t.Fatalf("k=0 triple not collapsed: %g:%g:%g", lo, typ, hi)
 		}
-	}
-}
-
-func TestCornersSummary(t *testing.T) {
-	d, vm := setup(t)
-	s := Corners(d, vm, 3)
-	if !(s.WorstPathMin <= s.WorstPathTyp && s.WorstPathTyp <= s.WorstPathMax) {
-		t.Fatalf("corners out of order: %+v", s)
-	}
-	if s.WorstPathTyp <= 0 {
-		t.Fatal("zero typ path delay")
-	}
-}
-
-func TestCornersTightenAfterOptimization(t *testing.T) {
-	d, vm := setup(t)
-	if _, err := core.MeanDelayGreedy(d, vm, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	before := Corners(d, vm, 3)
-	if _, err := core.StatisticalGreedy(d, vm, core.Options{Lambda: 9}); err != nil {
-		t.Fatal(err)
-	}
-	after := Corners(d, vm, 3)
-	relBefore := (before.WorstPathMax - before.WorstPathMin) / before.WorstPathTyp
-	relAfter := (after.WorstPathMax - after.WorstPathMin) / after.WorstPathTyp
-	if relAfter >= relBefore {
-		t.Fatalf("corner window did not tighten: %.3f -> %.3f", relBefore, relAfter)
 	}
 }
 

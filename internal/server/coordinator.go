@@ -62,8 +62,8 @@ func (s *Server) planUnits(id string, req client.JobRequest, hash string, resume
 	switch {
 	case req.Op == client.OpMonteCarlo && req.Samples > s.cfg.mcShardTrials():
 		per := s.cfg.mcShardTrials()
-		if n := (req.Samples + per - 1) / per; n > s.cfg.maxMCShards() {
-			per = (req.Samples + s.cfg.maxMCShards() - 1) / s.cfg.maxMCShards()
+		if n := (req.Samples + per - 1) / per; n > maxMCShards {
+			per = (req.Samples + maxMCShards - 1) / maxMCShards
 		}
 		var specs []cluster.UnitSpec
 		for lo := 0; lo < req.Samples; lo += per {
@@ -206,8 +206,8 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad wait duration %q", ws)
 			return
 		}
-		if wait = d; wait > s.cfg.maxWait() {
-			wait = s.cfg.maxWait()
+		if wait = d; wait > maxWait {
+			wait = maxWait
 		}
 	}
 	lease, err := s.pool.Acquire(r.Context(), req.Worker, wait)

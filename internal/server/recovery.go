@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro"
 	"repro/client"
@@ -87,27 +86,12 @@ func (s *Server) recoverOne(jr *journal.JobReplay) {
 		}
 	}
 
-	fn := s.jobFn(jr.ID, req, d, hash, optsKey(req), resume)
-	var timeout time.Duration
-	if req.TimeoutSec > 0 {
-		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
-	}
-	// Register the meta BEFORE enqueuing: the worker may start the job
-	// (and onTransition read the attempt counter) immediately.
-	s.metaMu.Lock()
-	s.meta[jr.ID] = jobMeta{
+	meta := jobMeta{
 		op: req.Op, hash: hash,
 		idemKey: jr.Submit.IdemKey,
 		attempt: jr.Attempts, // next start becomes attempt Attempts+1
 	}
-	s.metaMu.Unlock()
-	_, err = s.queue.SubmitOpts(s.completionCounted(fn), jobs.SubmitOptions{
-		ID: jr.ID, Timeout: timeout, StallTimeout: s.stallFor(req.Op),
-	})
-	if err != nil {
-		s.metaMu.Lock()
-		delete(s.meta, jr.ID)
-		s.metaMu.Unlock()
+	if err := s.enqueue(jr.ID, req, meta, s.jobFn(jr.ID, req, d, hash, optsKey(req), resume)); err != nil {
 		fail("recovery: re-enqueue: %v", err)
 		return
 	}

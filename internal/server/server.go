@@ -78,8 +78,6 @@ type Config struct {
 	// internal/ingest). A submission that trips one of these budgets is
 	// rejected 413; a malformed one 400 with positioned diagnostics.
 	Ingest repro.IngestLimits
-	// MaxWait caps the long-poll ?wait parameter (0 = 60s).
-	MaxWait time.Duration
 	// JournalPath, when non-empty, enables the durable job journal
 	// (internal/journal): every admission, attempt and outcome is
 	// fsynced to this file, and New replays it on startup — terminal
@@ -116,14 +114,9 @@ type Config struct {
 	LeaseTTL time.Duration
 	// LeaseScanInterval is the expiry sweep period (0 = LeaseTTL/4).
 	LeaseScanInterval time.Duration
-	// MaxLeaseAttempts caps leases burned per work unit before the job
-	// fails (0 = 5).
-	MaxLeaseAttempts int
 	// MCShardTrials is the Monte-Carlo trials-per-shard target: jobs
 	// larger than this split into trial-range units (0 = 20000).
 	MCShardTrials int
-	// MaxMCShards caps a single job's Monte-Carlo fan-out (0 = 8).
-	MaxMCShards int
 	// WhatIfShardSize is the candidates-per-shard target for whatif jobs
 	// (0 = 64).
 	WhatIfShardSize int
@@ -142,18 +135,19 @@ type Config struct {
 	Role, Node string
 }
 
+// maxWait caps the long-poll ?wait parameter of the status and lease
+// endpoints.
+const maxWait = 60 * time.Second
+
+// maxMCShards caps a single Monte-Carlo job's fan-out into trial-range
+// units in cluster mode.
+const maxMCShards = 8
+
 func (c Config) maxBody() int64 {
 	if c.MaxBodyBytes <= 0 {
 		return 32 << 20
 	}
 	return c.MaxBodyBytes
-}
-
-func (c Config) maxWait() time.Duration {
-	if c.MaxWait <= 0 {
-		return 60 * time.Second
-	}
-	return c.MaxWait
 }
 
 func (c Config) maxAttempts() int {
@@ -184,13 +178,6 @@ func (c Config) mcShardTrials() int {
 	return c.MCShardTrials
 }
 
-func (c Config) maxMCShards() int {
-	if c.MaxMCShards <= 0 {
-		return 8
-	}
-	return c.MaxMCShards
-}
-
 func (c Config) whatIfShardSize() int {
 	if c.WhatIfShardSize <= 0 {
 		return 64
@@ -213,7 +200,8 @@ type jobMeta struct {
 	op      string
 	hash    string
 	idemKey string
-	attempt int // 1-based execution attempts begun (across recoveries)
+	attempt int  // 1-based execution attempts begun (across recoveries)
+	pending bool // registered, not yet in the queue: pruning must skip it
 }
 
 // outcome wraps a job payload with its cache provenance.
@@ -271,10 +259,10 @@ func New(cfg Config) (*Server, error) {
 	// The pool must exist before the queue: recovered jobs can start
 	// dispatching the moment they are re-enqueued.
 	if cfg.Cluster {
+		// A unit that burns the pool's default of 5 leases fails its job.
 		s.pool = cluster.NewPool(cluster.PoolOptions{
-			TTL:             cfg.leaseTTL(),
-			ScanInterval:    cfg.LeaseScanInterval,
-			MaxUnitAttempts: cfg.MaxLeaseAttempts,
+			TTL:          cfg.leaseTTL(),
+			ScanInterval: cfg.LeaseScanInterval,
 		})
 	}
 	var recs []journal.Record
@@ -727,15 +715,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.journalAppends.Add(1)
 	}
 
-	fn := s.jobFn(id, req, d, hash, optsKey(req), nil)
-	var timeout time.Duration
-	if req.TimeoutSec > 0 {
-		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
-	}
-	_, err = s.queue.SubmitOpts(s.completionCounted(fn), jobs.SubmitOptions{
-		ID: id, Timeout: timeout, StallTimeout: s.stallFor(req.Op),
-	})
-	if err != nil {
+	meta := jobMeta{op: req.Op, hash: hash, idemKey: idemKey}
+	if err := s.enqueue(id, req, meta, s.jobFn(id, req, d, hash, optsKey(req), nil)); err != nil {
 		// The admission record must not outlive the rejection, or replay
 		// would resurrect a job the client was told did not enqueue.
 		s.journalAppend(journal.Record{Type: journal.TypeCancelled, Job: id,
@@ -750,13 +731,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.jobSubmitted(req.Op)
 	s.met.jobAdmitted(tenant, priorityOrNormal(req.Priority))
-	s.metaMu.Lock()
-	s.pruneMetaLocked()
-	s.meta[id] = jobMeta{op: req.Op, hash: hash, idemKey: idemKey}
-	if idemKey != "" {
-		s.idem[idemKey] = id
-	}
-	s.metaMu.Unlock()
 
 	sn, err := s.queue.Get(id)
 	if err != nil {
@@ -764,6 +738,50 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, s.status(sn))
+}
+
+// enqueue hands a job to the queue under the given ID. The job's meta,
+// and its idempotency key, are registered first: a worker may start the
+// job, and onTransition bump its attempt counter, before SubmitOpts
+// returns. A rejected submit takes the registration back, restoring
+// whatever job the key named before.
+func (s *Server) enqueue(id string, req client.JobRequest, meta jobMeta, fn jobs.Fn) error {
+	meta.pending = true
+	s.metaMu.Lock()
+	s.pruneMetaLocked()
+	s.meta[id] = meta
+	prevID, hadKey := s.idem[meta.idemKey]
+	if meta.idemKey != "" {
+		s.idem[meta.idemKey] = id
+	}
+	s.metaMu.Unlock()
+
+	var timeout time.Duration
+	if req.TimeoutSec > 0 {
+		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
+	}
+	_, err := s.queue.SubmitOpts(s.completionCounted(fn), jobs.SubmitOptions{
+		ID: id, Timeout: timeout, StallTimeout: s.stallFor(req.Op),
+	})
+
+	s.metaMu.Lock()
+	defer s.metaMu.Unlock()
+	if err != nil {
+		delete(s.meta, id)
+		if k := meta.idemKey; k != "" && s.idem[k] == id {
+			if hadKey {
+				s.idem[k] = prevID
+			} else {
+				delete(s.idem, k)
+			}
+		}
+		return err
+	}
+	if m, ok := s.meta[id]; ok {
+		m.pending = false
+		s.meta[id] = m
+	}
+	return nil
 }
 
 // idempotentHit resolves an Idempotency-Key to the status of the job it
@@ -842,6 +860,9 @@ func (s *Server) pruneMetaLocked() {
 		return
 	}
 	for id, m := range s.meta {
+		if m.pending {
+			continue
+		}
 		if _, err := s.queue.Get(id); errors.Is(err, jobs.ErrNotFound) {
 			delete(s.meta, id)
 			if m.idemKey != "" {
@@ -936,8 +957,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad wait duration %q", waitStr)
 			return
 		}
-		if max := s.cfg.maxWait(); d > max {
-			d = max
+		if d > maxWait {
+			d = maxWait
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()

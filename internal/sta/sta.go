@@ -82,46 +82,6 @@ func worstFanin(r *Result, g *circuit.Gate) (arr, slew float64) {
 	return arr, slew
 }
 
-// RequiredTimes computes, for every gate, the latest time its output may
-// settle so that all primary outputs meet the clock period.
-func (r *Result) RequiredTimes(d *synth.Design, clock float64) []float64 {
-	c := d.Circuit
-	req := make([]float64, c.NumGates())
-	for i := range req {
-		req[i] = math.Inf(1)
-	}
-	for _, po := range c.Outputs {
-		req[po] = math.Min(req[po], clock)
-	}
-	topo := c.MustTopoOrder()
-	for i := len(topo) - 1; i >= 0; i-- {
-		id := topo[i]
-		g := c.Gate(id)
-		for _, fo := range g.Fanout {
-			if cand := req[fo] - r.Delay[fo]; cand < req[id] {
-				req[id] = cand
-			}
-		}
-	}
-	return req
-}
-
-// Slacks returns required - arrival per gate for the given clock.
-func (r *Result) Slacks(d *synth.Design, clock float64) []float64 {
-	req := r.RequiredTimes(d, clock)
-	s := make([]float64, len(req))
-	for i := range s {
-		s[i] = req[i] - r.Arrival[i]
-	}
-	return s
-}
-
-// WNS returns the worst negative slack for the clock (positive if all
-// paths meet it).
-func (r *Result) WNS(clock float64) float64 {
-	return clock - r.MaxArrival
-}
-
 // CriticalPath traces the WNS path backward from the worst PO, at each
 // gate following the fanin with the latest arrival time. The returned
 // path runs input-to-output and contains only logic gates.
@@ -156,13 +116,4 @@ func (r *Result) CriticalPath(d *synth.Design) []circuit.GateID {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// DelayAt recomputes the propagation delay a gate would have if bound to
-// sizeIdx, keeping the frozen input slew from this analysis but using the
-// given load. This is the incremental query FASSTA and the optimizers use
-// when evaluating candidate sizes without rerunning the full analysis.
-func (r *Result) DelayAt(d *synth.Design, id circuit.GateID, sizeIdx int, load float64) float64 {
-	cell := d.CellAt(id, sizeIdx)
-	return cell.Delay.Lookup(r.InSlew[id], load)
 }

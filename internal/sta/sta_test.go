@@ -145,76 +145,6 @@ func TestCriticalPathConnected(t *testing.T) {
 	}
 }
 
-func TestRequiredTimesAndSlacks(t *testing.T) {
-	d := mapped(t, gen.ParityTree("par", 8))
-	r := Analyze(d)
-	clock := r.MaxArrival // exactly critical
-	slacks := r.Slacks(d, clock)
-	worst := math.Inf(1)
-	for _, id := range d.Circuit.MustTopoOrder() {
-		g := d.Circuit.Gate(id)
-		if g.Fn != circuit.Input && len(g.Fanout) == 0 {
-			continue
-		}
-		if slacks[id] < worst {
-			worst = slacks[id]
-		}
-	}
-	if math.Abs(worst) > 1e-9 {
-		t.Fatalf("worst slack at critical clock = %g, want 0", worst)
-	}
-	if r.WNS(clock) != clock-r.MaxArrival {
-		t.Fatal("WNS inconsistent")
-	}
-	// Slack along the critical path must be ~0.
-	for _, id := range r.CriticalPath(d) {
-		if math.Abs(slacks[id]) > 1e-9 {
-			t.Fatalf("critical-path gate %d has slack %g", id, slacks[id])
-		}
-	}
-}
-
-func TestSlacksPositiveWithRelaxedClock(t *testing.T) {
-	d := mapped(t, gen.Decoder("dec", 4))
-	r := Analyze(d)
-	slacks := r.Slacks(d, r.MaxArrival*2)
-	for _, po := range d.Circuit.Outputs {
-		if slacks[po] <= 0 {
-			t.Fatalf("PO slack %g not positive under relaxed clock", slacks[po])
-		}
-	}
-}
-
-func TestDelayAtMatchesAnalyzeAtCurrentSize(t *testing.T) {
-	d := mapped(t, gen.MuxTree("mux", 3))
-	r := Analyze(d)
-	for i := range d.Circuit.Gates {
-		g := &d.Circuit.Gates[i]
-		if g.CellRef < 0 {
-			continue
-		}
-		got := r.DelayAt(d, g.ID, g.SizeIdx, d.Load(g.ID))
-		if math.Abs(got-r.Delay[g.ID]) > 1e-9 {
-			t.Fatalf("DelayAt != Delay for gate %s: %g vs %g", g.Name, got, r.Delay[g.ID])
-		}
-	}
-}
-
-func TestDelayAtBiggerSizeFaster(t *testing.T) {
-	d := mapped(t, gen.ParityTree("p", 6))
-	r := Analyze(d)
-	for i := range d.Circuit.Gates {
-		g := &d.Circuit.Gates[i]
-		if g.CellRef < 0 {
-			continue
-		}
-		load := d.Load(g.ID)
-		if r.DelayAt(d, g.ID, 5, load) >= r.DelayAt(d, g.ID, 0, load) {
-			t.Fatalf("gate %s: bigger size not faster at fixed load", g.Name)
-		}
-	}
-}
-
 func TestDeepCircuitHasLargerDelay(t *testing.T) {
 	shallow := mapped(t, gen.CarryLookaheadAdder("cla", 16))
 	deep := mapped(t, gen.RippleCarryAdder("rca", 16))

@@ -9,11 +9,6 @@ import (
 	"repro/internal/dpdf"
 )
 
-// AtPeriod returns the yield of a delay distribution at clock period T.
-func AtPeriod(p dpdf.PDF, T float64) float64 {
-	return p.CDF(T)
-}
-
 // PeriodFor returns the smallest period achieving at least the target
 // yield (a quantile query).
 func PeriodFor(p dpdf.PDF, target float64) (float64, error) {
@@ -21,19 +16,4 @@ func PeriodFor(p dpdf.PDF, target float64) (float64, error) {
 		return 0, fmt.Errorf("yield: target %g outside (0, 1]", target)
 	}
 	return p.Quantile(target), nil
-}
-
-// Sweep evaluates the yield at each period, for plotting yield curves.
-func Sweep(p dpdf.PDF, periods []float64) []float64 {
-	ys := make([]float64, len(periods))
-	for i, T := range periods {
-		ys[i] = p.CDF(T)
-	}
-	return ys
-}
-
-// SigmaPeriod returns mu + k*sigma of the distribution — the classic
-// "k-sigma" sign-off period.
-func SigmaPeriod(p dpdf.PDF, k float64) float64 {
-	return p.Mean() + k*p.Sigma()
 }

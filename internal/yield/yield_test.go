@@ -1,29 +1,10 @@
 package yield
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/dpdf"
 )
-
-func TestAtPeriodMonotone(t *testing.T) {
-	p := dpdf.FromNormal(100, 10, 15)
-	prev := -1.0
-	for T := 60.0; T <= 140; T += 5 {
-		y := AtPeriod(p, T)
-		if y < prev {
-			t.Fatalf("yield not monotone at T=%g", T)
-		}
-		prev = y
-	}
-	if AtPeriod(p, 200) != 1 {
-		t.Error("yield at far period != 1")
-	}
-	if AtPeriod(p, 0) != 0 {
-		t.Error("yield at 0 != 0")
-	}
-}
 
 func TestPeriodForInverseOfYield(t *testing.T) {
 	p := dpdf.FromNormal(100, 10, 15)
@@ -32,8 +13,8 @@ func TestPeriodForInverseOfYield(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if AtPeriod(p, T) < target-1e-9 {
-			t.Errorf("target %g: period %g yields only %g", target, T, AtPeriod(p, T))
+		if p.CDF(T) < target-1e-9 {
+			t.Errorf("target %g: period %g yields only %g", target, T, p.CDF(T))
 		}
 	}
 }
@@ -44,39 +25,5 @@ func TestPeriodForRejectsBadTargets(t *testing.T) {
 		if _, err := PeriodFor(p, bad); err == nil {
 			t.Errorf("target %g accepted", bad)
 		}
-	}
-}
-
-func TestSweep(t *testing.T) {
-	p := dpdf.FromNormal(100, 10, 15)
-	periods := []float64{80, 100, 120}
-	ys := Sweep(p, periods)
-	if len(ys) != 3 {
-		t.Fatal("sweep length")
-	}
-	if !(ys[0] < ys[1] && ys[1] < ys[2]) {
-		t.Errorf("sweep not increasing: %v", ys)
-	}
-}
-
-func TestSigmaPeriod(t *testing.T) {
-	p := dpdf.FromNormal(100, 10, 15)
-	if got := SigmaPeriod(p, 3); math.Abs(got-(p.Mean()+3*p.Sigma())) > 1e-12 {
-		t.Errorf("SigmaPeriod = %g", got)
-	}
-	// The 3-sigma period should deliver high yield.
-	if AtPeriod(p, SigmaPeriod(p, 3)) < 0.99 {
-		t.Error("3-sigma period yields < 99%")
-	}
-}
-
-func TestTighterDistributionYieldsMoreAtFixedPeriod(t *testing.T) {
-	// The Figure 1 argument: at a period just past the mean, the
-	// lower-sigma distribution yields more.
-	wide := dpdf.FromNormal(100, 15, 15)
-	tight := dpdf.FromNormal(100, 5, 15)
-	T := 105.0
-	if AtPeriod(tight, T) <= AtPeriod(wide, T) {
-		t.Errorf("tight %g <= wide %g at T=%g", AtPeriod(tight, T), AtPeriod(wide, T), T)
 	}
 }
