@@ -163,10 +163,13 @@ type RunOptions struct {
 	// Optimizer names the sizing backend Design.Optimize runs: one of
 	// Optimizers() ("statgreedy", "sensitivity", "meandelay",
 	// "recoverarea"); empty means the default, "statgreedy". The
-	// operation-specific entry points (OptimizeStatistical,
-	// OptimizeMeanDelay, RecoverAreaOpts) ignore it — they name their
-	// backend in the method.
+	// analysis entry points ignore it.
 	Optimizer string
+	// SlackFrac is the cost slack of the "recoverarea" backend: it trims
+	// gate sizes that do not pay for themselves while the verified cost
+	// stays within SlackFrac of its value at entry. 0 means
+	// DefaultSlackFrac; the other backends ignore it.
+	SlackFrac float64
 	// Seed keys the sensitivity backend's deterministic tie-breaking
 	// between equal-score moves; any value (including the 0 default) is
 	// fully deterministic. The greedy backends ignore it.
@@ -183,7 +186,8 @@ type OptSnapshot = core.Snapshot
 type OptCheckpoint = core.Checkpoint
 
 // Validate rejects execution options no engine can honor: negative
-// worker counts, PDF resolutions or iteration caps. The zero value is
+// worker counts, PDF resolutions or iteration caps, and negative or
+// non-finite slack fractions. The zero value is
 // always valid. Entry points call it before touching the design, so an
 // invalid request never mutates anything.
 func (o RunOptions) Validate() error {
@@ -195,6 +199,9 @@ func (o RunOptions) Validate() error {
 	}
 	if o.MaxIters < 0 {
 		return fmt.Errorf("repro: negative iteration cap %d", o.MaxIters)
+	}
+	if math.IsNaN(o.SlackFrac) || math.IsInf(o.SlackFrac, 0) || o.SlackFrac < 0 {
+		return fmt.Errorf("repro: invalid slack fraction %g", o.SlackFrac)
 	}
 	if _, ok := core.LookupOptimizer(o.Optimizer); !ok {
 		return fmt.Errorf("repro: unknown optimizer %q (want one of %v)", o.Optimizer, Optimizers())
@@ -469,6 +476,11 @@ func Optimizers() []string { return core.Optimizers() }
 // cached results.
 const DefaultOptimizer = core.DefaultOptimizer
 
+// DefaultSlackFrac is the cost slack a zero RunOptions.SlackFrac
+// selects for the "recoverarea" backend. sstad normalizes a zero
+// slack_frac to it in its result-memo key.
+const DefaultSlackFrac = core.DefaultSlackFrac
+
 // Optimize runs the sizing backend named by opts.Optimizer (empty =
 // "statgreedy", the paper's StatisticalGreedy) with the sigma weight
 // lambda. The design is modified in place. This is the one optimizer
@@ -485,6 +497,7 @@ func (d *Design) Optimize(lambda float64, opts RunOptions) (OptResult, error) {
 	r, err := o.Run(d.d, d.vm, core.Options{
 		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers,
 		MaxIters: opts.MaxIters, Ctx: opts.Ctx, Seed: opts.Seed,
+		SlackFrac:  opts.SlackFrac,
 		Checkpoint: opts.Checkpoint, Resume: opts.Resume,
 	})
 	if err != nil {
@@ -506,21 +519,6 @@ func (d *Design) OptimizeMeanDelay() (OptResult, error) {
 // The design is modified in place. It is Optimize(lambda, RunOptions{}).
 func (d *Design) OptimizeStatistical(lambda float64) (OptResult, error) {
 	return d.Optimize(lambda, RunOptions{})
-}
-
-// RecoverArea trims gate sizes that do not pay for themselves, keeping
-// the verified statistical cost within slackFrac of its value at entry.
-// It returns the area saved in um^2.
-func (d *Design) RecoverArea(lambda, slackFrac float64) (float64, error) {
-	return d.RecoverAreaOpts(lambda, slackFrac, RunOptions{})
-}
-
-// RecoverAreaOpts is RecoverArea with explicit execution options.
-func (d *Design) RecoverAreaOpts(lambda, slackFrac float64, opts RunOptions) (float64, error) {
-	return core.RecoverArea(d.d, d.vm, core.Options{
-		Lambda: lambda, PDFPoints: opts.PDFPoints, Workers: opts.Workers, Ctx: opts.Ctx,
-		Checkpoint: opts.Checkpoint, Resume: opts.Resume,
-	}, slackFrac)
 }
 
 // WNSSPath traces the worst negative statistical slack path and returns

@@ -128,11 +128,11 @@ func TestEndToEndOptimizationFlow(t *testing.T) {
 	if after.Sigma >= before.Sigma {
 		t.Errorf("design sigma did not improve: %g -> %g", before.Sigma, after.Sigma)
 	}
-	saved, err := d.RecoverArea(9, 0.01)
+	rec, err := d.Optimize(9, RunOptions{Optimizer: "recoverarea", SlackFrac: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if saved < 0 {
+	if rec.AreaBefore-rec.AreaAfter < 0 {
 		t.Error("area recovery went negative")
 	}
 }

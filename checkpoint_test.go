@@ -99,7 +99,7 @@ func TestSizesIsACopy(t *testing.T) {
 }
 
 // TestRecoverAreaCheckpoints: the area-recovery pass reports resumable
-// checkpoints too (sstad journals them for OpRecover).
+// checkpoints too (sstad journals them for its optimize jobs).
 func TestRecoverAreaCheckpoints(t *testing.T) {
 	d, err := Generate("alu2")
 	if err != nil {
@@ -109,7 +109,9 @@ func TestRecoverAreaCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cps []OptCheckpoint
-	if _, err := d.RecoverAreaOpts(9, 0.05, RunOptions{
+	if _, err := d.Optimize(9, RunOptions{
+		Optimizer:  "recoverarea",
+		SlackFrac:  0.05,
 		Workers:    1,
 		Checkpoint: func(cp OptCheckpoint) { cps = append(cps, cp) },
 	}); err != nil {

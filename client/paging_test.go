@@ -140,9 +140,6 @@ func TestPayloadDecoders(t *testing.T) {
 	if r, err := done(OpOptimize, `{"iterations":4,"sizes":[1,2]}`).Optimize(); err != nil || r.Iterations != 4 || len(r.Sizes) != 2 {
 		t.Fatalf("Optimize: %+v, %v", r, err)
 	}
-	if r, err := done(OpRecover, `{"area_saved":5}`).Recover(); err != nil || r.AreaSaved != 5 {
-		t.Fatalf("Recover: %+v, %v", r, err)
-	}
 	if r, err := done(OpWNSSPath, `{"gates":["g1"]}`).WNSSPath(); err != nil || len(r.Gates) != 1 {
 		t.Fatalf("WNSSPath: %+v, %v", r, err)
 	}

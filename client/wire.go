@@ -16,8 +16,7 @@ import (
 const (
 	OpAnalyze    = "analyze"    // FULLSSTA moments + PDF + yield queries
 	OpMonteCarlo = "montecarlo" // golden-reference sampling engine
-	OpOptimize   = "optimize"   // StatisticalGreedy variance optimizer
-	OpRecover    = "recover"    // area recovery after optimization
+	OpOptimize   = "optimize"   // a sizing backend (StatisticalGreedy by default)
 	OpWNSSPath   = "wnsspath"   // worst negative statistical slack path
 	OpWhatIf     = "whatif"     // batched candidate-sizing what-if scoring
 )
@@ -59,8 +58,8 @@ type JobRequest struct {
 	// Generate: built-ins always use the default library.
 	Liberty string `json:"liberty,omitempty"`
 
-	// Lambda is the sigma weight for optimize/recover/wnsspath (the
-	// paper evaluates 3 and 9).
+	// Lambda is the sigma weight for optimize/wnsspath (the paper
+	// evaluates 3 and 9).
 	Lambda float64 `json:"lambda,omitempty"`
 	// Samples and Seed drive the Monte-Carlo engine.
 	Samples int   `json:"samples,omitempty"`
@@ -71,8 +70,9 @@ type JobRequest struct {
 	Workers   int `json:"workers,omitempty"`
 	PDFPoints int `json:"pdf_points,omitempty"`
 	MaxIters  int `json:"max_iters,omitempty"`
-	// SlackFrac is the recover operation's cost slack fraction; other
-	// ops ignore it (optimize's recoverarea backend uses a fixed 1%).
+	// SlackFrac is the cost slack of optimize's "recoverarea" backend
+	// (0 means 0.01, repro.DefaultSlackFrac); every other op and backend
+	// ignores it.
 	SlackFrac float64 `json:"slack_frac,omitempty"`
 	// Optimizer selects the sizing backend for optimize jobs: one of the
 	// registered names ("statgreedy", "sensitivity", "meandelay",
@@ -207,11 +207,6 @@ type OptimizeResult struct {
 	Sizes []int `json:"sizes,omitempty"`
 }
 
-// RecoverResult is the payload of recover jobs.
-type RecoverResult struct {
-	AreaSaved float64 `json:"area_saved"`
-}
-
 // WhatIfReport is one candidate's score inside a WhatIfResult,
 // mirroring repro.WhatIfReport on the wire.
 type WhatIfReport struct {
@@ -267,15 +262,6 @@ func (s *JobStatus) MonteCarlo() (*AnalyzeResult, error) {
 func (s *JobStatus) Optimize() (*OptimizeResult, error) {
 	var r OptimizeResult
 	if err := s.decode(OpOptimize, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// Recover decodes the payload of a completed recover job.
-func (s *JobStatus) Recover() (*RecoverResult, error) {
-	var r RecoverResult
-	if err := s.decode(OpRecover, &r); err != nil {
 		return nil, err
 	}
 	return &r, nil

@@ -1,7 +1,8 @@
 // Command svsize is the statistical variance-aware gate sizer: it loads
 // or generates a circuit, establishes the mean-delay-optimized baseline,
-// runs the paper's StatisticalGreedy optimizer at a chosen lambda, and
-// reports the before/after statistics.
+// runs the paper's StatisticalGreedy optimizer at a chosen lambda,
+// trims the area that does not pay for itself with the recoverarea
+// backend, and reports the before/after statistics.
 //
 //	svsize -gen c432 -lambda 9
 //	svsize -bench netlist.bench -lambda 3 -recover 0.01 -out sized.bench
@@ -28,7 +29,7 @@ func main() {
 		backend = flag.String("optimizer", repro.DefaultOptimizer,
 			fmt.Sprintf("sizing backend: %s", strings.Join(repro.Optimizers(), "|")))
 		seed    = flag.Int64("seed", 0, "tie-breaking seed for the sensitivity backend")
-		recover = flag.Float64("recover", 0.01, "area-recovery cost slack fraction (0 disables)")
+		recover = flag.Float64("recover", 0.01, "cost slack of the recoverarea pass run after the optimizer (0 disables)")
 		skipMD  = flag.Bool("skip-baseline", false, "skip the mean-delay baseline pass")
 		out     = flag.String("out", "", "write the sized netlist to this .bench file")
 		list    = flag.Bool("list", false, "list built-in benchmarks and exit")
@@ -83,11 +84,13 @@ func main() {
 		fail(err)
 	}
 	if *recover > 0 {
-		saved, err := d.RecoverAreaOpts(*lambda, *recover, opts)
+		ro := opts
+		ro.Optimizer, ro.SlackFrac = "recoverarea", *recover
+		rec, err := d.Optimize(*lambda, ro)
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("area recovery: %.0f um^2 reclaimed\n", saved)
+		fmt.Printf("area recovery: %.0f um^2 reclaimed\n", rec.AreaBefore-rec.AreaAfter)
 	}
 	after := d.AnalyzeOpts(opts)
 	fmt.Printf("optimized: mu %.1f ps (%+.1f%%), sigma %.1f ps (%+.1f%%), area %.0f um^2 (%+.1f%%)\n",

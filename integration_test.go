@@ -39,7 +39,7 @@ func TestFullPipelineRoundTrip(t *testing.T) {
 	if r.DeltaSigmaPct() >= 0 {
 		t.Fatalf("pipeline did not reduce sigma: %+v", r)
 	}
-	if _, err := d.RecoverArea(9, 0.01); err != nil {
+	if _, err := d.Optimize(9, RunOptions{Optimizer: "recoverarea", SlackFrac: 0.01}); err != nil {
 		t.Fatal(err)
 	}
 	// All exports succeed on the optimized design.

@@ -86,7 +86,7 @@ func TestRecoverAreaRejectsCancelledContext(t *testing.T) {
 	d, vm := setup(t, gen.ParityTree("p", 8))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RecoverArea(d, vm, Options{Lambda: 3, Ctx: ctx}, 0.01); !errors.Is(err, context.Canceled) {
+	if _, err := RecoverArea(d, vm, Options{Lambda: 3, Ctx: ctx, SlackFrac: 0.01}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -159,22 +159,23 @@ func TestRecoverAreaResumeBitExact(t *testing.T) {
 	if _, err := StatisticalGreedy(d, vm, Options{Lambda: 9, MaxIters: 8}); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Lambda: 9}
+	opts := Options{Lambda: 9, SlackFrac: 0.02}
 
 	col := &collector{}
 	ref := cloneDesign(d)
 	refOpts := opts
 	refOpts.Checkpoint = col.take
-	refSaved, err := RecoverArea(ref, vm, refOpts, 0.02)
+	refRes, err := RecoverArea(ref, vm, refOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refSaved := refRes.Initial.Area - refRes.Final.Area
 	refSizes := ref.Circuit.SizeSnapshot()
 	if len(col.cps) == 0 {
 		t.Skip("recovery converged in a single pass; nothing to resume")
 	}
 	for _, cp := range col.cps {
-		if cp.Op != "recover-area" || cp.Budget <= 0 || cp.Area0 <= 0 {
+		if cp.Op != "recover-area" || cp.Budget <= 0 || cp.Initial.Area <= 0 {
 			t.Fatalf("malformed recover-area checkpoint: %+v", cp)
 		}
 	}
@@ -183,10 +184,11 @@ func TestRecoverAreaResumeBitExact(t *testing.T) {
 	resumed := cloneDesign(d)
 	resOpts := opts
 	resOpts.Resume = &cp
-	resSaved, err := RecoverArea(resumed, vm, resOpts, 0.02)
+	resRes, err := RecoverArea(resumed, vm, resOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	resSaved := resRes.Initial.Area - resRes.Final.Area
 	if got := resumed.Circuit.SizeSnapshot(); !sizesEqual(got, refSizes) {
 		t.Fatal("recover-area resume diverged from uninterrupted run")
 	}

@@ -72,6 +72,11 @@ type Options struct {
 	// checkpoint must come from the same operation on the same design
 	// (Op and sizing-vector length are validated).
 	Resume *Checkpoint
+	// SlackFrac is the area-recovery pass's cost slack: a recovered
+	// sizing is kept only while the verified cost stays within SlackFrac
+	// of its value at entry. 0 means DefaultSlackFrac; the other
+	// optimizers ignore it.
+	SlackFrac float64
 	// Seed keys the deterministic tie-breaking hash SensitivitySizer
 	// uses to order equal-sensitivity moves. Any value (including 0, the
 	// default) gives a fully deterministic run; two runs agree iff their
@@ -113,11 +118,11 @@ const (
 	// always commits (so progress is never budget-starved), and
 	// downsizing moves refund budget.
 	areaBudgetFrac = 0.02
-	// recoverSlackFrac is the cost slack fraction of the area-recovery
-	// pass when it runs through the Optimizer interface ("recoverarea"
-	// backend). The direct RecoverArea call takes it as an argument.
-	recoverSlackFrac = 0.01
 )
+
+// DefaultSlackFrac is the area-recovery cost slack a zero
+// Options.SlackFrac selects.
+const DefaultSlackFrac = 0.01
 
 // validate rejects option values that would silently corrupt a run: a
 // non-finite or negative lambda poisons the cost mu + lambda*sigma, and
@@ -126,6 +131,9 @@ const (
 func (o Options) validate() error {
 	if math.IsNaN(o.Lambda) || math.IsInf(o.Lambda, 0) || o.Lambda < 0 {
 		return fmt.Errorf("core: invalid lambda %g", o.Lambda)
+	}
+	if math.IsNaN(o.SlackFrac) || math.IsInf(o.SlackFrac, 0) || o.SlackFrac < 0 {
+		return fmt.Errorf("core: invalid slack fraction %g", o.SlackFrac)
 	}
 	for _, c := range []struct {
 		name string
@@ -167,10 +175,9 @@ type Checkpoint struct {
 	// Initial is the snapshot at the original (pre-resume) entry, so a
 	// resumed run reports deltas against the true starting point.
 	Initial Snapshot `json:"initial"`
-	// LocalSlack / Budget / Area0 are recover-area loop state.
+	// LocalSlack / Budget are recover-area loop state.
 	LocalSlack float64 `json:"local_slack,omitempty"`
 	Budget     float64 `json:"budget,omitempty"`
-	Area0      float64 `json:"area0,omitempty"`
 }
 
 // ctxErr reports the cancellation state of the run's context.
@@ -186,6 +193,13 @@ func (o Options) maxIters() int {
 		return 100
 	}
 	return o.MaxIters
+}
+
+func (o Options) slackFrac() float64 {
+	if o.SlackFrac == 0 {
+		return DefaultSlackFrac
+	}
+	return o.SlackFrac
 }
 
 // sstaOpts is the FULLSSTA configuration every analysis inside the
@@ -435,27 +449,21 @@ func bumpPath(d *synth.Design, path []circuit.GateID) int {
 // in globally verified batches: a gate is shrunk one step when its
 // subcircuit cost increases by no more than a small local slack, and a
 // whole batch is kept only if the verified global cost stays within
-// slackFrac of the cost at entry (otherwise the local slack is halved
-// and the batch retried). Gates are visited in reverse topological order
-// so output-side fat is trimmed first. Returns the area saved (um^2).
-func RecoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac float64) (float64, error) {
-	if math.IsNaN(slackFrac) || math.IsInf(slackFrac, 0) || slackFrac < 0 {
-		return 0, fmt.Errorf("core: negative slack fraction %g", slackFrac)
-	}
-	_, saved, err := recoverArea(d, vm, opts, slackFrac, newStatAnalyzer(d, vm, opts))
-	return saved, err
+// opts.SlackFrac of the cost at entry (otherwise the local slack is
+// halved and the batch retried). Gates are visited in reverse
+// topological order so output-side fat is trimmed first. The area saved
+// is Initial.Area - Final.Area.
+func RecoverArea(d *synth.Design, vm *variation.Model, opts Options) (*Result, error) {
+	return recoverArea(d, vm, opts, newStatAnalyzer(d, vm, opts))
 }
 
-// recoverArea is the shared runner behind RecoverArea and the
-// "recoverarea" Optimizer backend: its own pass loop between the shared
-// optimizer prologue and epilogue, plus a Result so the backend reports
-// the same fields as every other one. slackFrac is checked by
-// RecoverArea; the backend passes the fixed recoverSlackFrac.
-func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac float64, az *analyzer) (*Result, float64, error) {
+// recoverArea is RecoverArea over a given analyzer: its own pass loop
+// between the shared optimizer prologue and epilogue.
+func recoverArea(d *synth.Design, vm *variation.Model, opts Options, az *analyzer) (*Result, error) {
 	start := time.Now()
 	resume, err := opts.begin("recover-area", d)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	res := &Result{StoppedBy: "max-iters"}
 	ex := fassta.NewExtractor(d)
@@ -463,8 +471,8 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 	full := az.refresh()
 	res.Initial = snapshot(d, full, opts.Lambda)
 	entryCost := full.Cost(d, opts.Lambda)
+	slackFrac := opts.slackFrac()
 	budget := entryCost * (1 + slackFrac)
-	area0 := d.Area()
 	localSlack := entryCost * slackFrac / 4
 	if localSlack <= 0 {
 		localSlack = 1e-9
@@ -473,10 +481,8 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 	if resume != nil {
 		// Loop state exactly as the uninterrupted run carried it at this
 		// pass boundary (budget was derived from the ORIGINAL entry cost,
-		// area0 from the pre-recovery area — both come from the
-		// checkpoint, not from the resumed design).
+		// so it comes from the checkpoint, not from the resumed design).
 		budget = resume.Budget
-		area0 = resume.Area0
 		localSlack = resume.LocalSlack
 		startPass = resume.Iter
 		res.Iterations = startPass
@@ -488,7 +494,7 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 	topo := d.Circuit.MustTopoOrder()
 	for pass := startPass; pass < 40; pass++ {
 		if err := opts.ctxErr(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		res.Iterations = pass + 1
 		before := d.Circuit.SizeSnapshot()
@@ -526,10 +532,10 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, slackFrac f
 		opts.emit(Checkpoint{
 			Op: "recover-area", Iter: pass + 1, Cost: full.Cost(d, opts.Lambda),
 			Sizes: d.Circuit.SizeSnapshot(), Initial: res.Initial,
-			LocalSlack: localSlack, Budget: budget, Area0: area0,
+			LocalSlack: localSlack, Budget: budget,
 		})
 	}
 	res.Final = snapshot(d, az.refresh(), opts.Lambda)
 	res.finish(start, az)
-	return res, area0 - d.Area(), nil
+	return res, nil
 }

@@ -155,10 +155,11 @@ func TestRecoverAreaSavesWithoutCostBlowup(t *testing.T) {
 		t.Fatal(err)
 	}
 	costBefore := ssta.Analyze(d, vm, ssta.Options{}).Cost(d, 3)
-	saved, err := RecoverArea(d, vm, Options{Lambda: 3}, 0.01)
+	r, err := RecoverArea(d, vm, Options{Lambda: 3, SlackFrac: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
+	saved := r.Initial.Area - r.Final.Area
 	if saved < 0 {
 		t.Fatalf("area recovery increased area by %g", -saved)
 	}
@@ -170,7 +171,7 @@ func TestRecoverAreaSavesWithoutCostBlowup(t *testing.T) {
 
 func TestRecoverAreaRejectsNegativeSlack(t *testing.T) {
 	d, vm := setup(t, gen.ParityTree("p", 4))
-	if _, err := RecoverArea(d, vm, Options{Lambda: 3}, -0.1); err == nil {
+	if _, err := RecoverArea(d, vm, Options{Lambda: 3, SlackFrac: -0.1}); err == nil {
 		t.Fatal("expected error")
 	}
 }

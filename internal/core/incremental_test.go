@@ -155,17 +155,17 @@ func TestMeanDelayGreedyIncrementalEquivalence(t *testing.T) {
 }
 
 func TestRecoverAreaIncrementalEquivalence(t *testing.T) {
-	opts := Options{Lambda: 3}
+	opts := Options{Lambda: 3, SlackFrac: 0.01}
 	saved := map[bool]float64{}
 	equivalent(t, "c432", func(d *synth.Design, vm *variation.Model, ref bool) *Result {
 		if _, err := StatisticalGreedy(d, vm, Options{Lambda: 3, MaxIters: 6}); err != nil {
 			t.Fatal(err)
 		}
-		r, s, err := recoverArea(d, vm, opts, 0.01, statAnalyzer(d, vm, opts, ref))
+		r, err := recoverArea(d, vm, opts, statAnalyzer(d, vm, opts, ref))
 		if err != nil {
 			t.Fatal(err)
 		}
-		saved[ref] = s
+		saved[ref] = r.Initial.Area - r.Final.Area
 		return r
 	})
 	if saved[true] != saved[false] {

@@ -38,12 +38,7 @@ func (b backend) Run(d *synth.Design, vm *variation.Model, opts Options) (*Resul
 // backends is the optimizer table, sorted by name.
 var backends = []backend{
 	{"meandelay", MeanDelayGreedy},
-	// The area-recovery pass runs at the fixed recoverSlackFrac; its
-	// direct call, RecoverArea, takes the slack as an argument.
-	{"recoverarea", func(d *synth.Design, vm *variation.Model, opts Options) (*Result, error) {
-		res, _, err := recoverArea(d, vm, opts, recoverSlackFrac, newStatAnalyzer(d, vm, opts))
-		return res, err
-	}},
+	{"recoverarea", RecoverArea},
 	{"sensitivity", SensitivitySizer},
 	{DefaultOptimizer, StatisticalGreedy},
 }

@@ -23,6 +23,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"negDepth", Options{SubcktDepth: -2}, "negative subcircuit depth"},
 		{"negPoints", Options{PDFPoints: -12}, "negative PDF resolution"},
 		{"negWorkers", Options{Workers: -8}, "negative worker count"},
+		{"nanSlack", Options{SlackFrac: nan}, "invalid slack fraction"},
+		{"infSlack", Options{SlackFrac: inf}, "invalid slack fraction"},
+		{"negSlack", Options{SlackFrac: -0.01}, "invalid slack fraction"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,8 +52,14 @@ func TestOptionsDefaults(t *testing.T) {
 	if got := (Options{MaxIters: 7}).maxIters(); got != 7 {
 		t.Fatalf("explicit MaxIters 7 = %d", got)
 	}
+	if got := (Options{}).slackFrac(); got != 0.01 {
+		t.Fatalf("zero-value SlackFrac = %g, want 0.01", got)
+	}
+	if got := (Options{SlackFrac: 0.003}).slackFrac(); got != 0.003 {
+		t.Fatalf("explicit SlackFrac 0.003 = %g", got)
+	}
 	if patience != 8 || minGain != 1e-6 || topKPaths != 16 || maxStep != 1 ||
-		areaBudgetFrac != 0.02 || recoverSlackFrac != 0.01 {
+		areaBudgetFrac != 0.02 {
 		t.Fatal("fixed optimizer tuning drifted")
 	}
 }

@@ -65,9 +65,12 @@ func CheckOptimizerResult(name string, d *synth.Design, vm *variation.Model, opt
 	// Constraint invariants. The greedy backends keep the best-seen
 	// sizing, so their final cost can never exceed the initial one; the
 	// recovery pass may trade cost up to its slack budget but must never
-	// grow area. The backend runs with a fixed 1% slack.
+	// grow area.
 	if name == "recoverarea" {
-		const slack = 0.01
+		slack := opts.SlackFrac
+		if slack == 0 {
+			slack = core.DefaultSlackFrac
+		}
 		if res.Final.Area > res.Initial.Area {
 			return fmt.Errorf("%s: area grew %g -> %g", name, res.Initial.Area, res.Final.Area)
 		}

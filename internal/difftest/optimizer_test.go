@@ -42,12 +42,6 @@ func TestOptimizerPortsBitIdentical(t *testing.T) {
 			r, err := core.MeanDelayGreedy(d, vm, opts)
 			return r, d.Circuit.SizeSnapshot(), err
 		},
-		"recoverarea": func(d *synth.Design, vm *variation.Model, opts core.Options) (*core.Result, []int, error) {
-			// The historical entry point reports only the saved area; the
-			// port pins the size vector it leaves behind.
-			_, err := core.RecoverArea(d, vm, opts, 0.01)
-			return nil, d.Circuit.SizeSnapshot(), err
-		},
 	}
 	for _, circ := range []string{"alu2", "c432"} {
 		base, vm := originalDesign(t, circ)
@@ -75,10 +69,8 @@ func TestOptimizerPortsBitIdentical(t *testing.T) {
 					if err := CompareSizes(dNew.Circuit.SizeSnapshot(), wantSizes); err != nil {
 						t.Fatalf("port diverged from legacy %s: %v", name, err)
 					}
-					if wantRes != nil {
-						if err := CompareRuns(gotRes, wantRes); err != nil {
-							t.Fatalf("port result diverged from legacy %s: %v", name, err)
-						}
+					if err := CompareRuns(gotRes, wantRes); err != nil {
+						t.Fatalf("port result diverged from legacy %s: %v", name, err)
 					}
 				})
 			}

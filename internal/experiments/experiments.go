@@ -123,7 +123,8 @@ func Table1For(name string, cfg Config) (*Table1Row, error) {
 		}
 		// Constrained-mode cleanup (section 2.1): recover area that does
 		// not pay for itself, without giving back the achieved cost.
-		if _, err := core.RecoverArea(dd, vm, opts, 0.003); err != nil {
+		opts.SlackFrac = 0.003
+		if _, err := core.RecoverArea(dd, vm, opts); err != nil {
 			return nil, err
 		}
 		f := ssta.Analyze(dd, vm, cfg.ssta())

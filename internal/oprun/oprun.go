@@ -17,20 +17,16 @@ import (
 
 // Run executes req against d and returns the op-specific wire payload.
 // Cached designs are shared and read-only; mutating operations clone
-// first. The optimizer ops get the checkpoint callback (nil = no
-// checkpointing) and, after a recovery or lease migration, the resume
-// state — the resumed run retraces the uninterrupted one bit-for-bit
-// (see internal/core).
+// first. The optimize op gets the checkpoint callback (nil = no
+// checkpointing) and, after a crash recovery or lease migration, the
+// resume state — the resumed run retraces the uninterrupted one
+// bit-for-bit (see internal/core).
 func Run(ctx context.Context, req client.JobRequest, d *repro.Design, resume *repro.OptCheckpoint, checkpoint func(repro.OptCheckpoint)) (any, error) {
 	opts := repro.RunOptions{
 		Workers:   req.Workers,
 		PDFPoints: req.PDFPoints,
 		MaxIters:  req.MaxIters,
 		Ctx:       ctx,
-	}
-	if req.Op == client.OpOptimize || req.Op == client.OpRecover {
-		opts.Checkpoint = checkpoint
-		opts.Resume = resume
 	}
 	switch req.Op {
 	case client.OpAnalyze:
@@ -52,6 +48,9 @@ func Run(ctx context.Context, req client.JobRequest, d *repro.Design, resume *re
 		// validation only fires for direct library misuse.
 		opts.Optimizer = req.Optimizer
 		opts.Seed = req.Seed
+		opts.SlackFrac = req.SlackFrac
+		opts.Checkpoint = checkpoint
+		opts.Resume = resume
 		r, err := dd.Optimize(req.Lambda, opts)
 		if err != nil {
 			return nil, err
@@ -61,13 +60,6 @@ func Run(ctx context.Context, req client.JobRequest, d *repro.Design, resume *re
 		// run matches its uninterrupted counterpart iff these match.
 		p.Sizes = dd.Sizes()
 		return p, nil
-	case client.OpRecover:
-		dd := d.Clone()
-		saved, err := dd.RecoverAreaOpts(req.Lambda, req.SlackFrac, opts)
-		if err != nil {
-			return nil, err
-		}
-		return client.RecoverResult{AreaSaved: saved}, nil
 	case client.OpWNSSPath:
 		if err := ctx.Err(); err != nil {
 			return nil, err

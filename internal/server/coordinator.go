@@ -159,8 +159,6 @@ func decodePayload(op string, raw json.RawMessage) (any, error) {
 		v = &client.AnalyzeResult{}
 	case client.OpOptimize:
 		v = &client.OptimizeResult{}
-	case client.OpRecover:
-		v = &client.RecoverResult{}
 	case client.OpWNSSPath:
 		v = &client.PathResult{}
 	case client.OpWhatIf:
@@ -175,8 +173,6 @@ func decodePayload(op string, raw json.RawMessage) (any, error) {
 	case *client.AnalyzeResult:
 		return *p, nil
 	case *client.OptimizeResult:
-		return *p, nil
-	case *client.RecoverResult:
 		return *p, nil
 	case *client.PathResult:
 		return *p, nil

@@ -79,17 +79,30 @@ func TestOptsKeyNormalization(t *testing.T) {
 			optsKey(analyze), optsKey(stray))
 	}
 
-	// Only recover reads slack_frac: on every other op it is cleared, on
-	// recover it splits the key.
-	for _, op := range []string{client.OpOptimize, client.OpAnalyze, client.OpRecover} {
+	// Only optimize's recoverarea backend reads slack_frac: there it
+	// splits the key, everywhere else it is cleared.
+	for _, tc := range []struct{ op, optimizer string }{
+		{client.OpOptimize, ""},
+		{client.OpOptimize, "sensitivity"},
+		{client.OpAnalyze, ""},
+		{client.OpOptimize, "recoverarea"},
+	} {
 		plain := base
-		plain.Op = op
+		plain.Op, plain.Optimizer = tc.op, tc.optimizer
 		slack := plain
 		slack.SlackFrac = 0.05
-		if shared := optsKey(plain) == optsKey(slack); shared != (op != client.OpRecover) {
-			t.Errorf("%s: slack_frac shares the key = %v:\n  a: %s\n  b: %s",
-				op, shared, optsKey(plain), optsKey(slack))
+		if shared := optsKey(plain) == optsKey(slack); shared != (tc.optimizer != "recoverarea") {
+			t.Errorf("%s/%s: slack_frac shares the key = %v:\n  a: %s\n  b: %s",
+				tc.op, tc.optimizer, shared, optsKey(plain), optsKey(slack))
 		}
+	}
+	// A zero slack runs at the default, so the two share one entry.
+	zero := base
+	zero.Optimizer = "recoverarea"
+	dflt := zero
+	dflt.SlackFrac = 0.01
+	if optsKey(zero) != optsKey(dflt) {
+		t.Errorf("slack_frac 0 and 0.01 must share the key:\n  a: %s\n  b: %s", optsKey(zero), optsKey(dflt))
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package server is the HTTP layer of sstad, the long-running
 // SSTA/optimization service: it exposes the module's public API
-// (Analyze, MonteCarlo, OptimizeStatistical, RecoverArea, WNSSPath,
-// yield queries) as submit/poll/stream job endpoints, backed by the
-// bounded queue of internal/jobs and the content-addressed store of
-// internal/designcache.
+// (Analyze, MonteCarlo, Optimize with any sizing backend, WNSSPath,
+// WhatIfBatch, yield queries) as submit/poll/stream job endpoints,
+// backed by the bounded queue of internal/jobs and the
+// content-addressed store of internal/designcache.
 //
 // Endpoints:
 //
@@ -88,9 +88,9 @@ type Config struct {
 	// across crash recoveries before it is failed instead of re-run
 	// (0 = 3). It does not limit anything when the journal is off.
 	MaxAttempts int
-	// StallTimeout, when > 0, arms the heartbeat watchdog for optimizer
-	// jobs (optimize/recover, the ops that report checkpoint progress):
-	// a running job silent for longer is failed with jobs.ErrStalled.
+	// StallTimeout, when > 0, arms the heartbeat watchdog for optimize
+	// jobs (the op that reports checkpoint progress): a running job
+	// silent for longer is failed with jobs.ErrStalled.
 	StallTimeout time.Duration
 	// NoSync skips the per-append journal fsync. Chaos tests (and hosts
 	// explicitly trading durability for throughput) only.
@@ -376,7 +376,7 @@ func (s *Server) journalAppend(rec journal.Record) {
 // stallFor returns the heartbeat deadline to arm for an op: only the
 // optimizers report progress, so only they are watched.
 func (s *Server) stallFor(op string) time.Duration {
-	if op == client.OpOptimize || op == client.OpRecover {
+	if op == client.OpOptimize {
 		return s.cfg.StallTimeout
 	}
 	return 0
@@ -496,7 +496,6 @@ var validOps = map[string]bool{
 	client.OpAnalyze:    true,
 	client.OpMonteCarlo: true,
 	client.OpOptimize:   true,
-	client.OpRecover:    true,
 	client.OpWNSSPath:   true,
 	client.OpWhatIf:     true,
 }
@@ -504,7 +503,7 @@ var validOps = map[string]bool{
 // validate rejects malformed requests before anything is enqueued.
 func validate(req *client.JobRequest) error {
 	if !validOps[req.Op] {
-		return fmt.Errorf("unknown op %q (want analyze|montecarlo|optimize|recover|wnsspath|whatif)", req.Op)
+		return fmt.Errorf("unknown op %q (want analyze|montecarlo|optimize|wnsspath|whatif)", req.Op)
 	}
 	switch req.Priority {
 	case "", client.PriorityHigh, client.PriorityNormal, client.PriorityLow:
@@ -596,9 +595,14 @@ func optsKey(req client.JobRequest) string {
 	} else {
 		req.Optimizer = ""
 	}
-	// Only the recover op reads the slack fraction; optimize runs its
-	// recoverarea backend at the fixed 1%.
-	if req.Op != client.OpRecover {
+	// Only the recoverarea backend reads the slack fraction, and it runs
+	// a zero slack at the default: 0 and the explicit default share one
+	// memo entry, and every other request clears the field.
+	if req.Optimizer == "recoverarea" {
+		if req.SlackFrac == 0 {
+			req.SlackFrac = repro.DefaultSlackFrac
+		}
+	} else {
 		req.SlackFrac = 0
 	}
 	b, _ := json.Marshal(req)

@@ -66,13 +66,13 @@ func TestEntryPointsRejectInvalidOptions(t *testing.T) {
 		if err := d.SaveDOT(discard{}, lambda); err == nil {
 			t.Errorf("SaveDOT accepted lambda %g", lambda)
 		}
-		if _, err := d.RecoverAreaOpts(lambda, 0.01, RunOptions{}); err == nil {
-			t.Errorf("RecoverAreaOpts accepted lambda %g", lambda)
+		if _, err := d.Optimize(lambda, RunOptions{Optimizer: "recoverarea", SlackFrac: 0.01}); err == nil {
+			t.Errorf("Optimize(recoverarea) accepted lambda %g", lambda)
 		}
 	}
 	for _, slack := range []float64{nan, inf, -0.5} {
-		if _, err := d.RecoverAreaOpts(3, slack, RunOptions{}); err == nil {
-			t.Errorf("RecoverAreaOpts accepted slack fraction %g", slack)
+		if _, err := d.Optimize(3, RunOptions{Optimizer: "recoverarea", SlackFrac: slack}); err == nil {
+			t.Errorf("Optimize(recoverarea) accepted slack fraction %g", slack)
 		}
 	}
 	for _, budget := range []float64{nan, -1, 0} {

@@ -66,10 +66,11 @@ func TestRecoverAreaSlackPinned(t *testing.T) {
 	for _, p := range pinnedRecoverSlack {
 		t.Run(fmt.Sprintf("%s/%g", p.circuit, p.slack), func(t *testing.T) {
 			d := sized[p.circuit].Clone()
-			saved, err := d.RecoverAreaOpts(9, p.slack, RunOptions{Workers: 1})
+			r, err := d.Optimize(9, RunOptions{Optimizer: "recoverarea", SlackFrac: p.slack, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
+			saved := r.AreaBefore - r.AreaAfter
 			if saved < 0 {
 				t.Errorf("recovery grew the area by %g um^2", -saved)
 			}
