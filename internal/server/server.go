@@ -228,6 +228,9 @@ type Server struct {
 	// idem maps Idempotency-Key -> job ID so a retried submit (same
 	// logical request, response lost) returns the original job.
 	idem map[string]string
+	// idemPending holds the keys a submit has reserved but not yet
+	// bound to a job; the channel closes when that admission ends.
+	idemPending map[string]chan struct{}
 	// historic holds terminal jobs known only from the journal — their
 	// queue entries did not survive the restart, but clients waiting on
 	// them across it still get the real outcome.
@@ -246,15 +249,16 @@ type Server struct {
 // up, every journaled job is either re-enqueued or terminally resolved.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		cfg:      cfg,
-		cache:    designcache.New(cfg.CacheDesigns, cfg.CacheResults),
-		met:      newMetrics(),
-		mux:      http.NewServeMux(),
-		meta:     make(map[string]jobMeta),
-		idem:     make(map[string]string),
-		historic: make(map[string]client.JobStatus),
-		adm:      newAdmission(cfg.TenantRate, cfg.TenantBurst),
-		build:    buildinfo.Collect(cfg.role(), cfg.Node),
+		cfg:         cfg,
+		cache:       designcache.New(cfg.CacheDesigns, cfg.CacheResults),
+		met:         newMetrics(),
+		mux:         http.NewServeMux(),
+		meta:        make(map[string]jobMeta),
+		idem:        make(map[string]string),
+		idemPending: make(map[string]chan struct{}),
+		historic:    make(map[string]client.JobStatus),
+		adm:         newAdmission(cfg.TenantRate, cfg.TenantBurst),
+		build:       buildinfo.Collect(cfg.role(), cfg.Node),
 	}
 	// The pool must exist before the queue: recovered jobs can start
 	// dispatching the moment they are re-enqueued.
@@ -664,11 +668,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// control — they are not new work and must not burn quota.
 	idemKey := r.Header.Get("Idempotency-Key")
 	if idemKey != "" {
-		if st, ok := s.idempotentHit(idemKey); ok {
+		st, hit, release, err := s.claimIdem(r.Context(), idemKey)
+		if err != nil {
+			writeError(w, http.StatusServiceUnavailable, "waiting for the submit holding this Idempotency-Key: %v", err)
+			return
+		}
+		if hit {
 			s.idemHits.Add(1)
 			writeJSON(w, http.StatusOK, st)
 			return
 		}
+		defer release()
 	}
 
 	// Per-tenant admission: the token bucket throttles chatty tenants;
@@ -788,28 +798,53 @@ func (s *Server) enqueue(id string, req client.JobRequest, meta jobMeta, fn jobs
 	return nil
 }
 
-// idempotentHit resolves an Idempotency-Key to the status of the job it
-// originally admitted: live from the queue when retained, otherwise
-// from the journal's historic record.
-func (s *Server) idempotentHit(key string) (client.JobStatus, bool) {
-	s.metaMu.Lock()
-	id, ok := s.idem[key]
-	var hist client.JobStatus
-	histOK := false
-	if ok {
-		hist, histOK = s.historic[id]
+// claimIdem resolves an Idempotency-Key at submit. A key bound to a
+// job is a hit: the job's status, live from the queue when retained,
+// otherwise from the journal's historic record. A key another submit
+// has reserved makes this one wait, under ctx, for that admission to
+// end, and then look again. Otherwise the key is reserved for this
+// submit, and release must run once its admission has bound the key
+// (enqueue) or failed; it wakes the waiters.
+func (s *Server) claimIdem(ctx context.Context, key string) (st client.JobStatus, hit bool, release func(), err error) {
+	for {
+		s.metaMu.Lock()
+		if ch, pending := s.idemPending[key]; pending {
+			s.metaMu.Unlock()
+			select {
+			case <-ch:
+				continue
+			case <-ctx.Done():
+				return client.JobStatus{}, false, nil, ctx.Err()
+			}
+		}
+		id, bound := s.idem[key]
+		if !bound {
+			ch := make(chan struct{})
+			s.idemPending[key] = ch
+			s.metaMu.Unlock()
+			return client.JobStatus{}, false, func() {
+				s.metaMu.Lock()
+				delete(s.idemPending, key)
+				s.metaMu.Unlock()
+				close(ch)
+			}, nil
+		}
+		hist, histOK := s.historic[id]
+		s.metaMu.Unlock()
+		if sn, err := s.queue.Get(id); err == nil {
+			return s.status(sn), true, nil, nil
+		}
+		if histOK {
+			return hist, true, nil, nil
+		}
+		// The job the key named is gone: drop the stale binding and
+		// claim the key afresh.
+		s.metaMu.Lock()
+		if s.idem[key] == id {
+			delete(s.idem, key)
+		}
+		s.metaMu.Unlock()
 	}
-	s.metaMu.Unlock()
-	if !ok {
-		return client.JobStatus{}, false
-	}
-	if sn, err := s.queue.Get(id); err == nil {
-		return s.status(sn), true
-	}
-	if histOK {
-		return hist, true
-	}
-	return client.JobStatus{}, false
 }
 
 // jobFn builds the queue function for one job: result-memo check,
