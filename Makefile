@@ -111,8 +111,12 @@ e2e:
 
 # Fault-tolerance chaos suite, under -race: journal/recovery/idempotency
 # (internal/journal, internal/faultinject, client retry), the in-process
-# interrupt-and-restart tests (TestChaos*), and the subprocess kill -9
-# acceptance run (TestCrash*, builds a real sstad binary).
+# interrupt-and-restart tests (TestChaos*, among them
+# TestChaosConcurrentIdempotencyKey: concurrent submits sharing a new
+# Idempotency-Key enqueue one job; and TestChaosRecoverOpRetired: the
+# retired recover op answers 400 live and fails on journal replay), and
+# the subprocess kill -9 acceptance run (TestCrash*, builds a real sstad
+# binary).
 chaos:
 	$(GO) test -race ./internal/journal ./internal/faultinject
 	$(GO) test -race -v -run 'TestChaos|TestCrash' ./internal/server

@@ -153,10 +153,11 @@ type WhatIfReport struct {
 // the design, which is unchanged when it returns. Values are
 // bit-identical to actually applying the edits and re-analyzing.
 func (d *Design) WhatIf(edits []WhatIfEdit, opts RunOptions) (WhatIfReport, error) {
-	if err := opts.Validate(); err != nil {
-		return WhatIfReport{}, err
-	}
-	reps, err := d.WhatIfBatch([][]WhatIfEdit{edits}, opts)
+	return onlyReport(d.WhatIfBatch([][]WhatIfEdit{edits}, opts))
+}
+
+// onlyReport unwraps the single report of a one-candidate batch.
+func onlyReport(reps []WhatIfReport, err error) (WhatIfReport, error) {
 	if err != nil {
 		return WhatIfReport{}, err
 	}

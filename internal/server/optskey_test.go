@@ -177,3 +177,48 @@ func TestLegacyFullRecomputeAccepted(t *testing.T) {
 		t.Fatalf("replayed answer differs:\nsubmit %+v\nreplay %+v", want, got)
 	}
 }
+
+// TestChaosRecoverOpRetired pins the retirement of the recover op (area
+// recovery runs as optimize's recoverarea backend): a live submit of it
+// answers 400 naming the valid ops, and a submit record journaled
+// before the retirement replays to a failed job carrying the same
+// message instead of reaching the engines.
+func TestChaosRecoverOpRetired(t *testing.T) {
+	const legacy = `{"op":"recover","generate":"alu1","lambda":3,"slack_frac":0.05,"workers":1}`
+	const want = `unknown op "recover" (want analyze|montecarlo|optimize|wnsspath|whatif)`
+	ctx := ctxT(t)
+
+	srv, ts, _ := newDurable(t, Config{JobWorkers: 1})
+	defer interrupt(t, srv, ts)
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("POST recover body: %v", err)
+	}
+	var body client.ErrorBody
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || !strings.Contains(body.Error, want) {
+		t.Fatalf("recover submit: HTTP %d, error %q (decode err %v); want 400 containing %q",
+			resp.StatusCode, body.Error, err, want)
+	}
+
+	jp := filepath.Join(t.TempDir(), "jobs.journal")
+	seedJournal(t, jp, journal.Record{
+		Type: journal.TypeSubmit, Job: "j000001", Op: "recover", Request: json.RawMessage(legacy),
+	})
+	srvR, tsR, cR := newDurable(t, Config{JobWorkers: 1, JournalPath: jp, NoSync: true})
+	defer interrupt(t, srvR, tsR)
+	st, err := cR.Job(ctx, "j000001")
+	if err != nil {
+		t.Fatalf("poll replayed recover job: %v", err)
+	}
+	if st.State != "failed" || !strings.Contains(st.Error, want) {
+		t.Fatalf("replayed recover job: state %s, error %q; want failed containing %q", st.State, st.Error, want)
+	}
+	if got := srvR.recoveryDropped.Load(); got != 1 {
+		t.Errorf("recovery dropped = %d, want 1", got)
+	}
+	if got := srvR.jobsRecovered.Load(); got != 0 {
+		t.Errorf("jobs recovered = %d, want 0", got)
+	}
+}

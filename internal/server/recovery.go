@@ -22,8 +22,8 @@ import (
 //     budget (Config.MaxAttempts) is spent, in which case they are
 //     failed terminally (and that failure journaled, so the next
 //     restart does not retry them again);
-//   - jobs whose admission record is missing or unrebuildable are
-//     failed rather than silently dropped.
+//   - jobs whose admission record is missing, no longer validates or
+//     is unrebuildable are failed rather than silently dropped.
 //
 // Idempotency keys recorded at admission are re-registered either way,
 // so a client retrying a pre-crash submit still lands on the original
@@ -62,6 +62,17 @@ func (s *Server) recoverOne(jr *journal.JobReplay) {
 	var req client.JobRequest
 	if err := json.Unmarshal(jr.Submit.Request, &req); err != nil {
 		fail("recovery: decode journaled request: %v", err)
+		return
+	}
+	// A request journaled under an older server may no longer be one
+	// this server accepts (a retired op, say): it fails with the
+	// message a live submit of it would get.
+	if err := validate(&req); err != nil {
+		fail("recovery: invalid request: %v", err)
+		return
+	}
+	if d := validateOptimizer(&req); d != nil {
+		fail("recovery: invalid request: %s", d.Msg)
 		return
 	}
 	if jr.Attempts >= s.cfg.maxAttempts() {
