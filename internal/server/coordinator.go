@@ -153,33 +153,27 @@ func (s *Server) mergeUnits(req client.JobRequest, d *repro.Design, specs []clus
 // run produces. (Go's JSON float encoding is shortest-round-trip, so
 // the decode is value-preserving bit for bit.)
 func decodePayload(op string, raw json.RawMessage) (any, error) {
-	var v any
 	switch op {
 	case client.OpAnalyze, client.OpMonteCarlo:
-		v = &client.AnalyzeResult{}
+		return decodeAs[client.AnalyzeResult](op, raw)
 	case client.OpOptimize:
-		v = &client.OptimizeResult{}
+		return decodeAs[client.OptimizeResult](op, raw)
 	case client.OpWNSSPath:
-		v = &client.PathResult{}
+		return decodeAs[client.PathResult](op, raw)
 	case client.OpWhatIf:
-		v = &client.WhatIfResult{}
-	default:
-		return nil, fmt.Errorf("unreachable op %q", op)
+		return decodeAs[client.WhatIfResult](op, raw)
 	}
-	if err := json.Unmarshal(raw, v); err != nil {
+	return nil, fmt.Errorf("unreachable op %q", op)
+}
+
+// decodeAs decodes raw as a T payload, returned by value like a local
+// run's.
+func decodeAs[T any](op string, raw json.RawMessage) (any, error) {
+	var v T
+	if err := json.Unmarshal(raw, &v); err != nil {
 		return nil, fmt.Errorf("decode %s unit result: %w", op, err)
 	}
-	switch p := v.(type) {
-	case *client.AnalyzeResult:
-		return *p, nil
-	case *client.OptimizeResult:
-		return *p, nil
-	case *client.PathResult:
-		return *p, nil
-	case *client.WhatIfResult:
-		return *p, nil
-	}
-	return nil, fmt.Errorf("unreachable payload type for %q", op)
+	return v, nil
 }
 
 // handleLeaseAcquire is POST /v1/leases: hand the calling worker the

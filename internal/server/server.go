@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -495,19 +496,13 @@ func (s *Server) resolveDesign(ctx context.Context, req *client.JobRequest) (*re
 	})
 }
 
-// validOps is the accepted operation set.
-var validOps = map[string]bool{
-	client.OpAnalyze:    true,
-	client.OpMonteCarlo: true,
-	client.OpOptimize:   true,
-	client.OpWNSSPath:   true,
-	client.OpWhatIf:     true,
-}
+// validOps is the accepted operation set, in the order errors name it.
+var validOps = []string{client.OpAnalyze, client.OpMonteCarlo, client.OpOptimize, client.OpWNSSPath, client.OpWhatIf}
 
 // validate rejects malformed requests before anything is enqueued.
 func validate(req *client.JobRequest) error {
-	if !validOps[req.Op] {
-		return fmt.Errorf("unknown op %q (want analyze|montecarlo|optimize|wnsspath|whatif)", req.Op)
+	if !slices.Contains(validOps, req.Op) {
+		return fmt.Errorf("unknown op %q (want %s)", req.Op, strings.Join(validOps, "|"))
 	}
 	switch req.Priority {
 	case "", client.PriorityHigh, client.PriorityNormal, client.PriorityLow:
@@ -667,8 +662,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// instead of enqueuing a duplicate. Retries resolve before admission
 	// control — they are not new work and must not burn quota.
 	idemKey := r.Header.Get("Idempotency-Key")
+	var admitted string // the job ID, once enqueued
 	if idemKey != "" {
-		st, hit, release, err := s.claimIdem(r.Context(), idemKey)
+		st, hit, bind, err := s.claimIdem(r.Context(), idemKey)
 		if err != nil {
 			writeError(w, http.StatusServiceUnavailable, "waiting for the submit holding this Idempotency-Key: %v", err)
 			return
@@ -678,7 +674,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, st)
 			return
 		}
-		defer release()
+		defer func() { bind(admitted) }()
 	}
 
 	// Per-tenant admission: the token bucket throttles chatty tenants;
@@ -743,6 +739,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
+	admitted = id
 	s.met.jobSubmitted(req.Op)
 	s.met.jobAdmitted(tenant, priorityOrNormal(req.Priority))
 
@@ -754,20 +751,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.status(sn))
 }
 
-// enqueue hands a job to the queue under the given ID. The job's meta,
-// and its idempotency key, are registered first: a worker may start the
-// job, and onTransition bump its attempt counter, before SubmitOpts
-// returns. A rejected submit takes the registration back, restoring
-// whatever job the key named before.
+// enqueue hands a job to the queue under the given ID. The job's meta
+// is registered first: a worker may start the job, and onTransition
+// bump its attempt counter, before SubmitOpts returns. A rejected
+// submit takes the registration back.
 func (s *Server) enqueue(id string, req client.JobRequest, meta jobMeta, fn jobs.Fn) error {
 	meta.pending = true
 	s.metaMu.Lock()
 	s.pruneMetaLocked()
 	s.meta[id] = meta
-	prevID, hadKey := s.idem[meta.idemKey]
-	if meta.idemKey != "" {
-		s.idem[meta.idemKey] = id
-	}
 	s.metaMu.Unlock()
 
 	var timeout time.Duration
@@ -782,13 +774,6 @@ func (s *Server) enqueue(id string, req client.JobRequest, meta jobMeta, fn jobs
 	defer s.metaMu.Unlock()
 	if err != nil {
 		delete(s.meta, id)
-		if k := meta.idemKey; k != "" && s.idem[k] == id {
-			if hadKey {
-				s.idem[k] = prevID
-			} else {
-				delete(s.idem, k)
-			}
-		}
 		return err
 	}
 	if m, ok := s.meta[id]; ok {
@@ -803,9 +788,9 @@ func (s *Server) enqueue(id string, req client.JobRequest, meta jobMeta, fn jobs
 // otherwise from the journal's historic record. A key another submit
 // has reserved makes this one wait, under ctx, for that admission to
 // end, and then look again. Otherwise the key is reserved for this
-// submit, and release must run once its admission has bound the key
-// (enqueue) or failed; it wakes the waiters.
-func (s *Server) claimIdem(ctx context.Context, key string) (st client.JobStatus, hit bool, release func(), err error) {
+// submit, which must end the reservation with bind: with the ID of the
+// job it enqueued, or "" when it was rejected. bind wakes the waiters.
+func (s *Server) claimIdem(ctx context.Context, key string) (st client.JobStatus, hit bool, bind func(id string), err error) {
 	for {
 		s.metaMu.Lock()
 		if ch, pending := s.idemPending[key]; pending {
@@ -822,8 +807,11 @@ func (s *Server) claimIdem(ctx context.Context, key string) (st client.JobStatus
 			ch := make(chan struct{})
 			s.idemPending[key] = ch
 			s.metaMu.Unlock()
-			return client.JobStatus{}, false, func() {
+			return client.JobStatus{}, false, func(id string) {
 				s.metaMu.Lock()
+				if id != "" {
+					s.idem[key] = id
+				}
 				delete(s.idemPending, key)
 				s.metaMu.Unlock()
 				close(ch)
@@ -904,7 +892,7 @@ func (s *Server) pruneMetaLocked() {
 		}
 		if _, err := s.queue.Get(id); errors.Is(err, jobs.ErrNotFound) {
 			delete(s.meta, id)
-			if m.idemKey != "" {
+			if s.idem[m.idemKey] == id {
 				delete(s.idem, m.idemKey)
 			}
 		}
