@@ -187,9 +187,9 @@ type OptCheckpoint = core.Checkpoint
 
 // Validate rejects execution options no engine can honor: negative
 // worker counts, PDF resolutions or iteration caps, and negative or
-// non-finite slack fractions. The zero value is
-// always valid. Entry points call it before touching the design, so an
-// invalid request never mutates anything.
+// non-finite slack fractions. The zero value is always valid. Entry
+// points call it before touching the design, so an invalid request
+// never mutates anything.
 func (o RunOptions) Validate() error {
 	if o.Workers < 0 {
 		return fmt.Errorf("repro: negative worker count %d", o.Workers)
