@@ -110,8 +110,9 @@ e2e:
 	$(GO) test -race -v -run 'TestE2E' ./internal/server
 
 # Fault-tolerance chaos suite, under -race: journal/recovery/idempotency
-# (internal/journal, internal/faultinject, client retry), the in-process
-# interrupt-and-restart tests (TestChaos*, among them
+# (internal/journal, internal/faultinject), client retry (./client: 503
+# backoff, one Idempotency-Key across retries, stream reconnect), the
+# in-process interrupt-and-restart tests (TestChaos*, among them
 # TestChaosConcurrentIdempotencyKey: concurrent submits sharing a new
 # Idempotency-Key enqueue one job; and TestChaosRecoverOpRetired: the
 # retired recover op answers 400 live and fails on journal replay), and
@@ -119,6 +120,7 @@ e2e:
 # binary).
 chaos:
 	$(GO) test -race ./internal/journal ./internal/faultinject
+	$(GO) test -race ./client
 	$(GO) test -race -v -run 'TestChaos|TestCrash' ./internal/server
 
 # Multi-node e2e, under -race: the in-process cluster suite (sharded

@@ -135,8 +135,11 @@ type RunOptions struct {
 	// PDFPoints caps the discrete-PDF resolution of FULLSSTA (0 = the
 	// engine default).
 	PDFPoints int
-	// MaxIters caps the optimizers' outer loops (0 = the engine default,
-	// 100). Analysis entry points ignore it.
+	// MaxIters caps the optimizers' outer loops: 0 means the engine
+	// default, 100 iterations, or 40 passes for the recoverarea backend.
+	// Every backend honours it, so sstad's max_iters memo-key term
+	// separates runs whose answers differ. Analysis entry points ignore
+	// it.
 	MaxIters int
 	// Ctx, when non-nil, lets the long-running entry points be cancelled
 	// mid-run: the optimizers poll it at the top of every outer

@@ -240,6 +240,7 @@ func (p *lineParser) parseLine(raw string) error {
 // the historical single-pass parser produced.
 func (nl *Netlist) Build() (*circuit.Circuit, error) {
 	c := circuit.New(nl.Name)
+	c.Grow(len(nl.Inputs) + len(nl.Gates))
 	ids := make([]circuit.GateID, len(nl.Gates))
 	in, gi := 0, 0
 	for in < len(nl.Inputs) || gi < len(nl.Gates) {

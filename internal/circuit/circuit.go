@@ -9,6 +9,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -246,6 +247,24 @@ func (c *Circuit) AddGate(name string, fn Fn) (GateID, error) {
 	}
 	c.dirty()
 	return id, nil
+}
+
+// Grow reserves room for n more gates, so a builder that knows its gate
+// count up front adds them without regrowing Gates, the IsOutput index
+// or the name map. It adds no gate and leaves the caches alone, but like
+// AddGate it may move Gates, invalidating pointers returned by Gate.
+// n <= 0 is a no-op.
+func (c *Circuit) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	c.Gates = slices.Grow(c.Gates, n)
+	c.isOut = slices.Grow(c.isOut, n)
+	byName := make(map[string]GateID, len(c.byName)+n)
+	for name, id := range c.byName {
+		byName[name] = id
+	}
+	c.byName = byName
 }
 
 // MustAddGate is AddGate that panics on error; for generators.

@@ -39,7 +39,8 @@ type Options struct {
 	// Lambda is the weight of sigma in the cost mu + lambda*sigma
 	// (paper eq. 7). The paper evaluates 3 and 9.
 	Lambda float64
-	// MaxIters caps the outer loop; 0 means 100.
+	// MaxIters caps the outer loop; 0 means 100 (40 passes for area
+	// recovery).
 	MaxIters int
 	// SubcktDepth is the extraction radius; 0 means 2 (paper).
 	SubcktDepth int
@@ -191,6 +192,15 @@ func (o Options) ctxErr() error {
 func (o Options) maxIters() int {
 	if o.MaxIters <= 0 {
 		return 100
+	}
+	return o.MaxIters
+}
+
+// recoverPasses caps area recovery's pass loop: MaxIters when set,
+// otherwise 40.
+func (o Options) recoverPasses() int {
+	if o.MaxIters <= 0 {
+		return 40
 	}
 	return o.MaxIters
 }
@@ -492,7 +502,7 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, az *analyze
 	}
 
 	topo := d.Circuit.MustTopoOrder()
-	for pass := startPass; pass < 40; pass++ {
+	for pass := startPass; pass < opts.recoverPasses(); pass++ {
 		if err := opts.ctxErr(); err != nil {
 			return nil, err
 		}

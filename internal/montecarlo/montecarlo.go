@@ -24,6 +24,19 @@
 // This scheme replaced a single sequential math/rand stream shared by
 // all trials; results for a given seed differ numerically from that older
 // scheme (same distribution), which is why it is pinned down here.
+//
+// # Flat walk
+//
+// SampleRange does not chase circuit.Gate pointers per trial. Once per
+// call it builds a flat view of the design: the primary inputs first,
+// then every other gate in topological order, each gate's fanins as
+// positions in one CSR array, and the nominal delay and sigma of every
+// gate in contiguous slices. A trial walks that view front to back. The
+// draw sequence is the topological one (inputs draw nothing), the max
+// visits fanins in Gate.Fanin order and the outputs are folded in
+// Circuit.Outputs order, so every sample has the same bits as a walk
+// over the gates themselves. Each shard keeps one PCG generator and
+// re-keys it per trial, so trials allocate nothing.
 package montecarlo
 
 import (
@@ -157,21 +170,7 @@ func SampleRange(d *synth.Design, vm *variation.Model, opts Options, lo, hi int)
 	if err := opts.validateRange(lo, hi); err != nil {
 		return nil, err
 	}
-	nominal := sta.Analyze(d)
-	c := d.Circuit
-	topo := c.MustTopoOrder()
-
-	means := make([]float64, c.NumGates())
-	sigmas := make([]float64, c.NumGates())
-	for _, id := range topo {
-		g := c.Gate(id)
-		if g.Fn == circuit.Input {
-			continue
-		}
-		means[id] = nominal.Delay[id]
-		sigmas[id] = vm.Sigma(d.Cell(id), means[id])
-	}
-
+	net := newFlatNet(d, vm)
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, err
 	}
@@ -180,7 +179,12 @@ func SampleRange(d *synth.Design, vm *variation.Model, opts Options, lo, hi int)
 	stream := parallel.NewSeedStream(opts.Seed)
 	var cancelled atomic.Bool
 	parallel.Chunks(parallel.Resolve(opts.Workers), n, func(_, clo, chi int) {
-		arrival := make([]float64, c.NumGates())
+		// arrival is indexed by position; the input prefix stays 0.
+		arrival := make([]float64, len(net.mean))
+		// One generator per shard, re-keyed per trial: Seed sets exactly
+		// the state NewPCG would, and rand.Rand keeps none of its own.
+		pcg := randv2.NewPCG(0, 0)
+		rng := randv2.New(pcg)
 		for i := clo; i < chi; i++ {
 			if (i-clo)%cancelCheckEvery == 0 {
 				if cancelled.Load() {
@@ -192,37 +196,99 @@ func SampleRange(d *synth.Design, vm *variation.Model, opts Options, lo, hi int)
 				}
 			}
 			trial := lo + i // absolute trial index keys the stream
-			rng := randv2.New(randv2.NewPCG(stream.Uint64(2*trial), stream.Uint64(2*trial+1)))
-			for _, id := range topo {
-				g := c.Gate(id)
-				if g.Fn == circuit.Input {
-					arrival[id] = 0
-					continue
-				}
-				worst := 0.0
-				for _, f := range g.Fanin {
-					if arrival[f] > worst {
-						worst = arrival[f]
-					}
-				}
-				arrival[id] = worst + variation.SampleFrom(rng, means[id], sigmas[id])
-			}
-			cd := math.Inf(-1)
-			for _, po := range c.Outputs {
-				if arrival[po] > cd {
-					cd = arrival[po]
-				}
-			}
-			if len(c.Outputs) == 0 {
-				cd = 0
-			}
-			samples[i] = cd
+			pcg.Seed(stream.Uint64(2*trial), stream.Uint64(2*trial+1))
+			samples[i] = net.trial(rng, arrival)
 		}
 	})
 	if err := ctxErr(opts.Ctx); err != nil {
 		return nil, err
 	}
 	return samples, nil
+}
+
+// flatNet is SampleRange's read-only view of the design, built once per
+// call. Gates are renumbered by position: the primary inputs first, then
+// every other gate in the circuit's topological order, so the draw
+// sequence is the topological one. Position k's fanins are the positions
+// fanin[start[k]:start[k+1]], in Gate.Fanin order.
+type flatNet struct {
+	inputs  int       // positions [0, inputs) are primary inputs; they draw nothing
+	start   []int32   // len = positions + 1
+	fanin   []int32   // fanin positions, concatenated
+	mean    []float64 // nominal gate delay per position, ps
+	sigma   []float64 // delay sigma per position, ps
+	outputs []int32   // primary-output positions, in Circuit.Outputs order
+}
+
+func newFlatNet(d *synth.Design, vm *variation.Model) *flatNet {
+	nominal := sta.Analyze(d)
+	c := d.Circuit
+	topo := c.MustTopoOrder()
+	n := len(topo)
+	order := make([]circuit.GateID, 0, n)
+	for _, id := range topo {
+		if c.Gate(id).Fn == circuit.Input {
+			order = append(order, id)
+		}
+	}
+	inputs := len(order)
+	edges := 0
+	for _, id := range topo {
+		if g := c.Gate(id); g.Fn != circuit.Input {
+			order = append(order, id)
+			edges += len(g.Fanin)
+		}
+	}
+	pos := make([]int32, n)
+	for k, id := range order {
+		pos[id] = int32(k)
+	}
+	net := &flatNet{
+		inputs:  inputs,
+		start:   make([]int32, n+1),
+		fanin:   make([]int32, 0, edges),
+		mean:    make([]float64, n),
+		sigma:   make([]float64, n),
+		outputs: make([]int32, len(c.Outputs)),
+	}
+	for k := inputs; k < n; k++ {
+		id := order[k]
+		for _, f := range c.Gate(id).Fanin {
+			net.fanin = append(net.fanin, pos[f])
+		}
+		net.start[k+1] = int32(len(net.fanin))
+		net.mean[k] = nominal.Delay[id]
+		net.sigma[k] = vm.Sigma(d.Cell(id), net.mean[k])
+	}
+	for i, po := range c.Outputs {
+		net.outputs[i] = pos[po]
+	}
+	return net
+}
+
+// trial draws one delay per non-input gate from rng in position order,
+// propagates longest-path arrivals into arrival, and returns the latest
+// primary-output arrival (0 for a design without outputs).
+func (net *flatNet) trial(rng *randv2.Rand, arrival []float64) float64 {
+	for k := net.inputs; k < len(arrival); k++ {
+		worst := 0.0
+		for _, f := range net.fanin[net.start[k]:net.start[k+1]] {
+			if arrival[f] > worst {
+				worst = arrival[f]
+			}
+		}
+		arrival[k] = worst + variation.SampleFrom(rng, net.mean[k], net.sigma[k])
+	}
+	if len(net.outputs) == 0 {
+		return 0
+	}
+	cd := math.Inf(-1)
+	for _, po := range net.outputs {
+		if arrival[po] > cd {
+			cd = arrival[po]
+		}
+	}
+	return cd
 }
 
 // FromSamples folds an externally assembled sample set (the

@@ -194,3 +194,21 @@ func TestSampleRangeMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleRangeAllocsFlatInTrials pins that a trial allocates nothing:
+// SampleRange's allocations (the nominal analysis, the flat view, the
+// sample slice and one arrival buffer and generator per shard) are the
+// same at 64 and 512 trials.
+func TestSampleRangeAllocsFlatInTrials(t *testing.T) {
+	d, vm := setup(t, gen.ALU("alu", 4))
+	allocs := func(trials int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := SampleRange(d, vm, Options{Seed: 3, Workers: 1}, 0, trials); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a64, a512 := allocs(64), allocs(512); a64 != a512 {
+		t.Fatalf("allocations grow with the trial count: %v at 64 trials, %v at 512", a64, a512)
+	}
+}

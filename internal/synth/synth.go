@@ -79,6 +79,9 @@ func (d *Design) Area() float64 {
 // Constants are not supported (the generators never emit them).
 func Map(c *circuit.Circuit, lib *cells.Library) (*Design, error) {
 	out := circuit.New(c.Name)
+	// Mapping keeps every gate and only splits some, so the source's
+	// gate count is a lower bound on the mapped one.
+	out.Grow(c.NumGates())
 	remap := make([]circuit.GateID, c.NumGates())
 	topo, err := c.TopoOrder()
 	if err != nil {

@@ -460,6 +460,7 @@ func (p *vparser) link(c *circuit.Circuit, outputs []string, insts []vinst, wire
 	// panicking lookup (this path is reachable from user netlist files).
 	ids := make([]circuit.GateID, len(insts))
 	valid := make([]bool, len(insts))
+	c.Grow(len(insts))
 	for i, in := range insts {
 		id, err := c.AddGate(in.args[0], in.fn)
 		if err != nil {

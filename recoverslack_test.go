@@ -80,3 +80,35 @@ func TestRecoverAreaSlackPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestRecoverAreaHonoursMaxIters caps area recovery at one pass. From
+// alu2's λ 9 start at slack 0.05 the uncapped run takes five passes and
+// converges; with MaxIters 1 it must stop after the first pass.
+func TestRecoverAreaHonoursMaxIters(t *testing.T) {
+	d, err := Generate("alu2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.OptimizeMeanDelay(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Optimize(9, RunOptions{Workers: 1, MaxIters: 8}); err != nil {
+		t.Fatal(err)
+	}
+	opts := RunOptions{Optimizer: "recoverarea", SlackFrac: 0.05, Workers: 1}
+	full, err := d.Clone().Optimize(9, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Iterations <= 1 || full.StoppedBy != "converged" {
+		t.Fatalf("uncapped recovery: %d passes, stopped by %s; want several passes to converge", full.Iterations, full.StoppedBy)
+	}
+	opts.MaxIters = 1
+	r, err := d.Optimize(9, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Iterations != 1 || r.StoppedBy != "max-iters" {
+		t.Fatalf("MaxIters 1: %d passes, stopped by %s; want 1 pass stopped by max-iters", r.Iterations, r.StoppedBy)
+	}
+}
