@@ -225,23 +225,23 @@ func newFlatNet(d *synth.Design, vm *variation.Model) *flatNet {
 	c := d.Circuit
 	topo := c.MustTopoOrder()
 	n := len(topo)
-	order := make([]circuit.GateID, 0, n)
+	// pos maps a gate ID to its position: inputs, then the rest, each
+	// group in topological order.
+	pos := make([]int32, n)
+	inputs := 0
 	for _, id := range topo {
 		if c.Gate(id).Fn == circuit.Input {
-			order = append(order, id)
+			pos[id] = int32(inputs)
+			inputs++
 		}
 	}
-	inputs := len(order)
-	edges := 0
+	k, edges := inputs, 0
 	for _, id := range topo {
 		if g := c.Gate(id); g.Fn != circuit.Input {
-			order = append(order, id)
+			pos[id] = int32(k)
+			k++
 			edges += len(g.Fanin)
 		}
-	}
-	pos := make([]int32, n)
-	for k, id := range order {
-		pos[id] = int32(k)
 	}
 	net := &flatNet{
 		inputs:  inputs,
@@ -251,9 +251,13 @@ func newFlatNet(d *synth.Design, vm *variation.Model) *flatNet {
 		sigma:   make([]float64, n),
 		outputs: make([]int32, len(c.Outputs)),
 	}
-	for k := inputs; k < n; k++ {
-		id := order[k]
-		for _, f := range c.Gate(id).Fanin {
+	for _, id := range topo {
+		g := c.Gate(id)
+		if g.Fn == circuit.Input {
+			continue
+		}
+		k := pos[id]
+		for _, f := range g.Fanin {
 			net.fanin = append(net.fanin, pos[f])
 		}
 		net.start[k+1] = int32(len(net.fanin))
@@ -270,14 +274,16 @@ func newFlatNet(d *synth.Design, vm *variation.Model) *flatNet {
 // propagates longest-path arrivals into arrival, and returns the latest
 // primary-output arrival (0 for a design without outputs).
 func (net *flatNet) trial(rng *randv2.Rand, arrival []float64) float64 {
+	start, fanin := net.start[:len(arrival)+1], net.fanin
+	mean, sigma := net.mean[:len(arrival)], net.sigma[:len(arrival)]
 	for k := net.inputs; k < len(arrival); k++ {
 		worst := 0.0
-		for _, f := range net.fanin[net.start[k]:net.start[k+1]] {
-			if arrival[f] > worst {
-				worst = arrival[f]
+		for _, f := range fanin[start[k]:start[k+1]] {
+			if a := arrival[f]; a > worst {
+				worst = a
 			}
 		}
-		arrival[k] = worst + variation.SampleFrom(rng, net.mean[k], net.sigma[k])
+		arrival[k] = worst + variation.SampleFrom(rng, mean[k], sigma[k])
 	}
 	if len(net.outputs) == 0 {
 		return 0

@@ -247,3 +247,24 @@ func TestFromSamplesRejectsEmpty(t *testing.T) {
 		t.Fatal("FromSamples accepted an empty sample set")
 	}
 }
+
+// BenchmarkSampleRange times the per-trial walk on a ~50k-gate mapped
+// random netlist, serially: large enough that the netlist does not fit
+// in cache, which is where the flat view pays.
+func BenchmarkSampleRange(b *testing.B) {
+	lib := cells.Default90nm()
+	d, err := synth.Map(gen.RandomDAG("dag40k", 256, 40000, 128, 1), lib)
+	if err != nil {
+		b.Fatal(err)
+	}
+	vm := variation.Default(lib)
+	const trials = 50
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SampleRange(d, vm, Options{Seed: int64(i), Workers: 1}, 0, trials); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*trials*d.Circuit.NumGates()), "ns/gate-trial")
+}
