@@ -45,6 +45,39 @@ func TestAddGateAutoName(t *testing.T) {
 	}
 }
 
+// TestGrowReservesWithoutChanging grows a circuit that already has gates:
+// names, outputs and the topological order survive, and the reserved
+// gates are added without moving Gates again.
+func TestGrowReservesWithoutChanging(t *testing.T) {
+	c := buildSmall(t)
+	rev := c.Revision()
+	c.Grow(0)
+	c.Grow(10)
+	if c.Revision() != rev {
+		t.Fatal("Grow counted as a mutation")
+	}
+	if cap(c.Gates)-len(c.Gates) < 10 {
+		t.Fatalf("Grow(10) left room for %d gates", cap(c.Gates)-len(c.Gates))
+	}
+	if id, ok := c.Lookup("n1"); !ok || c.Gate(id).Fn != Nand {
+		t.Fatal("Grow lost gate n1")
+	}
+	base := &c.Gates[0]
+	for i := 0; i < 10; i++ {
+		id := c.MustAddGate("", Buf)
+		c.MustConnect(c.MustLookup("n2"), id)
+	}
+	if &c.Gates[0] != base {
+		t.Fatal("Gates moved while adding reserved gates")
+	}
+	if !c.IsOutput(c.MustLookup("n2")) || c.IsOutput(c.MustLookup("n1")) {
+		t.Fatal("Grow disturbed the output index")
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConnectSelfLoop(t *testing.T) {
 	c := New("t")
 	a := c.MustAddGate("a", And)

@@ -79,9 +79,11 @@ func (d *Design) Area() float64 {
 // Constants are not supported (the generators never emit them).
 func Map(c *circuit.Circuit, lib *cells.Library) (*Design, error) {
 	out := circuit.New(c.Name)
-	// Mapping keeps every gate and only splits some, so the source's
-	// gate count is a lower bound on the mapped one.
-	out.Grow(c.NumGates())
+	cellsTotal := 0
+	for i := range c.Gates {
+		cellsTotal += cellCount(&c.Gates[i])
+	}
+	out.Grow(cellsTotal)
 	remap := make([]circuit.GateID, c.NumGates())
 	topo, err := c.TopoOrder()
 	if err != nil {
@@ -235,6 +237,30 @@ func (m *mapper) mapGate(g *circuit.Gate) (circuit.GateID, error) {
 		return m.mapMonotone(g.Name, g.Fn, fanins)
 	}
 	return circuit.None, fmt.Errorf("synth: unmappable function %s on gate %q", g.Fn, g.Name)
+}
+
+// cellCount is how many gates mapGate adds for g: one, except that an
+// XOR/XNOR of n inputs becomes n-1 XOR2 cells (mapXorTree) and a
+// monotone gate wider than four inputs a tree of up-to-4-input cells
+// (mapMonotone). Map reserves the total, so the mapped circuit is built
+// without regrowing its gate slice.
+func cellCount(g *circuit.Gate) int {
+	n := len(g.Fanin)
+	switch g.Fn {
+	case circuit.Xor, circuit.Xnor:
+		return max(n-1, 1)
+	case circuit.And, circuit.Or, circuit.Nand, circuit.Nor:
+		cells := 1
+		for n > 4 {
+			cells += n / 4 // full chunks
+			if n%4 >= 2 {
+				cells++ // a partial chunk of two or three
+			}
+			n = (n + 3) / 4
+		}
+		return cells
+	}
+	return 1
 }
 
 // mapMonotone maps AND/OR/NAND/NOR of any arity, using the widest stocked

@@ -233,3 +233,35 @@ func TestMapISCASLikeAll(t *testing.T) {
 		t.Logf("%-6s mapped %5d gates (paper %5d, ratio %.2f)", name, got, want, float64(got)/float64(want))
 	}
 }
+
+// TestCellCountMatchesMapping checks the reservation Map makes: for every
+// fan-in width from 1 to 23 of every n-ary function, and for random
+// netlists, cellCount predicts exactly the gates mapping adds.
+func TestCellCountMatchesMapping(t *testing.T) {
+	var cs []*circuit.Circuit
+	for _, fn := range []circuit.Fn{circuit.And, circuit.Nand, circuit.Or, circuit.Nor, circuit.Xor, circuit.Xnor} {
+		for w := 1; w <= 23; w++ {
+			c := circuit.New("wide")
+			g := c.MustAddGate("y", fn)
+			for i := 0; i < w; i++ {
+				c.MustConnect(c.MustAddGate("", circuit.Input), g)
+			}
+			c.MustMarkOutput(g)
+			cs = append(cs, c)
+		}
+	}
+	cs = append(cs, gen.RandomDAG("dag", 32, 2000, 16, 3), gen.SEC("sec", 64, true), gen.ALU("alu", 8))
+	for _, c := range cs {
+		want := 0
+		for i := range c.Gates {
+			want += cellCount(&c.Gates[i])
+		}
+		d, err := Map(c, lib(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.Circuit.NumGates(); got != want {
+			t.Fatalf("%s (%s): mapped %d gates, cellCount predicted %d", c.Name, c.Gates[len(c.Gates)-1].Fn, got, want)
+		}
+	}
+}
