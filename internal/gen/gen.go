@@ -211,8 +211,13 @@ func (b *builder) norHalfAdder(a, bb circuit.GateID) (sum, cout circuit.GateID) 
 // datapath, control and checking blocks into one netlist.
 func Compose(name string, blocks ...*circuit.Circuit) *circuit.Circuit {
 	out := circuit.New(name)
+	total := 0
+	for _, blk := range blocks {
+		total += blk.NumGates()
+	}
+	out.Grow(total)
 	for bi, blk := range blocks {
-		remap := make(map[circuit.GateID]circuit.GateID, blk.NumGates())
+		remap := make([]circuit.GateID, blk.NumGates())
 		for _, id := range blk.MustTopoOrder() {
 			g := blk.Gate(id)
 			nid := out.MustAddGate(fmt.Sprintf("b%d_%s", bi, g.Name), g.Fn)

@@ -256,13 +256,13 @@ func newFlatNet(d *synth.Design, vm *variation.Model) *flatNet {
 		if g.Fn == circuit.Input {
 			continue
 		}
-		k := pos[id]
+		p := pos[id]
 		for _, f := range g.Fanin {
 			net.fanin = append(net.fanin, pos[f])
 		}
-		net.start[k+1] = int32(len(net.fanin))
-		net.mean[k] = nominal.Delay[id]
-		net.sigma[k] = vm.Sigma(d.Cell(id), net.mean[k])
+		net.start[p+1] = int32(len(net.fanin))
+		net.mean[p] = nominal.Delay[id]
+		net.sigma[p] = vm.Sigma(d.Cell(id), net.mean[p])
 	}
 	for i, po := range c.Outputs {
 		net.outputs[i] = pos[po]

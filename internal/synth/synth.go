@@ -250,15 +250,15 @@ func cellCount(g *circuit.Gate) int {
 	case circuit.Xor, circuit.Xnor:
 		return max(n-1, 1)
 	case circuit.And, circuit.Or, circuit.Nand, circuit.Nor:
-		cells := 1
+		count := 1
 		for n > 4 {
-			cells += n / 4 // full chunks
+			count += n / 4 // full chunks
 			if n%4 >= 2 {
-				cells++ // a partial chunk of two or three
+				count++ // a partial chunk of two or three
 			}
 			n = (n + 3) / 4
 		}
-		return cells
+		return count
 	}
 	return 1
 }
