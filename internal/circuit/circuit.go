@@ -9,6 +9,7 @@ package circuit
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 )
@@ -261,9 +262,7 @@ func (c *Circuit) Grow(n int) {
 	c.Gates = slices.Grow(c.Gates, n)
 	c.isOut = slices.Grow(c.isOut, n)
 	byName := make(map[string]GateID, len(c.byName)+n)
-	for name, id := range c.byName {
-		byName[name] = id
-	}
+	maps.Copy(byName, c.byName)
 	c.byName = byName
 }
 
