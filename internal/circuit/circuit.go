@@ -250,7 +250,7 @@ func (c *Circuit) AddGate(name string, fn Fn) (GateID, error) {
 	return id, nil
 }
 
-// Grow reserves room for n more gates, so a builder that knows its gate
+// Grow reserves room for n more gates, so a constructor that knows its gate
 // count up front adds them without regrowing Gates, the IsOutput index
 // or the name map. It adds no gate and leaves the caches alone, but like
 // AddGate it may move Gates, invalidating pointers returned by Gate.
