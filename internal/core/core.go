@@ -337,23 +337,24 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 				sizesB = d.Circuit.SizeSnapshot()
 			}
 
-			// Move A — the most common winner — is scored by refreshing
-			// the analyzer at its sizing: its application IS its analysis,
-			// so the engine's dirty-cone repair does double duty and no
-			// separate probe overlay is ever built for it. Move B is scored
-			// as a what-if candidate expressed against sizesA (the
-			// circuit's configuration at probe time); the cost is
-			// bit-identical to applying the move and re-analyzing.
-			d.Circuit.RestoreSizes(sizesA)
-			costA := az.refresh().Cost(d, opts.Lambda)
-			costB := math.Inf(1)
+			// Moves A and B are scored as one what-if batch against the
+			// start sizing, so their cones run on separate workers; each
+			// cost is bit-identical to applying the move and re-analyzing.
+			// The engine keeps both candidates' overlays, and the closing
+			// refresh adopts the winner's instead of repairing its cone.
+			d.Circuit.RestoreSizes(startSizes)
+			cands := [][]ssta.SizeChange{changesBetween(startSizes, sizesA)}
 			if bumped > 0 {
-				costB = az.whatIf([][]ssta.SizeChange{changesBetween(sizesA, sizesB)}, opts.Lambda)[0]
+				cands = append(cands, changesBetween(startSizes, sizesB))
+			}
+			costs := az.whatIf(cands, opts.Lambda)
+			costA, costB := costs[0], math.Inf(1)
+			if bumped > 0 {
+				costB = costs[1]
 			}
 
-			// Pick the winner by the scalar costs; a move-B winner is
-			// applied once, after the move-C probe below has also been
-			// scored.
+			// Pick the winner by the scalar costs; it is applied once,
+			// after the move-C probe below has also been scored.
 			move := "per-gate"
 			chosenCost := costA
 			winnerSizes := sizesA
@@ -363,16 +364,15 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 			// Move C, the verified single-step fallback: when every batch
 			// move made the global cost worse, a whole first batch has
 			// overshot. Retry with only the single most promising gate
-			// move; if even that fails globally, the iteration counts as
-			// non-improving and patience handles termination.
+			// move, scored against the start sizing; if even that fails
+			// globally, the iteration counts as non-improving and patience
+			// handles termination.
 			if chosenCost >= cur.Cost && bestSingleGate != circuit.None {
-				sizesC := append([]int(nil), startSizes...)
-				sizesC[bestSingleGate] = bestSingleSize
 				costC := az.whatIf([][]ssta.SizeChange{
-					changesBetween(sizesA, sizesC),
+					{{Gate: bestSingleGate, Size: bestSingleSize}},
 				}, opts.Lambda)[0]
 				if costC < cur.Cost {
-					d.Circuit.RestoreSizes(sizesC)
+					d.Circuit.Gate(bestSingleGate).SizeIdx = bestSingleSize
 					resized = 1
 					move = "single"
 				} else {

@@ -13,6 +13,7 @@ package difftest
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/cells"
 	"repro/internal/circuit"
@@ -88,8 +89,12 @@ func eqFloats(what string, got, want []float64) error {
 
 // mutator drives one seeded random resize sequence. Each step is one of
 // a single Resize, a ResizeAll batch, external size edits followed by a
-// Sync, or a mutation immediately undone by Rollback; the caller's
-// verify hook runs after every step against a from-scratch analysis.
+// Sync, a what-if step (a two-candidate batch, then a Sync onto either
+// candidate, which the engine must adopt, or onto neither or after an
+// intervening Resize or Rollback, which it must repair, sometimes followed by a
+// Rollback), or a mutation immediately
+// undone by Rollback; the caller's verify hook runs after every step
+// against a from-scratch analysis.
 type mutator struct {
 	d     *synth.Design
 	rng   *rand.Rand
@@ -126,27 +131,98 @@ type engine interface {
 	Verify() error
 }
 
+// whatIfEngine is an engine with what-if scoring. WhatIf scores the
+// candidates as one batch against the engine's current state, leaving
+// the engine and the design unmoved.
+type whatIfEngine interface {
+	engine
+	WhatIf(cands [][]sizeChange)
+}
+
 type sizeChange struct {
 	gate circuit.GateID
 	size int
 }
 
+// edits draws 1 to max random resizes; a gate may repeat.
+func (m *mutator) edits(max int) []sizeChange {
+	batch := make([]sizeChange, 1+m.rng.IntN(max))
+	for i := range batch {
+		g, s := m.pick()
+		batch[i] = sizeChange{gate: g, size: s}
+	}
+	return batch
+}
+
+// whatIf is the what-if step: score two candidates as one batch, then
+// Sync onto candidate 0, candidate 1, other edits, or candidate 0 after
+// an intervening Resize or Rollback. A Sync onto a kept candidate that
+// moves any size must adopt it (re-evaluate nothing); a Sync onto other
+// edits, or after a call that moved the engine and so dropped the kept
+// candidates, must repair. Half the time the step verifies and then
+// rolls the Sync back.
+func (m *mutator) whatIf(eng whatIfEngine, step int) error {
+	c := m.d.Circuit
+	cands := [][]sizeChange{m.edits(4), m.edits(4)}
+	eng.WhatIf(cands)
+	kept := true
+	var target []sizeChange
+	switch pick := m.rng.IntN(4); pick {
+	case 0, 1:
+		target = cands[pick]
+	case 2:
+		target, kept = m.edits(4), false
+	default:
+		// A Resize or Rollback that moves any size moves the engine.
+		was := c.SizeSnapshot()
+		if m.rng.IntN(2) == 0 {
+			g, s := m.pick()
+			eng.Resize(g, s)
+		} else {
+			eng.Rollback()
+		}
+		kept = slices.Equal(was, c.SizeSnapshot())
+		target = cands[0]
+	}
+	before := c.SizeSnapshot()
+	for _, ch := range target {
+		c.Gate(ch.gate).SizeIdx = ch.size
+	}
+	moved := !slices.Equal(before, c.SizeSnapshot())
+	touched := eng.Sync()
+	switch {
+	case moved && kept && touched != 0:
+		return fmt.Errorf("step %d: Sync onto a kept candidate repaired %d gates instead of adopting", step, touched)
+	case moved && !kept && touched == 0:
+		return fmt.Errorf("step %d: Sync onto a sizing no kept candidate proposes re-evaluated nothing", step)
+	}
+	if m.rng.IntN(2) == 0 {
+		if err := eng.Verify(); err != nil {
+			return fmt.Errorf("step %d (pre-rollback): %w", step, err)
+		}
+		eng.Rollback()
+	}
+	return nil
+}
+
 // Drive runs steps random mutations on eng, verifying after every step.
 // It returns the first verification error, annotated with the step.
+// Engines without what-if scoring take an external-edit Sync step where
+// the what-if step would go.
 func (m *mutator) drive(eng engine, steps int) error {
 	for step := 0; step < steps; step++ {
 		op := m.rng.IntN(100)
+		wi, canWhatIf := eng.(whatIfEngine)
 		switch {
-		case op < 50: // single resize
+		case op < 45: // single resize
 			g, s := m.pick()
 			eng.Resize(g, s)
-		case op < 70: // batched resize
-			batch := make([]sizeChange, 2+m.rng.IntN(4))
-			for i := range batch {
-				g, s := m.pick()
-				batch[i] = sizeChange{gate: g, size: s}
+		case op < 62: // batched resize
+			eng.ResizeBatch(m.edits(5))
+		case op < 75 && canWhatIf:
+			if err := m.whatIf(wi, step); err != nil {
+				return err
 			}
-			eng.ResizeBatch(batch)
 		case op < 85: // external edits + Sync (the optimizer's pattern)
 			for i := 0; i < 1+m.rng.IntN(4); i++ {
 				g, s := m.pick()
@@ -189,6 +265,18 @@ func (e *sstaEngine) ResizeBatch(changes []sizeChange) int {
 }
 func (e *sstaEngine) Verify() error {
 	return CompareSSTA(e.inc.Result(), ssta.Analyze(e.d, e.vm, e.opts))
+}
+func (e *sstaEngine) WhatIf(cands [][]sizeChange) { e.batch(cands) }
+
+// batch runs BatchWhatIf at lambda 3 on the engine's worker count.
+func (e *sstaEngine) batch(cands [][]sizeChange) []ssta.WhatIfOutcome {
+	sc := make([][]ssta.SizeChange, len(cands))
+	for i, ch := range cands {
+		for _, c := range ch {
+			sc[i] = append(sc[i], ssta.SizeChange{Gate: c.gate, Size: c.size})
+		}
+	}
+	return e.inc.BatchWhatIf(sc, 3, e.opts.Workers)
 }
 
 // staEngine adapts the deterministic sta.Incremental. It has
@@ -275,6 +363,16 @@ func (l *lockstepEngine) Sync() int {
 func (l *lockstepEngine) Rollback() {
 	for _, e := range l.engines {
 		e.Rollback()
+	}
+}
+
+func (l *lockstepEngine) WhatIf(cands [][]sizeChange) {
+	want := l.engines[0].batch(cands)
+	for k, e := range l.engines[1:] {
+		if got := e.batch(cands); !slices.Equal(got, want) && l.err == nil {
+			l.err = fmt.Errorf("BatchWhatIf outcomes at workers %d differ from workers %d: %+v vs %+v",
+				l.workers[k+1], l.workers[0], got, want)
+		}
 	}
 }
 

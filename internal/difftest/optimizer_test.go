@@ -106,7 +106,11 @@ func TestOptimizerProperties(t *testing.T) {
 //
 //   - a repeated run with identical options is bit-identical;
 //   - Workers 1, 2 and 4 are bit-identical: Workers changes speed,
-//     never answers.
+//     never answers;
+//   - the Evals and NodeEvals work counters agree at Workers 1, 2 and 4:
+//     how a batch of what-if candidates is scheduled, and so whether a
+//     later refresh adopts a scored candidate, must not depend on the
+//     worker count.
 //
 // That the incremental analyzer matches a from-scratch one is pinned in
 // internal/core against a reference analyzer, and CheckOptimizer
@@ -144,6 +148,10 @@ func TestOptimizerSeededEquivalence(t *testing.T) {
 				}
 				if err := CompareSizes(wSizes, refSizes); err != nil {
 					t.Fatalf("workers 1 vs %d diverged: %v", workers, err)
+				}
+				if wRes.Evals != refRes.Evals || wRes.NodeEvals != refRes.NodeEvals {
+					t.Fatalf("workers 1 vs %d: counters (%d, %d) vs (%d, %d)", workers,
+						refRes.Evals, refRes.NodeEvals, wRes.Evals, wRes.NodeEvals)
 				}
 			}
 		})

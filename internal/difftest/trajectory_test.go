@@ -27,19 +27,19 @@ var pinnedTrajectories = []struct {
 	{"alu2", "meandelay", "converged", 0x206269ad039ce24e},
 	{"alu2", "recoverarea", "converged", 0xb627ce9f0986cb30},
 	{"alu2", "sensitivity", "max-iters", 0x9d15e8cd3035e98a},
-	{"alu2", "statgreedy", "max-iters", 0x84c6b884aae28447},
+	{"alu2", "statgreedy", "max-iters", 0x3f229f4b53af729e},
 	{"c432", "meandelay", "max-iters", 0x55c2476756785ce6},
 	{"c432", "recoverarea", "converged", 0x1273cb71288e777e},
 	{"c432", "sensitivity", "max-iters", 0xa5e19fb0817792a8},
-	{"c432", "statgreedy", "max-iters", 0x2130a5220e6a125f},
+	{"c432", "statgreedy", "max-iters", 0x98af82123b8159c1},
 	{"c499", "meandelay", "max-iters", 0x291ed2820e6fbe32},
 	{"c499", "recoverarea", "converged", 0x2c8b67ff1f97f26},
 	{"c499", "sensitivity", "max-iters", 0x601052e262fee5c},
-	{"c499", "statgreedy", "max-iters", 0x6559cd3cff42223b},
+	{"c499", "statgreedy", "max-iters", 0xf49cd09a737858e5},
 	{"c880", "meandelay", "converged", 0x4b7b05cf68500960},
 	{"c880", "recoverarea", "converged", 0x39414a3474d4f845},
 	{"c880", "sensitivity", "max-iters", 0xefa52e9f0046dc14},
-	{"c880", "statgreedy", "max-iters", 0xd6676d638f149174},
+	{"c880", "statgreedy", "max-iters", 0x72145576a693a919},
 }
 
 // trajectoryFingerprint is an FNV-64a hash of the deterministic outcome

@@ -12,8 +12,9 @@
 package fassta
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/normal"
@@ -41,10 +42,15 @@ type Subcircuit struct {
 	full *ssta.Result
 	vm   *variation.Model
 
-	inS      map[circuit.GateID]int // member -> dense index
-	arrival  []normal.Moments       // scratch, indexed like Members
-	slew     []float64              // scratch: output slews this pass
-	baseLoad []float64              // load of each member at current sizes
+	// pins holds, for every fanin pin of every member in Members order,
+	// the driver's member index, or -1 for a driver outside the
+	// subcircuit (read from the frozen FULLSSTA boundary).
+	pins []int32
+	// outIdx is the member index of each entry of Outputs.
+	outIdx   []int32
+	arrival  []normal.Moments // scratch, indexed like Members
+	slew     []float64        // scratch: output slews this pass
+	baseLoad []float64        // load of each member at current sizes
 	// drivesTarget[i] counts how many fanin pins of the target are driven
 	// by member i (multiplicity matters for load adjustment).
 	drivesTarget []int
@@ -58,12 +64,23 @@ type Subcircuit struct {
 	restVar []float64
 }
 
-// Extractor amortizes the topological-position index across the many
-// Extract calls one optimizer iteration makes (one per WNSS-path gate).
+// Extractor amortizes a per-design index and scratch across the many
+// Extract calls one optimizer iteration makes (one per WNSS-path gate):
+// every gate's topological position, and visit and membership marks
+// stamped with a per-use epoch so no call has to clear them. One
+// extraction allocates only the subcircuit it returns. An Extractor is
+// not safe for concurrent use.
 type Extractor struct {
-	d       *synth.Design
-	topoPos map[circuit.GateID]int
-	rev     int
+	d   *synth.Design
+	rev int
+
+	pos   []int32  // topological position of each gate
+	seen  []uint32 // == a walk's epoch: visited by that cone walk
+	mark  []uint32 // == an extraction's epoch: member of that subcircuit
+	idx   []int32  // member index, valid where mark holds the current epoch
+	epoch uint32
+
+	members, frontier, next []circuit.GateID
 }
 
 // NewExtractor builds an extractor bound to the design.
@@ -71,61 +88,89 @@ func NewExtractor(d *synth.Design) *Extractor {
 	return &Extractor{d: d, rev: -1}
 }
 
-// Extract is like the package-level Extract but reuses the cached
-// topological index while the circuit structure is unchanged.
-func (e *Extractor) Extract(full *ssta.Result, vm *variation.Model, target circuit.GateID, depth int) *Subcircuit {
-	e.Prime()
-	return extract(e.d, full, vm, target, depth, e.topoPos)
+// Prime builds (or, after a structural change, rebuilds) the
+// topological index and the mark arrays eagerly; Extract calls it
+// itself, so priming only moves that cost out of the first extraction.
+func (e *Extractor) Prime() {
+	c := e.d.Circuit
+	if e.pos != nil && e.rev == c.Revision() {
+		return
+	}
+	n := c.NumGates()
+	e.pos = make([]int32, n)
+	for i, id := range c.MustTopoOrder() {
+		e.pos[id] = int32(i)
+	}
+	e.seen = make([]uint32, n)
+	e.mark = make([]uint32, n)
+	e.idx = make([]int32, n)
+	e.epoch = 0
+	e.rev = c.Revision()
 }
 
-// Prime builds (or refreshes) the cached topological index eagerly.
-// Subsequent Extract calls only read the index, so a caller that primes
-// once may extract subcircuits concurrently as long as the circuit
-// structure is not mutated meanwhile.
-func (e *Extractor) Prime() {
-	if e.topoPos == nil || e.rev != e.d.Circuit.Revision() {
-		topo := e.d.Circuit.MustTopoOrder()
-		e.topoPos = make(map[circuit.GateID]int, len(topo))
-		for i, id := range topo {
-			e.topoPos[id] = i
+// tick returns a fresh epoch, clearing the mark arrays on wraparound.
+func (e *Extractor) tick() uint32 {
+	e.epoch++
+	if e.epoch == 0 {
+		clear(e.seen)
+		clear(e.mark)
+		e.epoch = 1
+	}
+	return e.epoch
+}
+
+// walk visits the gates within depth levels of seed, backward through
+// fanins or forward through fanouts, seed included, and adds the logic
+// gates among them to the members of extraction epoch in.
+func (e *Extractor) walk(seed circuit.GateID, depth int, forward bool, in uint32) {
+	c := e.d.Circuit
+	v := e.tick()
+	add := func(id circuit.GateID) {
+		if e.mark[id] != in && c.Gate(id).Fn.IsLogic() {
+			e.mark[id] = in
+			e.members = append(e.members, id)
 		}
-		e.rev = e.d.Circuit.Revision()
+	}
+	e.seen[seed] = v
+	add(seed)
+	e.frontier = append(e.frontier[:0], seed)
+	for l := 0; l < depth && len(e.frontier) > 0; l++ {
+		e.next = e.next[:0]
+		for _, id := range e.frontier {
+			nbrs := c.Gate(id).Fanin
+			if forward {
+				nbrs = c.Gate(id).Fanout
+			}
+			for _, nb := range nbrs {
+				if e.seen[nb] != v {
+					e.seen[nb] = v
+					add(nb)
+					e.next = append(e.next, nb)
+				}
+			}
+		}
+		e.frontier, e.next = e.next, e.frontier
 	}
 }
 
 // Extract builds the subcircuit of the given radius around target.
-func Extract(d *synth.Design, full *ssta.Result, vm *variation.Model, target circuit.GateID, depth int) *Subcircuit {
-	topo := d.Circuit.MustTopoOrder()
-	topoPos := make(map[circuit.GateID]int, len(topo))
-	for i, id := range topo {
-		topoPos[id] = i
-	}
-	return extract(d, full, vm, target, depth, topoPos)
-}
-
-func extract(d *synth.Design, full *ssta.Result, vm *variation.Model, target circuit.GateID, depth int, topoPos map[circuit.GateID]int) *Subcircuit {
+func (e *Extractor) Extract(full *ssta.Result, vm *variation.Model, target circuit.GateID, depth int) *Subcircuit {
+	e.Prime()
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
+	d := e.d
 	c := d.Circuit
-	seed := []circuit.GateID{target}
-	set := make(map[circuit.GateID]bool)
-	for _, id := range c.TransitiveFanin(seed, depth) {
-		if c.Gate(id).Fn.IsLogic() {
-			set[id] = true
-		}
-	}
-	for _, id := range c.TransitiveFanout(seed, depth) {
-		if c.Gate(id).Fn.IsLogic() {
-			set[id] = true
-		}
-	}
-	members := make([]circuit.GateID, 0, len(set))
-	for id := range set {
-		members = append(members, id)
-	}
+	in := e.tick()
+	e.members = e.members[:0]
+	e.walk(target, depth, false, in)
+	e.walk(target, depth, true, in)
+	members := slices.Clone(e.members)
 	// Topo order: sort by position in the circuit's topological order.
-	sort.Slice(members, func(i, j int) bool { return topoPos[members[i]] < topoPos[members[j]] })
+	slices.SortFunc(members, func(a, b circuit.GateID) int { return cmp.Compare(e.pos[a], e.pos[b]) })
+	for i, id := range members {
+		e.idx[id] = int32(i)
+	}
 
 	s := &Subcircuit{
 		Target:  target,
@@ -133,10 +178,6 @@ func extract(d *synth.Design, full *ssta.Result, vm *variation.Model, target cir
 		d:       d,
 		full:    full,
 		vm:      vm,
-		inS:     make(map[circuit.GateID]int, len(members)),
-	}
-	for i, id := range members {
-		s.inS[id] = i
 	}
 	// Outputs: every member whose timing leaves the subcircuit — primary
 	// outputs, members with a fanout outside S, and dangling members.
@@ -145,16 +186,25 @@ func extract(d *synth.Design, full *ssta.Result, vm *variation.Model, target cir
 	// the sibling paths through those drivers would otherwise never be
 	// priced, letting the optimizer underestimate the mean cost of every
 	// upsizing move.
-	for _, id := range members {
-		escapes := c.IsOutput(id) || len(c.Gate(id).Fanout) == 0
-		for _, fo := range c.Gate(id).Fanout {
-			if _, ok := s.inS[fo]; !ok {
+	for i, id := range members {
+		g := c.Gate(id)
+		escapes := c.IsOutput(id) || len(g.Fanout) == 0
+		for _, fo := range g.Fanout {
+			if e.mark[fo] != in {
 				escapes = true
 				break
 			}
 		}
 		if escapes {
 			s.Outputs = append(s.Outputs, id)
+			s.outIdx = append(s.outIdx, int32(i))
+		}
+		for _, f := range g.Fanin {
+			j := int32(-1)
+			if e.mark[f] == in {
+				j = e.idx[f]
+			}
+			s.pins = append(s.pins, j)
 		}
 	}
 	s.arrival = make([]normal.Moments, len(members))
@@ -179,11 +229,17 @@ func extract(d *synth.Design, full *ssta.Result, vm *variation.Model, target cir
 		}
 	}
 	for _, f := range c.Gate(target).Fanin {
-		if i, ok := s.inS[f]; ok {
-			s.drivesTarget[i]++
+		if e.mark[f] == in {
+			s.drivesTarget[e.idx[f]]++
 		}
 	}
 	return s
+}
+
+// Extract builds the subcircuit of the given radius around target
+// through a one-use Extractor.
+func Extract(d *synth.Design, full *ssta.Result, vm *variation.Model, target circuit.GateID, depth int) *Subcircuit {
+	return NewExtractor(d).Extract(full, vm, target, depth)
 }
 
 // Cost evaluates the subcircuit with the target at candidate size
@@ -206,19 +262,21 @@ func (s *Subcircuit) CostDeterministic(sizeIdx int) float64 {
 	capDelta := candCell.InputCap - curCell.InputCap
 
 	worst := math.Inf(-1)
+	p := 0
 	for i, id := range s.Members {
 		g := c.Gate(id)
 		arr := 0.0
 		inSlew := 0.0
 		for _, f := range g.Fanin {
 			var m, slew float64
-			if j, ok := s.inS[f]; ok {
+			if j := s.pins[p]; j >= 0 {
 				m = s.arrival[j].Mean
 				slew = s.slew[j]
 			} else {
 				m = s.full.STA.Arrival[f]
 				slew = s.full.STA.Slew[f]
 			}
+			p++
 			if m > arr {
 				arr = m
 			}
@@ -235,8 +293,8 @@ func (s *Subcircuit) CostDeterministic(sizeIdx int) float64 {
 		s.slew[i] = cell.OutSlew.Lookup(inSlew, load)
 		s.arrival[i] = normal.Moments{Mean: arr + mean}
 	}
-	for _, id := range s.Outputs {
-		if m := s.arrival[s.inS[id]].Mean; m > worst {
+	for _, i := range s.outIdx {
+		if m := s.arrival[i].Mean; m > worst {
 			worst = m
 		}
 	}

@@ -2,6 +2,7 @@ package fassta
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cells"
@@ -58,12 +59,12 @@ func TestExtractContainsTargetAndNeighbours(t *testing.T) {
 		if !d.Circuit.Gate(f).Fn.IsLogic() {
 			continue
 		}
-		if _, ok := s.inS[f]; !ok {
+		if !slices.Contains(s.Members, f) {
 			t.Fatalf("fanin %d missing from subcircuit", f)
 		}
 	}
 	for _, fo := range d.Circuit.Gate(target).Fanout {
-		if _, ok := s.inS[fo]; !ok {
+		if !slices.Contains(s.Members, fo) {
 			t.Fatalf("fanout %d missing from subcircuit", fo)
 		}
 	}

@@ -87,6 +87,7 @@ func (s *Subcircuit) costWith(sizeIdx int, lambda float64, maxFn func(a, b norma
 	capDelta := candCell.InputCap - curCell.InputCap
 
 	worst := math.Inf(-1)
+	p := 0
 	for i, id := range s.Members {
 		g := c.Gate(id)
 		var arr normal.Moments
@@ -94,13 +95,14 @@ func (s *Subcircuit) costWith(sizeIdx int, lambda float64, maxFn func(a, b norma
 		for fi, f := range g.Fanin {
 			var m normal.Moments
 			var slew float64
-			if j, ok := s.inS[f]; ok {
+			if j := s.pins[p]; j >= 0 {
 				m = s.arrival[j]
 				slew = s.slew[j]
 			} else {
 				m = s.full.Node[f]
 				slew = s.full.STA.Slew[f]
 			}
+			p++
 			if slew > inSlew {
 				inSlew = slew
 			}
@@ -120,8 +122,8 @@ func (s *Subcircuit) costWith(sizeIdx int, lambda float64, maxFn func(a, b norma
 		sigma := s.vm.Sigma(cell, mean)
 		s.arrival[i] = arr.Add(normal.Moments{Mean: mean, Var: sigma * sigma})
 	}
-	for k, id := range s.Outputs {
-		m := s.arrival[s.inS[id]]
+	for k, i := range s.outIdx {
+		m := s.arrival[i]
 		completed := math.Sqrt(m.Var + s.restVar[k])
 		if cost := m.Mean + lambda*completed; cost > worst {
 			worst = cost

@@ -3,9 +3,12 @@ package fassta
 import (
 	"math"
 	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/gen"
+	"repro/internal/synth"
 )
 
 // TestAnalyzeGlobalTracksFULLSSTA checks the whole-circuit moments
@@ -32,8 +35,9 @@ func TestAnalyzeGlobalTracksFULLSSTA(t *testing.T) {
 	}
 }
 
-// TestExtractorMatchesExtract pins the optimizer's cached-index
-// extractor to the one-shot Extract, and the exact-Clark ablation cost
+// TestExtractorMatchesExtract pins the optimizer's reused extractor to
+// the one-shot Extract and both to referenceRegion, the map-based
+// extraction the dense one replaced, and the exact-Clark ablation cost
 // to the fast cost it replaces.
 func TestExtractorMatchesExtract(t *testing.T) {
 	d, full, vm := setup(t, gen.SEC("sec", 16, true))
@@ -44,6 +48,13 @@ func TestExtractorMatchesExtract(t *testing.T) {
 		target := d.Circuit.Gates[i].ID
 		if !d.Circuit.Gates[i].Fn.IsLogic() || i%7 != 0 {
 			continue
+		}
+		for _, depth := range []int{1, 3} {
+			members, outputs := referenceRegion(d, target, depth)
+			got := ex.Extract(full, vm, target, depth)
+			if !slices.Equal(got.Members, members) || !slices.Equal(got.Outputs, outputs) {
+				t.Fatalf("gate %d depth %d: subcircuit differs from the reference", target, depth)
+			}
 		}
 		want := Extract(d, full, vm, target, 2)
 		got := ex.Extract(full, vm, target, 2)
@@ -64,4 +75,36 @@ func TestExtractorMatchesExtract(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no logic gate checked")
 	}
+}
+
+// referenceRegion is the map-based extraction: the logic gates of the
+// depth-bounded fanin and fanout cones, sorted by topological position,
+// and the members with a primary output, no fanout or a fanout outside.
+func referenceRegion(d *synth.Design, target circuit.GateID, depth int) (members, outputs []circuit.GateID) {
+	c := d.Circuit
+	pos := map[circuit.GateID]int{}
+	for i, id := range c.MustTopoOrder() {
+		pos[id] = i
+	}
+	set := map[circuit.GateID]bool{}
+	seed := []circuit.GateID{target}
+	for _, id := range append(c.TransitiveFanin(seed, depth), c.TransitiveFanout(seed, depth)...) {
+		if c.Gate(id).Fn.IsLogic() {
+			set[id] = true
+		}
+	}
+	for id := range set {
+		members = append(members, id)
+	}
+	sort.Slice(members, func(i, j int) bool { return pos[members[i]] < pos[members[j]] })
+	for _, id := range members {
+		escapes := c.IsOutput(id) || len(c.Gate(id).Fanout) == 0
+		for _, fo := range c.Gate(id).Fanout {
+			escapes = escapes || !set[fo]
+		}
+		if escapes {
+			outputs = append(outputs, id)
+		}
+	}
+	return members, outputs
 }

@@ -2,7 +2,6 @@ package ssta
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/dpdf"
@@ -28,21 +27,32 @@ type WhatIfOutcome struct {
 	Changed bool
 }
 
+// keepMax is the largest batch whose candidates BatchWhatIf keeps for
+// adoption by the next Sync: the optimizer's move pair.
+const keepMax = 2
+
 // BatchWhatIf evaluates K candidate sizings against the engine's current
 // analysis in one pass, sharing the clean cone prefix: the clean arena is
 // read-only, each candidate repairs only its dirty cone into an
-// engine-owned overlay arena, and neither the circuit nor the engine
-// moves. Outcome summaries are bit-identical to applying each candidate
-// via ResizeAll and reading Result (the differential tests pin this).
+// engine-owned overlay, and neither the circuit nor the engine moves.
+// Outcome summaries are bit-identical to applying each candidate via
+// ResizeAll and reading Result (the differential tests pin this).
 // Sizes in each candidate are absolute target size indices; gates
 // already at the target are ignored. workers <= 0 means one per CPU;
 // results do not depend on the worker count.
 //
-// With at least as many candidates as workers, candidates are sharded
-// across workers, one overlay each. With fewer (the optimizer's one- or
-// two-candidate probes), candidates run one at a time through a single
-// overlay and each wide level of the candidate's cone fans out across
-// the workers instead.
+// A batch of at most two candidates (the optimizer's move pair or a
+// single probe) gives each candidate its own overlay and keeps them
+// populated: two candidates run concurrently when workers >= 2, each
+// with half of the workers for its wide levels, and a single candidate
+// fans its wide levels out across all of them. The next Sync whose size
+// diff equals a kept candidate's changes adopts that overlay instead of
+// repairing the cone again; any other state-changing call (Resize,
+// ResizeAll, a Sync to any other sizing, Rollback, Recompute, the next
+// BatchWhatIf) drops the kept overlays. Larger batches keep nothing: with
+// at least as many candidates as workers they are sharded across
+// workers, one overlay each, and otherwise they run one at a time
+// through one overlay with each wide level fanned out.
 //
 // The circuit's sizes must match the engine state (call Sync first if
 // they were edited externally); BatchWhatIf panics otherwise, because the
@@ -55,6 +65,7 @@ func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []
 			panic("ssta: circuit sizes diverge from engine state; Sync before BatchWhatIf")
 		}
 	}
+	f.dropKept()
 	r := f.r
 	clean := WhatIfOutcome{
 		Mean:       r.Mean,
@@ -65,24 +76,34 @@ func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []
 	outs := make([]WhatIfOutcome, len(cands))
 	workers = parallel.Resolve(workers)
 	sc := f.scratch(workers)
-	if n := workers - len(f.overlays); n > 0 {
+	if n := max(workers, keepMax) - len(f.overlays); n > 0 {
 		f.overlays = append(f.overlays, make([]*whatIfWorker, n)...)
 	}
-	if len(cands) < workers {
+	switch {
+	case len(cands) == keepMax && workers >= keepMax:
+		per := workers / keepMax
+		parallel.ForEachWorker(keepMax, keepMax, func(_, i int) {
+			outs[i] = f.overlay(i).evaluate(cands[i], lambda, clean, sc[i*per:(i+1)*per], true)
+		})
+	case len(cands) <= keepMax:
+		for i, ch := range cands {
+			outs[i] = f.overlay(i).evaluate(ch, lambda, clean, sc, true)
+		}
+	case len(cands) < workers:
 		w := f.overlay(0)
 		for i, ch := range cands {
-			outs[i] = w.evaluate(ch, lambda, clean, sc)
+			outs[i] = w.evaluate(ch, lambda, clean, sc, false)
 		}
-		return outs
+	default:
+		parallel.ForEachWorker(workers, len(cands), func(wi, i int) {
+			outs[i] = f.overlay(wi).evaluate(cands[i], lambda, clean, sc[wi:wi+1], false)
+		})
 	}
-	parallel.ForEachWorker(workers, len(cands), func(wi, i int) {
-		outs[i] = f.overlay(wi).evaluate(cands[i], lambda, clean, sc[wi:wi+1])
-	})
 	return outs
 }
 
-// overlay returns worker i's what-if overlay, creating it on first use;
-// workers may call it concurrently for distinct i.
+// overlay returns what-if overlay i, creating it on first use; workers
+// may call it concurrently for distinct i.
 func (f *Flat) overlay(i int) *whatIfWorker {
 	if f.overlays[i] == nil {
 		f.overlays[i] = f.newWhatIfWorker()
@@ -90,29 +111,86 @@ func (f *Flat) overlay(i int) *whatIfWorker {
 	return f.overlays[i]
 }
 
-// whatIfWorker is one overlay over the engine's clean analysis: sparse
-// copy-on-write views of the deterministic arrays, the arrival-PDF
-// arena, node moments, and size overrides. Overlay slots shadow the
-// clean analysis; everything not marked dirty reads through to it.
-// Reset is O(touched).
+// dropKept clears the overlays the last small batch kept for adoption.
+func (f *Flat) dropKept() {
+	for _, w := range f.overlays {
+		if w != nil && w.kept {
+			w.reset()
+		}
+	}
+}
+
+// keptFor returns the kept overlay whose candidate changes exactly the
+// ndiff gates at which the circuit's sizes differ from the engine's
+// record, or nil.
+func (f *Flat) keptFor(ndiff int) *whatIfWorker {
+	for _, w := range f.overlays {
+		if w != nil && w.kept && w.proposes(ndiff) {
+			return w
+		}
+	}
+	return nil
+}
+
+// adopt commits kept overlay w into the engine's analysis — every node
+// its candidate re-evaluated, then the circuit summary — journaling each
+// node first, inside the transaction the caller opened. The overlay
+// holds exactly the values a repair of the same diff would compute.
+func (f *Flat) adopt(w *whatIfWorker) {
+	c := f.d.Circuit
+	r := f.r
+	for s := 1; s < len(w.ids); s++ {
+		id := w.ids[s]
+		f.save(id)
+		e := &w.vals[s]
+		r.STA.Arrival[id] = e.arrival
+		r.STA.Slew[id] = e.slew
+		if c.Gate(id).Fn == circuit.Input {
+			continue // only the deterministic view of an input moves
+		}
+		r.STA.InSlew[id] = e.inSlew
+		r.STA.Delay[id] = e.delay
+		r.GateDelay[id] = e.gateDelay
+		r.Node[id] = e.node
+		f.arena.Set(int(id), w.over.View(s))
+		r.Arrival[id] = f.arena.View(int(id))
+	}
+	if w.out.Changed {
+		top := c.NumGates()
+		f.arena.Set(top, w.over.View(0))
+		r.CircuitPDF = f.arena.View(top)
+		r.Mean, r.Sigma = w.out.Mean, w.out.Sigma
+		r.STA.MaxArrival, r.STA.WorstPO = w.out.MaxArrival, w.worstPO
+	}
+}
+
+// whatIfWorker is one overlay over the engine's clean analysis. It is
+// compact: a gate→slot index, and slots only for the nodes the current
+// candidate re-evaluated, each holding the node's deterministic values,
+// moments and (in arena slot s of over) arrival PDF; arena slot 0 holds
+// the candidate's circuit PDF. Everything without a slot reads through
+// to the clean analysis. Reset is O(touched).
 type whatIfWorker struct {
 	f     *Flat
 	queue *circuit.LevelQueue
-	over  *dpdf.Arena // arrival PDFs; slot n = candidate circuit PDF
-	// An overlay arena slot with Len > 0 shadows the clean arrival PDF;
-	// staDirty marks shadowed deterministic values. Input gates set only
-	// the latter (their statistical arrival is pinned at Point(0)).
-	staDirty    []bool
-	arr, slew   []float64
-	mom         []normal.Moments
-	touched     []circuit.GateID
+	slot  []int32          // gate → slot; 0 = reads through to the clean analysis
+	ids   []circuit.GateID // slot → gate; ids[0] is unused
+	vals  []gateEval       // slot → computed values; vals[0] is unused
+	// over holds the arrival PDFs by slot. An input's slot is empty: its
+	// statistical arrival is pinned at Point(0) and reads through.
+	over        *dpdf.Arena
 	sizeOv      []int32 // -1 = no override
 	sizeTouched []circuit.GateID
 
-	// The level under repair and its computed evals, index-aligned, and
-	// the scratches the current candidate computes with (one per worker).
+	// kept marks an overlay left populated for adoption, with its
+	// candidate's outcome and worst PO.
+	kept    bool
+	out     WhatIfOutcome
+	worstPO circuit.GateID
+
+	// The level under repair and the scratches the current candidate
+	// computes with (one per worker).
 	lvl         []circuit.GateID
-	evs         []gateEval
 	sc          []flatScratch
 	computeNode func(w, i int) // compute over lvl[i], built once
 }
@@ -120,59 +198,82 @@ type whatIfWorker struct {
 func (f *Flat) newWhatIfWorker() *whatIfWorker {
 	n := f.d.Circuit.NumGates()
 	w := &whatIfWorker{
-		f:        f,
-		queue:    circuit.NewLevelQueue(n),
-		over:     dpdf.NewArena(n+1, f.pts),
-		staDirty: make([]bool, n),
-		arr:      make([]float64, n),
-		slew:     make([]float64, n),
-		mom:      make([]normal.Moments, n),
-		sizeOv:   make([]int32, n),
+		f:      f,
+		queue:  circuit.NewLevelQueue(n),
+		slot:   make([]int32, n),
+		ids:    []circuit.GateID{circuit.None},
+		vals:   make([]gateEval, 1),
+		over:   dpdf.NewArena(1, f.pts),
+		sizeOv: make([]int32, n),
 	}
 	for i := range w.sizeOv {
 		w.sizeOv[i] = -1
 	}
-	w.computeNode = func(wk, i int) { w.evs[i] = w.compute(&w.sc[wk], w.lvl[i]) }
+	w.computeNode = func(wk, i int) {
+		id := w.lvl[i]
+		s := w.slot[id]
+		w.vals[s] = w.compute(&w.sc[wk], id, int(s))
+	}
 	return w
 }
 
 // reset clears the overlay back to the clean state in O(touched).
 func (w *whatIfWorker) reset() {
-	for _, id := range w.touched {
-		w.staDirty[id] = false
-		w.over.Clear(int(id))
+	for _, id := range w.ids[1:] {
+		w.slot[id] = 0
 	}
-	w.touched = w.touched[:0]
+	w.ids = w.ids[:1]
+	w.vals = w.vals[:1]
 	for _, id := range w.sizeTouched {
 		w.sizeOv[id] = -1
 	}
 	w.sizeTouched = w.sizeTouched[:0]
+	w.kept = false
+}
+
+// proposes reports whether the overlay's candidate changes exactly
+// ndiff gates, each to the size the circuit now holds — that is,
+// whether the circuit's diff against the engine is this candidate.
+func (w *whatIfWorker) proposes(ndiff int) bool {
+	c := w.f.d.Circuit
+	n := 0
+	for _, g := range w.sizeTouched {
+		s := int(w.sizeOv[g])
+		if s == w.f.sizes[g] {
+			continue
+		}
+		if c.Gate(g).SizeIdx != s {
+			return false
+		}
+		n++
+	}
+	return n == ndiff
 }
 
 func (w *whatIfWorker) staArrival(id circuit.GateID) float64 {
-	if w.staDirty[id] {
-		return w.arr[id]
+	if s := w.slot[id]; s > 0 {
+		return w.vals[s].arrival
 	}
 	return w.f.r.STA.Arrival[id]
 }
 
 func (w *whatIfWorker) staSlew(id circuit.GateID) float64 {
-	if w.staDirty[id] {
-		return w.slew[id]
+	if s := w.slot[id]; s > 0 {
+		return w.vals[s].slew
 	}
 	return w.f.r.STA.Slew[id]
 }
 
 func (w *whatIfWorker) arrival(id circuit.GateID) dpdf.PDF {
-	if w.over.Len(int(id)) > 0 {
-		return w.over.View(int(id))
+	if s := int(w.slot[id]); s > 0 && w.over.Len(s) > 0 {
+		return w.over.View(s)
 	}
 	return w.f.arena.View(int(id))
 }
 
 func (w *whatIfWorker) moments(id circuit.GateID) normal.Moments {
-	if w.over.Len(int(id)) > 0 {
-		return w.mom[id]
+	if s := int(w.slot[id]); s > 0 && w.over.Len(s) > 0 {
+		return w.vals[s].node
 	}
 	return w.f.r.Node[id]
 }
@@ -199,21 +300,16 @@ func (w *whatIfWorker) load(id circuit.GateID) float64 {
 	return load
 }
 
-// markDirty shadows id's deterministic values in the overlay.
-func (w *whatIfWorker) markDirty(id circuit.GateID) {
-	if !w.staDirty[id] {
-		w.staDirty[id] = true
-		w.touched = append(w.touched, id)
-	}
-}
-
 // evaluate runs one candidate through the overlay: seed the dirty set,
 // repair level-ordered with the engine's exact cutoff, summarize. Each
-// level is computed on len(sc) workers (forLevel) and then committed
-// serially in pop order, so the outcome does not depend on len(sc).
-func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean WhatIfOutcome, sc []flatScratch) WhatIfOutcome {
+// level gets its slots serially, is computed on len(sc) workers
+// (forLevel), and is then tested serially in pop order, so the outcome
+// does not depend on len(sc). With keep the overlay stays populated for
+// adoption; otherwise it is reset.
+func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean WhatIfOutcome, sc []flatScratch, keep bool) WhatIfOutcome {
 	f := w.f
 	c := f.d.Circuit
+	nominal := f.r.STA
 	w.sc = sc
 	for _, ch := range changes {
 		if c.Gate(ch.Gate).SizeIdx == ch.Size && w.sizeOv[ch.Gate] < 0 {
@@ -228,18 +324,29 @@ func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean What
 			w.queue.Push(fid, f.level[fid])
 		}
 	}
-	touched := 0
 	anyChanged := false
 	for {
 		w.lvl = w.queue.PopLevel(w.lvl[:0])
 		if len(w.lvl) == 0 {
 			break
 		}
-		w.evs = slices.Grow(w.evs[:0], len(w.lvl))[:len(w.lvl)]
+		for _, id := range w.lvl {
+			w.slot[id] = int32(len(w.ids))
+			w.ids = append(w.ids, id)
+			w.vals = append(w.vals, gateEval{})
+		}
+		w.over.Grow(len(w.ids))
 		forLevel(len(sc), len(w.lvl), w.computeNode)
-		touched += len(w.lvl)
-		for i, id := range w.lvl {
-			if w.commit(id, &w.evs[i]) {
+		// Each node is visited at most once per candidate, so the clean
+		// analysis holds its previous value.
+		for _, id := range w.lvl {
+			s := int(w.slot[id])
+			e := &w.vals[s]
+			changed := e.arrival != nominal.Arrival[id] || e.slew != nominal.Slew[id]
+			if c.Gate(id).Fn != circuit.Input {
+				changed = changed || !w.over.Equal(s, f.arena.View(int(id)))
+			}
+			if changed {
 				anyChanged = true
 				for _, fo := range c.Gate(id).Fanout {
 					w.queue.Push(fo, f.level[fo])
@@ -248,29 +355,35 @@ func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean What
 		}
 	}
 	out := clean
-	out.Touched = touched
+	out.Touched = len(w.ids) - 1
 	out.Changed = anyChanged
 	if anyChanged {
-		maxArr, _, m := f.summarize(w, &sc[0], w.over, c.NumGates())
+		var m normal.Moments
+		out.MaxArrival, w.worstPO, m = f.summarize(w, &sc[0], w.over, 0)
 		out.Mean = m.Mean
 		out.Sigma = math.Sqrt(m.Var)
-		out.MaxArrival = maxArr
 		out.Cost = cost(c.Outputs, w, lambda)
 	}
-	w.reset()
+	if keep {
+		w.kept, w.out = true, out
+	} else {
+		w.reset()
+	}
 	return out
 }
 
-// compute re-derives one node through the engine's eval, writing only
-// the node's own overlay arena slot; everything else it reads (fanin
+// compute re-derives one node through the engine's eval into overlay
+// slot s, writing only that slot; everything else it reads (fanin
 // values, sizes, loads) belongs to lower levels or to the candidate, so
 // the nodes of one level can be computed concurrently. For a primary
-// input only the deterministic arrival and slew move.
-func (w *whatIfWorker) compute(sc *flatScratch, id circuit.GateID) gateEval {
+// input only the deterministic arrival and slew move, and its slot
+// stays empty.
+func (w *whatIfWorker) compute(sc *flatScratch, id circuit.GateID, s int) gateEval {
 	f := w.f
 	d := f.d
 	g := d.Circuit.Gate(id)
 	if g.Fn == circuit.Input {
+		w.over.Clear(s)
 		return gateEval{
 			arrival: d.Lib.PrimaryInputRes * w.load(id),
 			slew:    d.Lib.PrimaryInputSlew,
@@ -282,28 +395,10 @@ func (w *whatIfWorker) compute(sc *flatScratch, id circuit.GateID) gateEval {
 		if a := w.staArrival(fid); a > fArr {
 			fArr = a
 		}
-		if s := w.staSlew(fid); s > fSlew {
-			fSlew = s
+		if sl := w.staSlew(fid); sl > fSlew {
+			fSlew = sl
 		}
 		sc.ops = append(sc.ops, w.arrival(fid))
 	}
-	return f.eval(sc, w.over, int(id), d.CellAt(id, w.size(id)), w.load(id), fArr, fSlew)
-}
-
-// commit records a computed node in the overlay and reports whether it
-// changed; "changed" compares against the clean analysis (each node is
-// visited at most once per candidate, so the clean value IS the
-// previous value).
-func (w *whatIfWorker) commit(id circuit.GateID, e *gateEval) bool {
-	f := w.f
-	changed := e.arrival != w.staArrival(id) || e.slew != w.staSlew(id)
-	if f.d.Circuit.Gate(id).Fn != circuit.Input {
-		slot := int(id)
-		changed = changed || !w.over.Equal(slot, f.arena.View(slot))
-		w.mom[id] = e.node
-	}
-	w.markDirty(id)
-	w.arr[id] = e.arrival
-	w.slew[id] = e.slew
-	return changed
+	return f.eval(sc, w.over, s, d.CellAt(id, w.size(id)), w.load(id), fArr, fSlew)
 }

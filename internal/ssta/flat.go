@@ -48,8 +48,10 @@ type Flat struct {
 	lvl        []circuit.GateID // the level under repair, in pop order
 	stepLevel  func(w, i int)   // step over lvl[i], built once so dispatch allocates nothing
 
-	// What-if overlays, created lazily by BatchWhatIf: at most one per
-	// worker, each reset in O(touched) after every candidate.
+	// What-if overlays, created lazily by BatchWhatIf: one per worker
+	// and at least two, each reset in O(touched) after its candidate or,
+	// for a batch of at most two, kept until the next Sync adopts one or
+	// another state-changing call drops them.
 	overlays []*whatIfWorker
 
 	// Transaction journal: every repaired node's prior state, in repair
@@ -124,6 +126,7 @@ func (f *Flat) Result() *Result { return f.r }
 func (f *Flat) Recompute() {
 	f.checkRev()
 	f.commit()
+	f.dropKept()
 	c := f.d.Circuit
 	for id := range f.sizes {
 		f.sizes[id] = c.Gate(circuit.GateID(id)).SizeIdx
@@ -218,8 +221,8 @@ func (f *Flat) step(sc *flatScratch, id circuit.GateID) {
 
 // gateEval is one logic gate's re-derived timing.
 type gateEval struct {
-	delay, slew, arrival float64
-	gateDelay, node      normal.Moments
+	delay, slew, arrival, inSlew float64
+	gateDelay, node              normal.Moments
 }
 
 // eval is FULLSSTA's per-gate computation, shared by every path through
@@ -242,6 +245,7 @@ func (f *Flat) eval(sc *flatScratch, a *dpdf.Arena, slot int, cell *cells.Cell, 
 		delay:     delay,
 		slew:      cell.OutSlew.Lookup(fSlew, load),
 		arrival:   fArr + delay,
+		inSlew:    fSlew,
 		gateDelay: normal.Moments{Mean: delay, Var: sigma * sigma},
 		node:      a.Moments(slot),
 	}

@@ -3,6 +3,7 @@ package ssta
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cells"
@@ -238,12 +239,13 @@ func TestBatchWhatIfStaleSizesPanics(t *testing.T) {
 	flat.BatchWhatIf([][]SizeChange{{{Gate: id, Size: 0}}}, 3, 1)
 }
 
-// TestBatchWhatIfWorkersAgree pins both BatchWhatIf schedules at
+// TestBatchWhatIfWorkersAgree pins every BatchWhatIf schedule at
 // explicit worker counts, so they run on any host: K = 1 calls take the
-// intra-candidate path (one overlay, each wide level fanned out) and a
-// K = 16 call the candidate-sharded path. Every outcome struct must
-// equal the serial one exactly, Touched and Changed included, and the
-// engine's bookkeeping must not move.
+// intra-candidate path (each wide level fanned out), K = 2 calls the
+// kept pair (run concurrently when workers >= 2) and a K = 16 call the
+// candidate-sharded path. Every outcome struct must equal the serial
+// one exactly, Touched and Changed included, and the engine's
+// bookkeeping must not move.
 func TestBatchWhatIfWorkersAgree(t *testing.T) {
 	const lambda = 3.0
 	for name, d := range whatIfDesigns(t) {
@@ -255,14 +257,57 @@ func TestBatchWhatIfWorkersAgree(t *testing.T) {
 			batch := f.BatchWhatIf(cands, lambda, workers)
 			for i, ch := range cands {
 				one := f.BatchWhatIf([][]SizeChange{ch}, lambda, workers)[0]
-				if batch[i] != want[i] || one != want[i] {
-					t.Fatalf("%s workers=%d cand %d: K=16 %+v, K=1 %+v, want %+v",
-						name, workers, i, batch[i], one, want[i])
+				pair := f.BatchWhatIf([][]SizeChange{ch, cands[(i+1)%len(cands)]}, lambda, workers)
+				if batch[i] != want[i] || one != want[i] || pair[0] != want[i] || pair[1] != want[(i+1)%len(cands)] {
+					t.Fatalf("%s workers=%d cand %d: K=16 %+v, K=1 %+v, K=2 %+v, want %+v",
+						name, workers, i, batch[i], one, pair[0], want[i])
 				}
 			}
 			if f.Evals() != 0 {
 				t.Fatalf("%s workers=%d: what-if moved Evals to %d", name, workers, f.Evals())
 			}
+		}
+	}
+}
+
+// TestSyncAdoptsKeptCandidate pins adoption: after a two-candidate
+// batch, a Sync onto either candidate re-evaluates nothing yet leaves
+// the analysis bit-identical to a fresh one, a Rollback restores the
+// pre-Sync analysis exactly, and a Sync onto edits that match neither
+// candidate repairs.
+func TestSyncAdoptsKeptCandidate(t *testing.T) {
+	d, vm := setupISCAS(t, "c880")
+	rng := rand.New(rand.NewSource(5))
+	before := oracle(d, vm, 12)
+	for _, workers := range []int{1, 2} {
+		f := NewFlat(d, vm, Options{Workers: workers})
+		for k := 0; k < 2; k++ {
+			cands := randomCandidates(rng, d, 3)[:2]
+			f.BatchWhatIf(cands, 3, workers)
+			start := d.Circuit.SizeSnapshot()
+			for _, ch := range cands[k] {
+				d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
+			}
+			if slices.Equal(start, d.Circuit.SizeSnapshot()) {
+				t.Fatalf("candidate %d moves no size; the test is vacuous", k)
+			}
+			evals := f.Evals()
+			if n := f.Sync(); n != 0 || f.Evals() != evals {
+				t.Fatalf("workers=%d: Sync onto candidate %d re-evaluated %d gates", workers, k, n)
+			}
+			requireSameResult(t, "adopted", f.Result(), oracle(d, vm, 12))
+			f.Rollback()
+			requireSameResult(t, "rolled back", f.Result(), before)
+
+			f.BatchWhatIf(cands, 3, workers)
+			for _, ch := range append(cands[0], cands[1]...) {
+				d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
+			}
+			if n := f.Sync(); n == 0 {
+				t.Fatalf("workers=%d: Sync onto both candidates' edits did not repair", workers)
+			}
+			requireSameResult(t, "repaired", f.Result(), oracle(d, vm, 12))
+			f.Rollback()
 		}
 	}
 }

@@ -33,7 +33,8 @@ type SizeChange struct {
 // Each state-changing call (Resize, ResizeAll, Sync) implicitly commits
 // the previous transaction and opens a new one; Rollback undoes the
 // most recent state-changing call — sizes and analysis both — without
-// re-analysis. Calls that change nothing (resize to the current size,
+// re-analysis, whether that call repaired a cone or Sync adopted a kept
+// what-if overlay (see BatchWhatIf). Calls that change nothing (resize to the current size,
 // Sync with no diffs) leave the open transaction untouched.
 type Incremental = Flat
 
@@ -102,6 +103,7 @@ func (f *Flat) ResizeAll(changes []SizeChange) int {
 	if !dirty {
 		return 0
 	}
+	f.dropKept()
 	f.begin()
 	for _, ch := range changes {
 		gate := c.Gate(ch.Gate)
@@ -117,32 +119,46 @@ func (f *Flat) ResizeAll(changes []SizeChange) int {
 }
 
 // Sync diffs the circuit's current sizes against the engine's record
-// and repairs every externally-edited gate's cone as one transaction.
-// It is the catch-all entry point for callers that mutate SizeIdx
-// directly (the optimizers do, in batches). A later Rollback restores
-// the pre-Sync sizes, undoing the external edits too.
+// and brings the analysis up to date as one transaction, returning the
+// number of gates re-evaluated. It is the catch-all entry point for
+// callers that mutate SizeIdx directly (the optimizers do, in batches).
+// When the diff is exactly one candidate of the last BatchWhatIf of at
+// most two candidates, Sync adopts that candidate's overlay — it
+// journals and copies the nodes the what-if already re-evaluated,
+// re-evaluating none (and returning 0) — and otherwise it repairs every
+// externally-edited gate's cone. Either way the analysis is
+// bit-identical, and a later Rollback restores the pre-Sync sizes,
+// undoing the external edits too.
 func (f *Flat) Sync() int {
 	f.checkRev()
 	c := f.d.Circuit
-	dirty := false
+	ndiff := 0
 	for id := range f.sizes {
 		if c.Gate(circuit.GateID(id)).SizeIdx != f.sizes[id] {
-			dirty = true
-			break
+			ndiff++
 		}
 	}
-	if !dirty {
+	if ndiff == 0 {
 		return 0
 	}
+	w := f.keptFor(ndiff)
 	f.begin()
 	for id := range f.sizes {
 		g := circuit.GateID(id)
 		if s := c.Gate(g).SizeIdx; s != f.sizes[id] {
 			f.sizeLog = append(f.sizeLog, sizeSave{id: g, oldSize: f.sizes[id]})
 			f.sizes[id] = s
-			f.seed(g)
+			if w == nil {
+				f.seed(g)
+			}
 		}
 	}
+	if w != nil {
+		f.adopt(w)
+		f.dropKept()
+		return 0
+	}
+	f.dropKept()
 	return f.repair()
 }
 
@@ -154,6 +170,7 @@ func (f *Flat) Rollback() {
 	if !f.hasTxn {
 		return
 	}
+	f.dropKept()
 	c := f.d.Circuit
 	// Reverse order, so a gate logged twice ends at its oldest state.
 	for i := len(f.sizeLog) - 1; i >= 0; i-- {

@@ -36,9 +36,9 @@ type Options struct {
 	Points int
 	// Workers is the number of goroutines propagating PDFs within each
 	// topological level — in the full analysis, in the dirty-cone repair
-	// of Resize/ResizeAll/Sync, and inside each candidate of a
-	// BatchWhatIf given fewer candidates than workers (levels narrower
-	// than a small fixed cutoff always run serially). 0 means one per
+	// of Resize/ResizeAll/Sync, and inside each BatchWhatIf candidate
+	// that has more than one worker to itself (levels narrower than a
+	// small fixed cutoff always run serially). 0 means one per
 	// available CPU (runtime.GOMAXPROCS), 1 forces fully serial
 	// propagation with no goroutines. Any value produces bit-identical
 	// results, eval counters and journals; only the wall time changes.
