@@ -89,12 +89,9 @@ func eqFloats(what string, got, want []float64) error {
 
 // mutator drives one seeded random resize sequence. Each step is one of
 // a single Resize, a ResizeAll batch, external size edits followed by a
-// Sync, a what-if step (a two-candidate batch, then a Sync onto either
-// candidate, which the engine must adopt, or onto neither or after an
-// intervening Resize or Rollback, which it must repair, sometimes followed by a
-// Rollback), or a mutation immediately
-// undone by Rollback; the caller's verify hook runs after every step
-// against a from-scratch analysis.
+// Sync, a what-if step (whatIf), or a mutation immediately undone by
+// Rollback; the caller's verify hook runs after every step against a
+// from-scratch analysis.
 type mutator struct {
 	d     *synth.Design
 	rng   *rand.Rand

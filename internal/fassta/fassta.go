@@ -67,7 +67,7 @@ type Subcircuit struct {
 // Extractor amortizes a per-design index and scratch across the many
 // Extract calls one optimizer iteration makes (one per WNSS-path gate):
 // every gate's topological position, and visit and membership marks
-// stamped with a per-use epoch so no call has to clear them. One
+// holding per-use stamps so no call has to clear them. One
 // extraction allocates only the subcircuit it returns. An Extractor is
 // not safe for concurrent use.
 type Extractor struct {
@@ -75,10 +75,10 @@ type Extractor struct {
 	rev int
 
 	pos   []int32  // topological position of each gate
-	seen  []uint32 // == a walk's epoch: visited by that cone walk
-	mark  []uint32 // == an extraction's epoch: member of that subcircuit
-	idx   []int32  // member index, valid where mark holds the current epoch
-	epoch uint32
+	seen  []uint32 // == a walk's stamp: visited by that cone walk
+	mark  []uint32 // == an extraction's stamp: member of that subcircuit
+	idx   []int32  // member index, valid where mark holds the current stamp
+	epoch uint32   // the last stamp handed out
 
 	members, frontier, next []circuit.GateID
 }
@@ -108,23 +108,11 @@ func (e *Extractor) Prime() {
 	e.rev = c.Revision()
 }
 
-// tick returns a fresh epoch, clearing the mark arrays on wraparound.
-func (e *Extractor) tick() uint32 {
-	e.epoch++
-	if e.epoch == 0 {
-		clear(e.seen)
-		clear(e.mark)
-		e.epoch = 1
-	}
-	return e.epoch
-}
-
 // walk visits the gates within depth levels of seed, backward through
-// fanins or forward through fanouts, seed included, and adds the logic
-// gates among them to the members of extraction epoch in.
-func (e *Extractor) walk(seed circuit.GateID, depth int, forward bool, in uint32) {
+// fanins or forward through fanouts, seed included, stamping them v in
+// seen, and adds the logic gates among them to the members stamped in.
+func (e *Extractor) walk(seed circuit.GateID, depth int, forward bool, in, v uint32) {
 	c := e.d.Circuit
-	v := e.tick()
 	add := func(id circuit.GateID) {
 		if e.mark[id] != in && c.Gate(id).Fn.IsLogic() {
 			e.mark[id] = in
@@ -161,10 +149,17 @@ func (e *Extractor) Extract(full *ssta.Result, vm *variation.Model, target circu
 	}
 	d := e.d
 	c := d.Circuit
-	in := e.tick()
+	// Three fresh stamps: the membership mark and one per cone walk.
+	if e.epoch > math.MaxUint32-3 {
+		clear(e.seen)
+		clear(e.mark)
+		e.epoch = 0
+	}
+	in := e.epoch + 1
+	e.epoch += 3
 	e.members = e.members[:0]
-	e.walk(target, depth, false, in)
-	e.walk(target, depth, true, in)
+	e.walk(target, depth, false, in, in+1)
+	e.walk(target, depth, true, in, in+2)
 	members := slices.Clone(e.members)
 	// Topo order: sort by position in the circuit's topological order.
 	slices.SortFunc(members, func(a, b circuit.GateID) int { return cmp.Compare(e.pos[a], e.pos[b]) })

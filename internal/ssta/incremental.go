@@ -34,8 +34,9 @@ type SizeChange struct {
 // the previous transaction and opens a new one; Rollback undoes the
 // most recent state-changing call — sizes and analysis both — without
 // re-analysis, whether that call repaired a cone or Sync adopted a kept
-// what-if overlay (see BatchWhatIf). Calls that change nothing (resize to the current size,
-// Sync with no diffs) leave the open transaction untouched.
+// what-if overlay (see BatchWhatIf). Calls that change nothing (resize
+// to the current size, Sync with no diffs) leave the open transaction
+// untouched.
 type Incremental = Flat
 
 // NewIncremental builds the engine and runs the first full analysis;
