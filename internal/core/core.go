@@ -340,8 +340,9 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 			// Moves A and B are scored as one what-if batch against the
 			// start sizing, so their cones run on separate workers; each
 			// cost is bit-identical to applying the move and re-analyzing.
-			// The engine keeps both candidates' overlays, and the closing
-			// refresh adopts the winner's instead of repairing its cone.
+			// The engine keeps A's overlay, and B's when their cones fit
+			// in the circuit, and the closing refresh adopts the winner's
+			// kept overlay instead of repairing its cone.
 			d.Circuit.RestoreSizes(startSizes)
 			cands := [][]ssta.SizeChange{changesBetween(startSizes, sizesA)}
 			if bumped > 0 {

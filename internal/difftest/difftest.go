@@ -153,11 +153,12 @@ func (m *mutator) edits(max int) []sizeChange {
 
 // whatIf is the what-if step: score two candidates as one batch, then
 // Sync onto candidate 0, candidate 1, other edits, or candidate 0 after
-// an intervening Resize or Rollback. A Sync onto a kept candidate that
-// moves any size must adopt it (re-evaluate nothing); a Sync onto other
-// edits, or after a call that moved the engine and so dropped the kept
-// candidates, must repair. Half the time the step verifies and then
-// rolls the Sync back.
+// an intervening Resize or Rollback. The engine keeps candidate 0, and
+// candidate 1 too when the pair's cones fit (conesFit). A Sync onto a
+// kept candidate that moves any size must adopt it (re-evaluate
+// nothing); a Sync onto other edits, onto an unkept candidate, or after
+// a call that moved the engine and so dropped the kept candidates, must
+// repair. Half the time the step verifies and then rolls the Sync back.
 func (m *mutator) whatIf(eng whatIfEngine, step int) error {
 	c := m.d.Circuit
 	cands := [][]sizeChange{m.edits(4), m.edits(4)}
@@ -165,8 +166,10 @@ func (m *mutator) whatIf(eng whatIfEngine, step int) error {
 	kept := true
 	var target []sizeChange
 	switch pick := m.rng.IntN(4); pick {
-	case 0, 1:
-		target = cands[pick]
+	case 0:
+		target = cands[0]
+	case 1:
+		target, kept = cands[1], conesFit(c, cands)
 	case 2:
 		target, kept = m.edits(4), false
 	default:
@@ -200,6 +203,22 @@ func (m *mutator) whatIf(eng whatIfEngine, step int) error {
 		eng.Rollback()
 	}
 	return nil
+}
+
+// conesFit reports whether the candidates' cones — each listed gate, its
+// drivers and their transitive fanout — number at most the circuit's
+// gates in total: when the engine keeps both candidates of a pair.
+func conesFit(c *circuit.Circuit, cands [][]sizeChange) bool {
+	total := 0
+	for _, ch := range cands {
+		var seeds []circuit.GateID
+		for _, x := range ch {
+			seeds = append(seeds, x.gate)
+			seeds = append(seeds, c.Gate(x.gate).Fanin...)
+		}
+		total += len(c.TransitiveFanout(seeds, -1))
+	}
+	return total <= c.NumGates()
 }
 
 // Drive runs steps random mutations on eng, verifying after every step.

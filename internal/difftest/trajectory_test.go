@@ -27,7 +27,7 @@ var pinnedTrajectories = []struct {
 	{"alu2", "meandelay", "converged", 0x206269ad039ce24e},
 	{"alu2", "recoverarea", "converged", 0xb627ce9f0986cb30},
 	{"alu2", "sensitivity", "max-iters", 0x9d15e8cd3035e98a},
-	{"alu2", "statgreedy", "max-iters", 0x3f229f4b53af729e},
+	{"alu2", "statgreedy", "max-iters", 0x60ad4c48fcffcf7},
 	{"c432", "meandelay", "max-iters", 0x55c2476756785ce6},
 	{"c432", "recoverarea", "converged", 0x1273cb71288e777e},
 	{"c432", "sensitivity", "max-iters", 0xa5e19fb0817792a8},
@@ -35,7 +35,7 @@ var pinnedTrajectories = []struct {
 	{"c499", "meandelay", "max-iters", 0x291ed2820e6fbe32},
 	{"c499", "recoverarea", "converged", 0x2c8b67ff1f97f26},
 	{"c499", "sensitivity", "max-iters", 0x601052e262fee5c},
-	{"c499", "statgreedy", "max-iters", 0xf49cd09a737858e5},
+	{"c499", "statgreedy", "max-iters", 0x85bf3791287e3bd4},
 	{"c880", "meandelay", "converged", 0x4b7b05cf68500960},
 	{"c880", "recoverarea", "converged", 0x39414a3474d4f845},
 	{"c880", "sensitivity", "max-iters", 0xefa52e9f0046dc14},

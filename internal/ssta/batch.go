@@ -42,17 +42,21 @@ const keepMax = 2
 // results do not depend on the worker count.
 //
 // A batch of at most two candidates (the optimizer's move pair or a
-// single probe) gives each candidate its own overlay and keeps them
-// populated: two candidates run concurrently when workers >= 2, each
-// with half of the workers for its wide levels, and a single candidate
-// fans its wide levels out across all of them. The next Sync whose size
+// single probe) keeps its overlays populated: the next Sync whose size
 // diff equals a kept candidate's changes adopts that overlay instead of
-// repairing the cone again; any other state-changing call (Resize,
+// repairing the cone again, and any other state-changing call (Resize,
 // ResizeAll, a Sync to any other sizing, Rollback, Recompute, the next
-// BatchWhatIf) drops the kept overlays. Larger batches keep nothing: with
-// at least as many candidates as workers they are sharded across
-// workers, one overlay each, and otherwise they run one at a time
-// through one overlay with each wide level fanned out.
+// BatchWhatIf) drops the kept overlays. A single candidate fans its wide
+// levels out across all workers. A pair whose cones (each listed gate,
+// its drivers and their transitive fanout) together fit within the
+// circuit's gate count gives each candidate its own overlay, so the two
+// never hold more than one overlay of every gate would; with workers >=
+// 2 they run concurrently, each fanning its wide levels out over half of
+// the workers. A pair that may not fit runs one candidate after the
+// other through one overlay and keeps only the first. Larger batches
+// keep nothing: with at least as many candidates as workers they are
+// sharded across workers, one overlay each, and otherwise they run one
+// at a time through one overlay with each wide level fanned out.
 //
 // The circuit's sizes must match the engine state (call Sync first if
 // they were edited externally); BatchWhatIf panics otherwise, because the
@@ -79,16 +83,21 @@ func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []
 	if n := max(workers, keepMax) - len(f.overlays); n > 0 {
 		f.overlays = append(f.overlays, make([]*whatIfWorker, n)...)
 	}
+	fits := len(cands) == keepMax && f.pairFits(cands)
 	switch {
-	case len(cands) == keepMax && workers >= keepMax:
+	case fits && workers >= keepMax:
 		per := workers / keepMax
 		parallel.ForEachWorker(keepMax, keepMax, func(_, i int) {
 			outs[i] = f.overlay(i).evaluate(cands[i], lambda, clean, sc[i*per:(i+1)*per], true)
 		})
-	case len(cands) <= keepMax:
+	case fits || len(cands) == 1:
 		for i, ch := range cands {
 			outs[i] = f.overlay(i).evaluate(ch, lambda, clean, sc, true)
 		}
+	case len(cands) == keepMax:
+		w := f.overlay(0)
+		outs[1] = w.evaluate(cands[1], lambda, clean, sc, false)
+		outs[0] = w.evaluate(cands[0], lambda, clean, sc, true)
 	case len(cands) < workers:
 		w := f.overlay(0)
 		for i, ch := range cands {
@@ -100,6 +109,49 @@ func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []
 		})
 	}
 	return outs
+}
+
+// pairFits reports whether the candidates' cones — the gates their
+// evaluations can touch: each listed gate, its drivers and everything
+// downstream of them — number at most the circuit's gates in total, so
+// that their overlays together never hold more slots than one overlay
+// of every gate would.
+func (f *Flat) pairFits(cands [][]SizeChange) bool {
+	c := f.d.Circuit
+	budget := c.NumGates()
+	if f.inCone == nil {
+		f.inCone = make([]bool, budget)
+	}
+	for _, ch := range cands {
+		f.cone = f.cone[:0]
+		for _, x := range ch {
+			f.cone = f.markCone(x.Gate, f.cone)
+			for _, fid := range c.Gate(x.Gate).Fanin {
+				f.cone = f.markCone(fid, f.cone)
+			}
+		}
+		for i := 0; i < len(f.cone) && len(f.cone) <= budget; i++ {
+			for _, fo := range c.Gate(f.cone[i]).Fanout {
+				f.cone = f.markCone(fo, f.cone)
+			}
+		}
+		for _, id := range f.cone {
+			f.inCone[id] = false
+		}
+		if budget -= len(f.cone); budget < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// markCone appends id to cone unless it is already marked.
+func (f *Flat) markCone(id circuit.GateID, cone []circuit.GateID) []circuit.GateID {
+	if f.inCone[id] {
+		return cone
+	}
+	f.inCone[id] = true
+	return append(cone, id)
 }
 
 // overlay returns what-if overlay i, creating it on first use; workers
@@ -142,16 +194,23 @@ func (f *Flat) adopt(w *whatIfWorker) {
 	for s := 1; s < len(w.ids); s++ {
 		id := w.ids[s]
 		f.save(id)
-		e := &w.vals[s]
-		r.STA.Arrival[id] = e.arrival
-		r.STA.Slew[id] = e.slew
-		if c.Gate(id).Fn == circuit.Input {
+		v := &w.vals[s]
+		r.STA.Arrival[id] = v.arrival
+		r.STA.Slew[id] = v.slew
+		g := c.Gate(id)
+		if g.Fn == circuit.Input {
 			continue // only the deterministic view of an input moves
 		}
-		r.STA.InSlew[id] = e.inSlew
-		r.STA.Delay[id] = e.delay
-		r.GateDelay[id] = e.gateDelay
-		r.Node[id] = e.node
+		// Slots run in level order, so every fanin already holds its
+		// adopted value: the input slew is the one compute saw.
+		inSlew := 0.0
+		for _, fid := range g.Fanin {
+			inSlew = max(inSlew, r.STA.Slew[fid])
+		}
+		r.STA.InSlew[id] = inSlew
+		r.STA.Delay[id] = v.gateDelay.Mean
+		r.GateDelay[id] = v.gateDelay
+		r.Node[id] = w.over.Moments(s)
 		f.arena.Set(int(id), w.over.View(s))
 		r.Arrival[id] = f.arena.View(int(id))
 	}
@@ -175,7 +234,7 @@ type whatIfWorker struct {
 	queue *circuit.LevelQueue
 	slot  []int32          // gate → slot; 0 = reads through to the clean analysis
 	ids   []circuit.GateID // slot → gate; ids[0] is unused
-	vals  []gateEval       // slot → computed values; vals[0] is unused
+	vals  []slotVals       // slot → computed values; vals[0] is unused
 	// over holds the arrival PDFs by slot. An input's slot is empty: its
 	// statistical arrival is pinned at Point(0) and reads through.
 	over        *dpdf.Arena
@@ -202,7 +261,7 @@ func (f *Flat) newWhatIfWorker() *whatIfWorker {
 		queue:  circuit.NewLevelQueue(n),
 		slot:   make([]int32, n),
 		ids:    []circuit.GateID{circuit.None},
-		vals:   make([]gateEval, 1),
+		vals:   make([]slotVals, 1),
 		over:   dpdf.NewArena(1, f.pts),
 		sizeOv: make([]int32, n),
 	}
@@ -212,9 +271,19 @@ func (f *Flat) newWhatIfWorker() *whatIfWorker {
 	w.computeNode = func(wk, i int) {
 		id := w.lvl[i]
 		s := w.slot[id]
-		w.vals[s] = w.compute(&w.sc[wk], id, int(s))
+		e := w.compute(&w.sc[wk], id, int(s))
+		w.vals[s] = slotVals{arrival: e.arrival, slew: e.slew, gateDelay: e.gateDelay}
 	}
 	return w
+}
+
+// slotVals is what an overlay slot keeps besides its arrival PDF: the
+// values fanouts read and adoption needs that cannot be re-derived
+// from the PDF and the fanins. Node moments are the PDF's moments, and
+// the input slew is the worst fanin slew.
+type slotVals struct {
+	arrival, slew float64
+	gateDelay     normal.Moments
 }
 
 // reset clears the overlay back to the clean state in O(touched).
@@ -273,7 +342,7 @@ func (w *whatIfWorker) arrival(id circuit.GateID) dpdf.PDF {
 
 func (w *whatIfWorker) moments(id circuit.GateID) normal.Moments {
 	if s := int(w.slot[id]); s > 0 && w.over.Len(s) > 0 {
-		return w.vals[s].node
+		return w.over.Moments(s)
 	}
 	return w.f.r.Node[id]
 }
@@ -333,7 +402,7 @@ func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean What
 		for _, id := range w.lvl {
 			w.slot[id] = int32(len(w.ids))
 			w.ids = append(w.ids, id)
-			w.vals = append(w.vals, gateEval{})
+			w.vals = append(w.vals, slotVals{})
 		}
 		w.over.Grow(len(w.ids))
 		forLevel(len(sc), len(w.lvl), w.computeNode)

@@ -53,6 +53,8 @@ type Flat struct {
 	// for a batch of at most two, kept until the next Sync adopts one or
 	// another state-changing call drops them.
 	overlays []*whatIfWorker
+	inCone   []bool           // pairFits' visit marks, all false between calls
+	cone     []circuit.GateID // pairFits' visit list
 
 	// Transaction journal: every repaired node's prior state, in repair
 	// order, with its arrival PDF in jarena slot index+1 (slot 0 holds
@@ -221,8 +223,8 @@ func (f *Flat) step(sc *flatScratch, id circuit.GateID) {
 
 // gateEval is one logic gate's re-derived timing.
 type gateEval struct {
-	delay, slew, arrival, inSlew float64
-	gateDelay, node              normal.Moments
+	delay, slew, arrival float64
+	gateDelay, node      normal.Moments
 }
 
 // eval is FULLSSTA's per-gate computation, shared by every path through
@@ -245,7 +247,6 @@ func (f *Flat) eval(sc *flatScratch, a *dpdf.Arena, slot int, cell *cells.Cell, 
 		delay:     delay,
 		slew:      cell.OutSlew.Lookup(fSlew, load),
 		arrival:   fArr + delay,
-		inSlew:    fSlew,
 		gateDelay: normal.Moments{Mean: delay, Var: sigma * sigma},
 		node:      a.Moments(slot),
 	}

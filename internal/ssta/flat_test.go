@@ -271,45 +271,84 @@ func TestBatchWhatIfWorkersAgree(t *testing.T) {
 }
 
 // TestSyncAdoptsKeptCandidate pins adoption: after a two-candidate
-// batch, a Sync onto either candidate re-evaluates nothing yet leaves
+// batch, a Sync onto a kept candidate re-evaluates nothing yet leaves
 // the analysis bit-identical to a fresh one, a Rollback restores the
 // pre-Sync analysis exactly, and a Sync onto edits that match neither
-// candidate repairs.
+// candidate repairs. Candidate 0 is always kept; candidate 1 only when
+// the pair's cones fit in the circuit, which random single-gate pairs
+// on c880 do and a pair of input-side gates on c6288 does not.
 func TestSyncAdoptsKeptCandidate(t *testing.T) {
-	d, vm := setupISCAS(t, "c880")
+	c880, vm := setupISCAS(t, "c880")
+	c6288, _ := setupISCAS(t, "c6288")
 	rng := rand.New(rand.NewSource(5))
-	before := oracle(d, vm, 12)
-	for _, workers := range []int{1, 2} {
-		f := NewFlat(d, vm, Options{Workers: workers})
-		for k := 0; k < 2; k++ {
-			cands := randomCandidates(rng, d, 3)[:2]
-			f.BatchWhatIf(cands, 3, workers)
-			start := d.Circuit.SizeSnapshot()
-			for _, ch := range cands[k] {
-				d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
-			}
-			if slices.Equal(start, d.Circuit.SizeSnapshot()) {
-				t.Fatalf("candidate %d moves no size; the test is vacuous", k)
-			}
-			evals := f.Evals()
-			if n := f.Sync(); n != 0 || f.Evals() != evals {
-				t.Fatalf("workers=%d: Sync onto candidate %d re-evaluated %d gates", workers, k, n)
-			}
-			requireSameResult(t, "adopted", f.Result(), oracle(d, vm, 12))
-			f.Rollback()
-			requireSameResult(t, "rolled back", f.Result(), before)
+	wide := logicGates(c6288)[:2]
+	for _, tc := range []struct {
+		d     *synth.Design
+		cands [][]SizeChange
+		fits  bool
+	}{
+		{c880, randomCandidates(rng, c880, 3)[:2], true},
+		{c880, randomCandidates(rng, c880, 3)[:2], true},
+		{c6288, [][]SizeChange{
+			{{Gate: wide[0], Size: c6288.Circuit.Gate(wide[0]).SizeIdx + 1}},
+			{{Gate: wide[1], Size: c6288.Circuit.Gate(wide[1]).SizeIdx + 1}},
+		}, false},
+	} {
+		d, cands := tc.d, tc.cands
+		if got := conesFit(d, cands); got != tc.fits {
+			t.Fatalf("%s: cones fit = %v, want %v; the test is vacuous", d.Circuit.Name, got, tc.fits)
+		}
+		before := oracle(d, vm, 12)
+		for _, workers := range []int{1, 2} {
+			f := NewFlat(d, vm, Options{Workers: workers})
+			for k := range cands {
+				f.BatchWhatIf(cands, 3, workers)
+				start := d.Circuit.SizeSnapshot()
+				for _, ch := range cands[k] {
+					d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
+				}
+				if slices.Equal(start, d.Circuit.SizeSnapshot()) {
+					t.Fatalf("candidate %d moves no size; the test is vacuous", k)
+				}
+				evals := f.Evals()
+				n := f.Sync()
+				if kept := k == 0 || tc.fits; kept != (n == 0 && f.Evals() == evals) {
+					t.Fatalf("%s workers=%d: Sync onto candidate %d re-evaluated %d gates, kept %v",
+						d.Circuit.Name, workers, k, n, kept)
+				}
+				requireSameResult(t, "synced", f.Result(), oracle(d, vm, 12))
+				f.Rollback()
+				requireSameResult(t, "rolled back", f.Result(), before)
 
-			f.BatchWhatIf(cands, 3, workers)
-			for _, ch := range append(cands[0], cands[1]...) {
-				d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
+				f.BatchWhatIf(cands, 3, workers)
+				for _, ch := range append(cands[0], cands[1]...) {
+					d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
+				}
+				if n := f.Sync(); n == 0 {
+					t.Fatalf("workers=%d: Sync onto both candidates' edits did not repair", workers)
+				}
+				requireSameResult(t, "repaired", f.Result(), oracle(d, vm, 12))
+				f.Rollback()
 			}
-			if n := f.Sync(); n == 0 {
-				t.Fatalf("workers=%d: Sync onto both candidates' edits did not repair", workers)
-			}
-			requireSameResult(t, "repaired", f.Result(), oracle(d, vm, 12))
-			f.Rollback()
 		}
 	}
+}
+
+// conesFit is the reference for when BatchWhatIf keeps both candidates
+// of a pair: their cones — each listed gate, its drivers and their
+// transitive fanout — number at most the circuit's gates in total.
+func conesFit(d *synth.Design, cands [][]SizeChange) bool {
+	c := d.Circuit
+	total := 0
+	for _, ch := range cands {
+		var seeds []circuit.GateID
+		for _, x := range ch {
+			seeds = append(seeds, x.Gate)
+			seeds = append(seeds, c.Gate(x.Gate).Fanin...)
+		}
+		total += len(c.TransitiveFanout(seeds, -1))
+	}
+	return total <= c.NumGates()
 }
 
 // TestBatchWhatIfReusesOverlays pins the engine-owned overlays: once

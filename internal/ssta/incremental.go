@@ -123,11 +123,11 @@ func (f *Flat) ResizeAll(changes []SizeChange) int {
 // and brings the analysis up to date as one transaction, returning the
 // number of gates re-evaluated. It is the catch-all entry point for
 // callers that mutate SizeIdx directly (the optimizers do, in batches).
-// When the diff is exactly one candidate of the last BatchWhatIf of at
-// most two candidates, Sync adopts that candidate's overlay — it
-// journals and copies the nodes the what-if already re-evaluated,
-// re-evaluating none (and returning 0) — and otherwise it repairs every
-// externally-edited gate's cone. Either way the analysis is
+// When the diff is exactly a candidate the last BatchWhatIf kept (see
+// BatchWhatIf), Sync adopts that candidate's overlay — it journals and
+// copies the nodes the what-if already re-evaluated, re-evaluating none
+// (and returning 0) — and otherwise it repairs every externally-edited
+// gate's cone. Either way the analysis is
 // bit-identical, and a later Rollback restores the pre-Sync sizes,
 // undoing the external edits too.
 func (f *Flat) Sync() int {
