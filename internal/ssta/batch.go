@@ -205,7 +205,9 @@ func (f *Flat) adopt(w *whatIfWorker) {
 		// adopted value: the input slew is the one compute saw.
 		inSlew := 0.0
 		for _, fid := range g.Fanin {
-			inSlew = max(inSlew, r.STA.Slew[fid])
+			if sl := r.STA.Slew[fid]; sl > inSlew {
+				inSlew = sl
+			}
 		}
 		r.STA.InSlew[id] = inSlew
 		r.STA.Delay[id] = v.gateDelay.Mean
@@ -225,10 +227,10 @@ func (f *Flat) adopt(w *whatIfWorker) {
 
 // whatIfWorker is one overlay over the engine's clean analysis. It is
 // compact: a gate→slot index, and slots only for the nodes the current
-// candidate re-evaluated, each holding the node's deterministic values,
-// moments and (in arena slot s of over) arrival PDF; arena slot 0 holds
-// the candidate's circuit PDF. Everything without a slot reads through
-// to the clean analysis. Reset is O(touched).
+// candidate re-evaluated, each holding the node's slotVals and (in arena
+// slot s of over) its arrival PDF; arena slot 0 holds the candidate's
+// circuit PDF. Everything without a slot reads through to the clean
+// analysis. Reset is O(touched).
 type whatIfWorker struct {
 	f     *Flat
 	queue *circuit.LevelQueue

@@ -127,9 +127,8 @@ func (f *Flat) ResizeAll(changes []SizeChange) int {
 // BatchWhatIf), Sync adopts that candidate's overlay — it journals and
 // copies the nodes the what-if already re-evaluated, re-evaluating none
 // (and returning 0) — and otherwise it repairs every externally-edited
-// gate's cone. Either way the analysis is
-// bit-identical, and a later Rollback restores the pre-Sync sizes,
-// undoing the external edits too.
+// gate's cone. Either way the analysis is bit-identical, and a later
+// Rollback restores the pre-Sync sizes, undoing the external edits too.
 func (f *Flat) Sync() int {
 	f.checkRev()
 	c := f.d.Circuit
