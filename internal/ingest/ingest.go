@@ -23,6 +23,7 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -233,74 +234,90 @@ func Budgetf(format string, args ...any) error {
 }
 
 // Reader is a counting, budget-enforcing, position-tracking byte source.
-// It is the only input interface of the streaming parsers: bytes flow
-// through one at a time, the byte budget is enforced before the byte is
-// surfaced, and at most one byte of pushback exists — so peak parser
-// memory never scales with input size.
+// It is the only input interface of the streaming parsers. The lexer
+// reads it a buffered window at a time (window) and consumes a prefix
+// of each window (consume); the window never reaches past MaxBytes, so
+// the byte budget is enforced before a byte is surfaced, and memory
+// stays at one fixed-size buffer however large the input is.
 type Reader struct {
-	br       *bufio.Reader
-	maxBytes int64
-	n        int64 // bytes surfaced to the parser
-	line     int   // 1-based line of the NEXT byte
-	col      int   // 1-based column of the NEXT byte
-	prevLine int   // position before the last ReadByte, for UnreadByte
-	prevCol  int
-	unread   bool
+	br        *bufio.Reader
+	maxBytes  int64
+	win       []byte // the current window; win[i:] is unconsumed
+	i         int
+	n         int64 // bytes consumed by the parser
+	line      int   // 1-based line of the next byte
+	lineStart int64 // offset of the first byte of that line
 }
+
+// readerSize is the Reader's buffer, the largest window it offers.
+const readerSize = 64 << 10
 
 // NewReader wraps r with the byte budget of lim (which should already
 // have defaults applied).
 func NewReader(r io.Reader, lim Limits) *Reader {
 	return &Reader{
-		br:       bufio.NewReaderSize(r, 64<<10),
+		br:       bufio.NewReaderSize(r, readerSize),
 		maxBytes: lim.MaxBytes,
-		line:     1, col: 1,
+		line:     1,
 	}
 }
 
-// ReadByte returns the next input byte, io.EOF at the end, or a
-// budget-sentinel error once the input exceeds MaxBytes.
-func (r *Reader) ReadByte() (byte, error) {
-	if r.n >= r.maxBytes {
-		// Distinguish "exactly at the budget and done" from "over": only
-		// error if another byte actually exists.
+// window returns the unconsumed bytes of the current window, or of a
+// new one when they are all consumed. A window never reaches past
+// MaxBytes. window returns io.EOF at the end of the input, a
+// budget-sentinel error when the next byte lies past MaxBytes, or the
+// source's error. The slice stays valid until the call that refills.
+func (r *Reader) window() ([]byte, error) {
+	if r.i < len(r.win) {
+		return r.win[r.i:], nil
+	}
+	return r.refill()
+}
+
+// refill hands the consumed window back to the buffer and takes the
+// bytes buffered after it, reading from the source when there are none.
+func (r *Reader) refill() ([]byte, error) {
+	r.br.Discard(len(r.win))
+	r.win, r.i = nil, 0
+	if r.br.Buffered() == 0 {
 		if _, err := r.br.Peek(1); err != nil {
-			return 0, io.EOF
+			if r.n >= r.maxBytes {
+				return nil, io.EOF
+			}
+			return nil, err
 		}
-		return 0, fmt.Errorf("input exceeds the %d-byte budget: %w", r.maxBytes, errBudget)
 	}
-	b, err := r.br.ReadByte()
-	if err != nil {
-		return 0, err
+	if r.n >= r.maxBytes {
+		return nil, fmt.Errorf("input exceeds the %d-byte budget: %w", r.maxBytes, errBudget)
 	}
-	r.n++
-	r.prevLine, r.prevCol = r.line, r.col
-	if b == '\n' {
-		r.line++
-		r.col = 1
-	} else {
-		r.col++
+	w, _ := r.br.Peek(r.br.Buffered())
+	if rem := r.maxBytes - r.n; int64(len(w)) > rem {
+		w = w[:rem]
 	}
-	r.unread = true
-	return b, nil
+	r.win = w
+	return w, nil
 }
 
-// UnreadByte pushes back the last byte read (one level only).
-func (r *Reader) UnreadByte() error {
-	if !r.unread {
-		return errors.New("ingest: UnreadByte without prior ReadByte")
+// consume advances past b, which must be a prefix of the last window.
+func (r *Reader) consume(b []byte) {
+	if i := bytes.LastIndexByte(b, '\n'); i >= 0 {
+		r.line += bytes.Count(b[:i+1], newline)
+		r.lineStart = r.n + int64(i) + 1
 	}
-	if err := r.br.UnreadByte(); err != nil {
-		return err
-	}
-	r.n--
-	r.line, r.col = r.prevLine, r.prevCol
-	r.unread = false
-	return nil
+	r.advance(len(b))
 }
+
+// advance consumes the next k bytes of the window, which hold no
+// newline.
+func (r *Reader) advance(k int) {
+	r.i += k
+	r.n += int64(k)
+}
+
+var newline = []byte{'\n'}
 
 // Pos returns the 1-based line and column of the next byte.
-func (r *Reader) Pos() (line, col int) { return r.line, r.col }
+func (r *Reader) Pos() (line, col int) { return r.line, int(r.n-r.lineStart) + 1 }
 
 // Meter is the per-token budget and cancellation turnstile. Every
 // lexical token calls Tick once; the context is polled every pollEvery
@@ -320,15 +337,18 @@ func NewMeter(lim Limits) *Meter {
 // context's own error when cancelled.
 func (m *Meter) Tick() error {
 	m.tokens++
+	if m.tokens > m.maxTokens || m.tokens%pollEvery == 0 {
+		return m.check()
+	}
+	return nil
+}
+
+// check is Tick's slow path: the token budget, then the context.
+func (m *Meter) check() error {
 	if m.tokens > m.maxTokens {
 		return fmt.Errorf("input exceeds the %d-token budget: %w", m.maxTokens, errBudget)
 	}
-	if m.tokens%pollEvery == 0 {
-		if err := m.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.ctx.Err()
 }
 
 // IsCtxErr reports whether err is context cancellation (as opposed to a

@@ -31,12 +31,12 @@ func TestWithDefaultsFillsZeroFields(t *testing.T) {
 func TestReaderEnforcesByteBudget(t *testing.T) {
 	lim := Limits{MaxBytes: 4}.WithDefaults()
 	r := NewReader(strings.NewReader("abcdef"), lim)
-	for i := 0; i < 4; i++ {
-		if _, err := r.ReadByte(); err != nil {
-			t.Fatalf("byte %d: %v", i, err)
-		}
+	w, err := r.window()
+	if err != nil || string(w) != "abcd" {
+		t.Fatalf("window = %q, %v; want the 4 bytes inside the budget", w, err)
 	}
-	_, err := r.ReadByte()
+	r.consume(w)
+	_, err = r.window()
 	if !IsBudgetSentinel(err) {
 		t.Fatalf("want budget sentinel, got %v", err)
 	}
@@ -48,48 +48,40 @@ func TestReaderEnforcesByteBudget(t *testing.T) {
 func TestReaderExactBudgetIsEOFNotError(t *testing.T) {
 	lim := Limits{MaxBytes: 3}.WithDefaults()
 	r := NewReader(strings.NewReader("abc"), lim)
-	for i := 0; i < 3; i++ {
-		if _, err := r.ReadByte(); err != nil {
-			t.Fatalf("byte %d: %v", i, err)
-		}
+	w, err := r.window()
+	if err != nil || string(w) != "abc" {
+		t.Fatalf("window = %q, %v", w, err)
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
+	r.consume(w)
+	if _, err := r.window(); err != io.EOF {
 		t.Fatalf("input exactly at budget must end with EOF, got %v", err)
 	}
 }
 
+// TestReaderTracksPositionAndUnread checks line/column tracking across
+// partial consumes, and that bytes a window showed but the caller did
+// not consume come back in the next window (the Reader's only form of
+// pushback).
 func TestReaderTracksPositionAndUnread(t *testing.T) {
 	r := NewReader(strings.NewReader("ab\ncd"), Default())
-	read := func(want byte, wl, wc int) {
+	take := func(n int, want string, wl, wc int) {
 		t.Helper()
-		b, err := r.ReadByte()
-		if err != nil || b != want {
-			t.Fatalf("ReadByte = %q, %v; want %q", b, err, want)
+		w, err := r.window()
+		if err != nil || len(w) < n || string(w[:n]) != want {
+			t.Fatalf("window = %q, %v; want prefix %q", w, err, want)
 		}
+		r.consume(w[:n])
 		if l, c := r.Pos(); l != wl || c != wc {
-			t.Fatalf("after %q: pos %d:%d, want %d:%d", b, l, c, wl, wc)
+			t.Fatalf("after %q: pos %d:%d, want %d:%d", want, l, c, wl, wc)
 		}
 	}
-	read('a', 1, 2)
-	read('b', 1, 3)
-	read('\n', 2, 1)
-	read('c', 2, 2)
-	if err := r.UnreadByte(); err != nil {
-		t.Fatal(err)
-	}
-	if l, c := r.Pos(); l != 2 || c != 1 {
-		t.Fatalf("after unread: pos %d:%d, want 2:1", l, c)
-	}
-	read('c', 2, 2)
-	read('d', 2, 3)
-	if _, err := r.ReadByte(); err != io.EOF {
+	take(1, "a", 1, 2)
+	take(2, "b\n", 2, 1)
+	take(0, "", 2, 1) // looked at "cd", consumed none of it
+	take(1, "c", 2, 2)
+	take(1, "d", 2, 3)
+	if _, err := r.window(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
-	}
-	if err := r.UnreadByte(); err != nil {
-		t.Fatal("unread after EOF of last real byte should work:", err)
-	}
-	if err := r.UnreadByte(); err == nil {
-		t.Fatal("double UnreadByte must fail")
 	}
 }
 
@@ -211,14 +203,19 @@ func TestCollectorBoundsErrors(t *testing.T) {
 
 func TestUnlimitedNeverTrips(t *testing.T) {
 	lim := Unlimited().WithDefaults()
-	r := NewReader(strings.NewReader(strings.Repeat("x", 1<<16)), lim)
+	r := NewReader(strings.NewReader(strings.Repeat("x", 1<<17)), lim)
 	for {
-		if _, err := r.ReadByte(); err != nil {
+		w, err := r.window()
+		if err != nil {
 			if err != io.EOF {
 				t.Fatalf("unlimited reader tripped: %v", err)
 			}
 			break
 		}
+		r.consume(w)
+	}
+	if r.n != 1<<17 {
+		t.Fatalf("read %d bytes, want %d", r.n, 1<<17)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -70,14 +71,22 @@ func (s LexSpec) classes() [256]byteClass {
 // Lexer produces tokens one at a time from a budget-governed byte
 // stream: every token passes the Meter (token budget + context poll),
 // identifiers and strings are length-bounded, and at most one token of
-// text is held in memory. It is shared by the Liberty and Verilog
-// streaming parsers.
+// text is held in memory. It scans whitespace, comments and identifiers
+// over the Reader's buffered window rather than byte by byte; positions,
+// budgets and errors are those of a byte-at-a-time scan. It is shared by
+// the Liberty and Verilog streaming parsers.
 type Lexer struct {
 	r        *Reader
 	m        *Meter
 	class    [256]byteClass
 	maxIdent int
-	buf      []byte // reused token-text scratch
+	strings  bool   // give identifier tokens their Text
+	buf      []byte // token text that crossed a window edge, and strings
+	// The last identifier scanned is buf when identInBuf, else
+	// r.win[identLo:identHi]. Indices, not a slice, so that recording it
+	// stores no pointer.
+	identLo, identHi int
+	identInBuf       bool
 
 	peeked bool
 	tok    Token
@@ -86,12 +95,32 @@ type Lexer struct {
 
 // NewLexer builds a lexer over a governed Reader/Meter pair (lim must
 // already have defaults applied, as the parsers' entry points ensure).
+// Every token it returns carries its Text.
 func NewLexer(r *Reader, m *Meter, lim Limits, spec LexSpec) *Lexer {
+	lx := NewViewLexer(r, m, lim, spec)
+	lx.strings = true
+	return lx
+}
+
+// NewViewLexer is NewLexer for a parser that reads identifiers through
+// Ident: identifier tokens come with an empty Text, so scanning one
+// allocates nothing. Punctuation and string tokens carry their Text.
+func NewViewLexer(r *Reader, m *Meter, lim Limits, spec LexSpec) *Lexer {
 	return &Lexer{r: r, m: m, class: spec.classes(), maxIdent: lim.MaxIdent, buf: make([]byte, 0, 64)}
 }
 
 // Pos reports the 1-based position of the next unread byte.
 func (lx *Lexer) Pos() (line, col int) { return lx.r.Pos() }
+
+// Ident returns the text of the identifier token Peek or Next returned
+// last. It is a view into the lexer's buffers, valid until the next
+// token is scanned; copy it to keep it.
+func (lx *Lexer) Ident() []byte {
+	if lx.identInBuf {
+		return lx.buf
+	}
+	return lx.r.win[lx.identLo:lx.identHi]
+}
 
 // Peek returns the next token without consuming it.
 func (lx *Lexer) Peek() (Token, error) {
@@ -105,9 +134,15 @@ func (lx *Lexer) Peek() (Token, error) {
 // Next consumes and returns the next token. EOF and errors are sticky
 // until ClearErr.
 func (lx *Lexer) Next() (Token, error) {
-	t, err := lx.Peek()
-	if t.Kind != TokenEOF && err == nil {
-		lx.peeked = false
+	if lx.peeked {
+		if lx.tok.Kind != TokenEOF && lx.perr == nil {
+			lx.peeked = false
+		}
+		return lx.tok, lx.perr
+	}
+	t, err := lx.scan()
+	if t.Kind == TokenEOF || err != nil {
+		lx.tok, lx.perr, lx.peeked = t, err, true
 	}
 	return t, err
 }
@@ -120,9 +155,13 @@ func (lx *Lexer) ClearErr() {
 	lx.perr = nil
 }
 
+// scan skips whitespace and comments and returns the next token. A
+// token's first byte is consumed before the Meter is charged for it, so
+// a budget or context error reports the position just past that byte.
 func (lx *Lexer) scan() (Token, error) {
+	lx.identLo, lx.identHi, lx.identInBuf = 0, 0, false
 	for {
-		b, err := lx.r.ReadByte()
+		w, err := lx.r.window()
 		if err == io.EOF {
 			line, col := lx.r.Pos()
 			return Token{Kind: TokenEOF, Line: line, Col: col}, nil
@@ -130,9 +169,19 @@ func (lx *Lexer) scan() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		switch lx.class[b] {
-		case classSpace:
+		i := 0
+		for i < len(w) && lx.class[w[i]] == classSpace {
+			i++
+		}
+		if i == len(w) {
+			lx.r.consume(w)
 			continue
+		}
+		if i > 0 {
+			lx.r.consume(w[:i])
+		}
+		lx.r.advance(1) // a token's first byte is never a newline
+		switch lx.class[w[i]] {
 		case classComment:
 			if err := lx.skipComment(); err != nil {
 				return Token{}, err
@@ -144,9 +193,9 @@ func (lx *Lexer) scan() (Token, error) {
 				return Token{}, err
 			}
 			line, col := lx.r.Pos()
-			return Token{Kind: TokenPunct, Text: string(b), Line: line, Col: col - 1}, nil
+			return Token{Kind: TokenPunct, Text: byteText[w[i]], Line: line, Col: col - 1}, nil
 		default:
-			return lx.scanIdent(b)
+			return lx.scanIdent(w[i:])
 		}
 	}
 }
@@ -156,7 +205,7 @@ func (lx *Lexer) scan() (Token, error) {
 // An unterminated block comment at EOF is tolerated (historical parser
 // behavior).
 func (lx *Lexer) skipComment() error {
-	b, err := lx.r.ReadByte()
+	w, err := lx.r.window()
 	if err == io.EOF {
 		line, col := lx.r.Pos()
 		return Errf(line, col, "unexpected %q", "/")
@@ -164,31 +213,42 @@ func (lx *Lexer) skipComment() error {
 	if err != nil {
 		return err
 	}
+	b := w[0]
+	lx.r.consume(w[:1])
 	switch b {
 	case '/':
 		for {
-			b, err := lx.r.ReadByte()
-			if err == io.EOF || (err == nil && b == '\n') {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-		}
-	case '*':
-		star := false
-		for {
-			b, err := lx.r.ReadByte()
+			w, err := lx.r.window()
 			if err == io.EOF {
 				return nil
 			}
 			if err != nil {
 				return err
 			}
-			if star && b == '/' {
+			if k := bytes.IndexByte(w, '\n'); k >= 0 {
+				lx.r.consume(w[:k+1])
 				return nil
 			}
-			star = b == '*'
+			lx.r.consume(w)
+		}
+	case '*':
+		star := false
+		for {
+			w, err := lx.r.window()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			for k, c := range w {
+				if star && c == '/' {
+					lx.r.consume(w[:k+1])
+					return nil
+				}
+				star = c == '*'
+			}
+			lx.r.consume(w)
 		}
 	default:
 		line, col := lx.r.Pos()
@@ -196,6 +256,7 @@ func (lx *Lexer) skipComment() error {
 	}
 }
 
+// scanString reads a string whose opening quote has been consumed.
 func (lx *Lexer) scanString() (Token, error) {
 	if err := lx.m.Tick(); err != nil {
 		return Token{}, err
@@ -204,7 +265,7 @@ func (lx *Lexer) scanString() (Token, error) {
 	col-- // position of the opening quote
 	lx.buf = lx.buf[:0]
 	for {
-		b, err := lx.r.ReadByte()
+		w, err := lx.r.window()
 		if err == io.EOF {
 			// Unterminated string: surface what we have (the historical
 			// parsers behaved the same way).
@@ -213,43 +274,99 @@ func (lx *Lexer) scanString() (Token, error) {
 		if err != nil {
 			return Token{}, err
 		}
-		if b == '"' {
-			return Token{Kind: TokenString, Text: string(lx.buf), Line: line, Col: col}, nil
+		end := bytes.IndexByte(w, '"')
+		text := w
+		if end >= 0 {
+			text = w[:end]
 		}
-		if len(lx.buf) >= lx.maxIdent {
+		if room := lx.maxIdent - len(lx.buf); len(text) > room {
+			// The byte past the budget is read, then refused.
+			lx.r.consume(w[:room+1])
 			return Token{}, &PosError{Line: line, Col: col, Err: Budgetf("string exceeds the %d-byte identifier budget", lx.maxIdent)}
 		}
-		lx.buf = append(lx.buf, b)
+		lx.buf = append(lx.buf, text...)
+		if end >= 0 {
+			lx.r.consume(w[:end+1])
+			return Token{Kind: TokenString, Text: string(lx.buf), Line: line, Col: col}, nil
+		}
+		lx.r.consume(w)
 	}
 }
 
-func (lx *Lexer) scanIdent(first byte) (Token, error) {
+// scanIdent reads an identifier whose first byte, w[0], has been
+// consumed; w is the rest of the window it came in.
+func (lx *Lexer) scanIdent(w []byte) (Token, error) {
 	if err := lx.m.Tick(); err != nil {
 		return Token{}, err
 	}
 	line, col := lx.r.Pos()
 	col-- // position of the first byte
-	lx.buf = lx.buf[:0]
-	lx.buf = append(lx.buf, first)
-	for {
-		b, err := lx.r.ReadByte()
-		if err == io.EOF {
-			break
+	// The first byte is always taken; each later one must fit maxIdent.
+	limit := max(lx.maxIdent, 1)
+	j := lx.identEnd(w, 1)
+	if j < len(w) || len(w) > limit {
+		// The identifier ends inside this window: view it in place.
+		if j > limit {
+			return lx.identTooLong(w[1:limit+1], line, col)
 		}
-		if err != nil {
-			return Token{}, err
+		lx.identLo = lx.r.i - 1
+		lx.r.advance(j - 1)
+		lx.identHi = lx.r.i
+	} else {
+		// It runs to the window's edge: gather it in buf across windows.
+		lx.r.advance(len(w) - 1)
+		lx.buf = append(lx.buf[:0], w...)
+		for {
+			w, err := lx.r.window()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return Token{}, err
+			}
+			j := lx.identEnd(w, 0)
+			if room := limit - len(lx.buf); j > room {
+				return lx.identTooLong(w[:room+1], line, col)
+			}
+			lx.r.advance(j)
+			lx.buf = append(lx.buf, w[:j]...)
+			if j < len(w) {
+				break
+			}
 		}
-		if lx.class[b] != classIdent {
-			lx.r.UnreadByte()
-			break
-		}
-		if len(lx.buf) >= lx.maxIdent {
-			return Token{}, &PosError{Line: line, Col: col, Err: Budgetf("identifier exceeds the %d-byte budget", lx.maxIdent)}
-		}
-		lx.buf = append(lx.buf, b)
+		lx.identInBuf = true
 	}
-	return Token{Kind: TokenIdent, Text: string(lx.buf), Line: line, Col: col}, nil
+	tok := Token{Kind: TokenIdent, Line: line, Col: col}
+	if lx.strings {
+		tok.Text = string(lx.Ident())
+	}
+	return tok, nil
 }
+
+// identEnd returns the index of the first byte of w at or after i that
+// ends an identifier, or len(w).
+func (lx *Lexer) identEnd(w []byte, i int) int {
+	for i < len(w) && lx.class[w[i]] == classIdent {
+		i++
+	}
+	return i
+}
+
+// identTooLong consumes read, which ends with the first byte past the
+// identifier budget, and reports the overrun at the identifier's start.
+func (lx *Lexer) identTooLong(read []byte, line, col int) (Token, error) {
+	lx.r.advance(len(read))
+	return Token{}, &PosError{Line: line, Col: col, Err: Budgetf("identifier exceeds the %d-byte budget", lx.maxIdent)}
+}
+
+// byteText holds the one-byte string of every byte, the Text of a
+// punctuation token.
+var byteText = func() (t [256]string) {
+	for i := range t {
+		t[i] = string([]byte{byte(i)})
+	}
+	return t
+}()
 
 // PosError attaches a source position to a low-level parse error as
 // structured data, so diagnostics carry real line/col fields instead of

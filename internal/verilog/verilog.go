@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/circuit"
@@ -151,21 +152,62 @@ func ParseOpts(r io.Reader, fallbackName string, lim ingest.Limits) (*circuit.Ci
 		return nil, err
 	}
 	p := &vparser{
-		lx:   ingest.NewLexer(ingest.NewReader(r, lim), ingest.NewMeter(lim), lim, verilogSpec),
+		lx:   ingest.NewViewLexer(ingest.NewReader(r, lim), ingest.NewMeter(lim), lim, verilogSpec),
 		lim:  lim,
 		diag: ingest.NewCollector("verilog", lim),
+		ids:  map[string]int32{},
 	}
 	return p.module(fallbackName)
 }
 
 // vparser is the streaming statement-at-a-time reader. gates and nets
 // count every declaration against the budget envelope.
+//
+// Every net name the circuit keeps (ports, wires and instance
+// terminals) is interned once into syms; statements refer to nets by
+// symbol index from then on. Names the reader discards (the module's
+// port list and instance names) are never interned.
 type vparser struct {
 	lx    *ingest.Lexer
 	lim   ingest.Limits
 	diag  *ingest.Collector
 	gates int
 	nets  int
+
+	ids  map[string]int32 // name -> index into syms
+	syms []symbol
+	args []int32 // every instance's terminals, output first, back to back
+}
+
+// symbol is one distinct net name and what the reader knows of it.
+type symbol struct {
+	name  string
+	gate  circuit.GateID // the gate driving it, None until one is added
+	wire  bool           // declared by a wire statement
+	drive int32          // fanin edges it drives, counted by link
+}
+
+// intern returns the symbol of name, adding it on first sight. The map
+// lookup with string(name) does not allocate; only a new name does.
+func (p *vparser) intern(name []byte) int32 {
+	if id, ok := p.ids[string(name)]; ok {
+		return id
+	}
+	s := string(name)
+	id := int32(len(p.syms))
+	p.ids[s] = id
+	p.syms = push(p.syms, symbol{name: s, gate: circuit.None})
+	return id
+}
+
+// push appends v to s, doubling the capacity when s is full: a parse
+// that collects n elements then allocates about 2n of them, where
+// append's gentler growth for large slices allocates about 5n.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 16))
+	}
+	return append(s, v)
 }
 
 // fail files a lexer/parse error as a diagnostic; the returned error is
@@ -206,6 +248,19 @@ func (p *vparser) addNet() error {
 	return nil
 }
 
+// show renders a token for a message, quoting an identifier's text.
+func (p *vparser) show(tok ingest.Token) string {
+	if tok.Kind == ingest.TokenIdent {
+		return fmt.Sprintf("%q", p.lx.Ident())
+	}
+	return tok.String()
+}
+
+// isIdent reports whether tok is the identifier word.
+func (p *vparser) isIdent(tok ingest.Token, word string) bool {
+	return tok.Kind == ingest.TokenIdent && string(p.lx.Ident()) == word
+}
+
 // expect consumes the next token and requires it to be the punctuation s.
 func (p *vparser) expect(s string) error {
 	tok, err := p.lx.Next()
@@ -213,30 +268,33 @@ func (p *vparser) expect(s string) error {
 		return err
 	}
 	if tok.Kind != ingest.TokenPunct || tok.Text != s {
-		return ingest.Errf(tok.Line, tok.Col, "expected %q, got %s", s, tok)
+		return ingest.Errf(tok.Line, tok.Col, "expected %q, got %s", s, p.show(tok))
 	}
 	return nil
 }
 
 // nameList parses ident... up to the punctuation until, counting each
-// name against the net budget (commas were consumed by the lexer).
-func (p *vparser) nameList(until string) ([]string, error) {
-	var names []string
+// name against the net budget (commas were consumed by the lexer). With
+// keep it appends each name's symbol to dst; otherwise the names are
+// only counted.
+func (p *vparser) nameList(until string, dst []int32, keep bool) ([]int32, error) {
 	for {
 		tok, err := p.lx.Next()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		switch {
 		case tok.Kind == ingest.TokenPunct && tok.Text == until:
-			return names, nil
+			return dst, nil
 		case tok.Kind == ingest.TokenIdent:
 			if err := p.addNet(); err != nil {
-				return nil, err
+				return dst, err
 			}
-			names = append(names, tok.Text)
+			if keep {
+				dst = push(dst, p.intern(p.lx.Ident()))
+			}
 		default:
-			return nil, ingest.Errf(tok.Line, tok.Col, "unexpected %s in name list", tok)
+			return dst, ingest.Errf(tok.Line, tok.Col, "unexpected %s in name list", tok)
 		}
 	}
 }
@@ -252,7 +310,7 @@ func (p *vparser) resyncStmt() error {
 			}
 			continue
 		}
-		if tok.Kind == ingest.TokenEOF || (tok.Kind == ingest.TokenIdent && tok.Text == "endmodule") {
+		if tok.Kind == ingest.TokenEOF || p.isIdent(tok, "endmodule") {
 			return nil
 		}
 		p.lx.Next()
@@ -262,12 +320,22 @@ func (p *vparser) resyncStmt() error {
 	}
 }
 
-// vinst is one parsed primitive instantiation: output terminal first,
-// then fanin nets, with the source position of the primitive keyword.
+// recover files err and resynchronizes to the next statement; a non-nil
+// result means the parse must stop with it.
+func (p *vparser) recover(err error) error {
+	if f := p.fail(err); f != nil {
+		return f
+	}
+	return p.resyncStmt()
+}
+
+// vinst is one parsed primitive instantiation: its terminals are
+// args[start:end], output first, then the fanin nets, and line and col
+// are the position of the primitive keyword.
 type vinst struct {
-	fn        circuit.Fn
-	args      []string
-	line, col int
+	fn         circuit.Fn
+	start, end int32
+	line, col  int32
 }
 
 func (p *vparser) module(fallbackName string) (*circuit.Circuit, error) {
@@ -281,20 +349,20 @@ func (p *vparser) module(fallbackName string) (*circuit.Circuit, error) {
 		}
 		return nil, p.diag.Err()
 	}
-	if tok.Kind != ingest.TokenIdent || tok.Text != "module" {
-		p.semantic("", tok.Line, tok.Col, fmt.Sprintf("expected module, got %s", tok))
+	if !p.isIdent(tok, "module") {
+		p.semantic("", tok.Line, tok.Col, fmt.Sprintf("expected module, got %s", p.show(tok)))
 		return nil, p.diag.Err()
 	}
 	name := fallbackName
 	tok, err = p.lx.Next()
 	if err == nil && tok.Kind == ingest.TokenIdent {
-		name = tok.Text
+		name = string(p.lx.Ident())
 		err = p.expect("(")
 	} else if err == nil {
 		err = ingest.Errf(tok.Line, tok.Col, "expected module name, got %s", tok)
 	}
 	if err == nil {
-		_, err = p.nameList(")")
+		_, err = p.nameList(")", nil, false)
 	}
 	if err == nil {
 		err = p.expect(";")
@@ -308,19 +376,14 @@ func (p *vparser) module(fallbackName string) (*circuit.Circuit, error) {
 
 	c := circuit.New(name)
 	var (
-		outputs []string
-		insts   []vinst
-		wires   []string
-		wireSet = map[string]bool{}
+		outputs, wires, list []int32
+		insts                []vinst
 	)
 loop:
 	for {
 		tok, err := p.lx.Next()
 		if err != nil {
-			if f := p.fail(err); f != nil {
-				return nil, f
-			}
-			if f := p.resyncStmt(); f != nil {
+			if f := p.recover(err); f != nil {
 				return nil, f
 			}
 			continue
@@ -330,91 +393,68 @@ loop:
 			break
 		}
 		if tok.Kind != ingest.TokenIdent {
-			if f := p.fail(ingest.Errf(tok.Line, tok.Col, "unexpected %s", tok)); f != nil {
-				return nil, f
-			}
-			if f := p.resyncStmt(); f != nil {
+			if f := p.recover(ingest.Errf(tok.Line, tok.Col, "unexpected %s", tok)); f != nil {
 				return nil, f
 			}
 			continue
 		}
-		switch tok.Text {
-		case "endmodule":
+		word := p.lx.Ident()
+		switch {
+		case string(word) == "endmodule":
 			break loop
-		case "input":
-			names, err := p.nameList(";")
-			if err != nil {
-				if f := p.fail(err); f != nil {
-					return nil, f
-				}
-				if f := p.resyncStmt(); f != nil {
+		case string(word) == "input", string(word) == "output", string(word) == "wire":
+			kind := word[0]
+			if list, err = p.nameList(";", list[:0], true); err != nil {
+				if f := p.recover(err); f != nil {
 					return nil, f
 				}
 				continue
 			}
-			for _, n := range names {
-				if err := p.addGate(); err != nil {
-					return nil, p.fail(err)
+			switch kind {
+			case 'i':
+				for _, s := range list {
+					if err := p.addGate(); err != nil {
+						return nil, p.fail(err)
+					}
+					sym := &p.syms[s]
+					id, err := c.AddGate(sym.name, circuit.Input)
+					if err != nil {
+						if !p.semantic(sym.name, tok.Line, tok.Col, err.Error()) {
+							return nil, p.diag.Err()
+						}
+						continue
+					}
+					sym.gate = id
 				}
-				if _, err := c.AddGate(n, circuit.Input); err != nil {
-					if !p.semantic(n, tok.Line, tok.Col, err.Error()) {
-						return nil, p.diag.Err()
+			case 'o':
+				outputs = append(outputs, list...)
+			default:
+				for _, s := range list {
+					if !p.syms[s].wire {
+						p.syms[s].wire = true
+						wires = push(wires, s)
 					}
 				}
 			}
-		case "output":
-			names, err := p.nameList(";")
-			if err != nil {
-				if f := p.fail(err); f != nil {
-					return nil, f
-				}
-				if f := p.resyncStmt(); f != nil {
-					return nil, f
-				}
-				continue
-			}
-			outputs = append(outputs, names...)
-		case "wire":
-			names, err := p.nameList(";")
-			if err != nil {
-				if f := p.fail(err); f != nil {
-					return nil, f
-				}
-				if f := p.resyncStmt(); f != nil {
-					return nil, f
-				}
-				continue
-			}
-			for _, n := range names {
-				if !wireSet[n] {
-					wireSet[n] = true
-					wires = append(wires, n)
-				}
-			}
 		default:
-			fn, ok := fnByPrimitive[tok.Text]
+			fn, ok := fnByPrimitive[string(word)]
 			if !ok {
-				if f := p.fail(ingest.Errf(tok.Line, tok.Col, "unsupported construct %q", tok.Text)); f != nil {
-					return nil, f
-				}
-				if f := p.resyncStmt(); f != nil {
+				if f := p.recover(ingest.Errf(tok.Line, tok.Col, "unsupported construct %q", word)); f != nil {
 					return nil, f
 				}
 				continue
 			}
 			inst, err := p.instantiation(fn, tok)
 			if err != nil {
-				if f := p.fail(err); f != nil {
-					return nil, f
-				}
-				if f := p.resyncStmt(); f != nil {
+				if f := p.recover(err); f != nil {
 					return nil, f
 				}
 				continue
 			}
-			if len(inst.args) < 2 {
-				if !p.semantic("", inst.line, inst.col,
-					fmt.Sprintf("primitive %q with %d terminals", tok.Text, len(inst.args))) {
+			if n := inst.end - inst.start; n < 2 {
+				p.args = p.args[:inst.start]
+				if !p.semantic("", int(inst.line), int(inst.col),
+					fmt.Sprintf("primitive %q with %d terminals", primitiveByFn[fn], n)) {
 					return nil, p.diag.Err()
 				}
 				continue
@@ -422,7 +462,7 @@ loop:
 			if err := p.addGate(); err != nil {
 				return nil, p.fail(err)
 			}
-			insts = append(insts, inst)
+			insts = push(insts, inst)
 		}
 	}
 	p.link(c, outputs, insts, wires)
@@ -432,83 +472,100 @@ loop:
 	return c, nil
 }
 
-// instantiation parses "NAME ( args ) ;" after the primitive keyword.
+// instantiation parses "NAME ( args ) ;" after the primitive keyword,
+// appending the terminals to p.args; on an error it leaves p.args as it
+// found it.
 func (p *vparser) instantiation(fn circuit.Fn, prim ingest.Token) (vinst, error) {
-	in := vinst{fn: fn, line: prim.Line, col: prim.Col}
+	start := int32(len(p.args))
+	in := vinst{fn: fn, start: start, line: int32(prim.Line), col: int32(prim.Col)}
+	err := p.instTail(fn)
+	if err != nil {
+		p.args = p.args[:start]
+	}
+	in.end = int32(len(p.args))
+	return in, err
+}
+
+// instTail parses the instance name, which is required but otherwise
+// ignored, and the terminal list of an instantiation.
+func (p *vparser) instTail(fn circuit.Fn) error {
 	tok, err := p.lx.Next()
 	if err != nil {
-		return in, err
+		return err
 	}
-	if tok.Kind != ingest.TokenIdent { // instance name, required but otherwise ignored
-		return in, ingest.Errf(tok.Line, tok.Col, "primitive %q missing instance name", prim.Text)
+	if tok.Kind != ingest.TokenIdent {
+		return ingest.Errf(tok.Line, tok.Col, "primitive %q missing instance name", primitiveByFn[fn])
 	}
 	if err := p.expect("("); err != nil {
-		return in, err
+		return err
 	}
-	if in.args, err = p.nameList(")"); err != nil {
-		return in, err
+	if p.args, err = p.nameList(")", p.args, true); err != nil {
+		return err
 	}
-	return in, p.expect(";")
+	return p.expect(";")
 }
 
 // link materializes instances as gates (output terminal first, per the
 // Verilog primitive convention) and resolves output declarations.
-// Failures are filed as diagnostics so one bad net does not hide the
-// rest of the report.
-func (p *vparser) link(c *circuit.Circuit, outputs []string, insts []vinst, wires []string) {
+// Fanins resolve by symbol, and every gate's Fanin and Fanout get their
+// capacity up front, carved from two shared arrays. Failures are filed
+// as diagnostics so one bad net does not hide the rest of the report.
+func (p *vparser) link(c *circuit.Circuit, outputs []int32, insts []vinst, wires []int32) {
 	// Keep the ids returned by AddGate so the connect pass needs no
 	// panicking lookup (this path is reachable from user netlist files).
 	ids := make([]circuit.GateID, len(insts))
-	valid := make([]bool, len(insts))
 	c.Grow(len(insts))
 	for i, in := range insts {
-		id, err := c.AddGate(in.args[0], in.fn)
+		sym := &p.syms[p.args[in.start]]
+		id, err := c.AddGate(sym.name, in.fn)
+		ids[i] = id
 		if err != nil {
-			if !p.semantic(in.args[0], in.line, in.col, err.Error()) {
+			if !p.semantic(sym.name, int(in.line), int(in.col), err.Error()) {
 				return
 			}
 			continue
 		}
-		ids[i], valid[i] = id, true
+		sym.gate = id
 	}
+	p.reserve(c, insts, ids)
 	for i, in := range insts {
-		if !valid[i] {
+		if ids[i] == circuit.None {
 			continue
 		}
-		for _, src := range in.args[1:] {
-			id, ok := c.Lookup(src)
-			if !ok {
-				if !p.semantic(src, in.line, in.col, fmt.Sprintf("net %q driven by nothing", src)) {
+		for _, s := range p.args[in.start+1 : in.end] {
+			sym := &p.syms[s]
+			if sym.gate == circuit.None {
+				if !p.semantic(sym.name, int(in.line), int(in.col), fmt.Sprintf("net %q driven by nothing", sym.name)) {
 					return
 				}
 				continue
 			}
-			if err := c.Connect(id, ids[i]); err != nil {
-				if !p.semantic(src, in.line, in.col, err.Error()) {
+			if err := c.Connect(sym.gate, ids[i]); err != nil {
+				if !p.semantic(sym.name, int(in.line), int(in.col), err.Error()) {
 					return
 				}
 			}
 		}
 	}
-	for _, o := range outputs {
-		id, ok := c.Lookup(o)
-		if !ok {
-			if !p.semantic(o, 0, 0, fmt.Sprintf("output %q undriven", o)) {
+	for _, s := range outputs {
+		sym := &p.syms[s]
+		if sym.gate == circuit.None {
+			if !p.semantic(sym.name, 0, 0, fmt.Sprintf("output %q undriven", sym.name)) {
 				return
 			}
 			continue
 		}
-		if err := c.MarkOutput(id); err != nil {
-			if !p.semantic(o, 0, 0, err.Error()) {
+		if err := c.MarkOutput(sym.gate); err != nil {
+			if !p.semantic(sym.name, 0, 0, err.Error()) {
 				return
 			}
 		}
 	}
 	// Declared wires that never became gate outputs indicate a truncated
 	// or unsupported netlist (declaration order keeps reports stable).
-	for _, w := range wires {
-		if _, ok := c.Lookup(w); !ok {
-			if !p.semantic(w, 0, 0, fmt.Sprintf("wire %q declared but never driven", w)) {
+	for _, s := range wires {
+		if sym := &p.syms[s]; sym.gate == circuit.None {
+			if !p.semantic(sym.name, 0, 0, fmt.Sprintf("wire %q declared but never driven", sym.name)) {
 				return
 			}
 		}
@@ -517,5 +574,50 @@ func (p *vparser) link(c *circuit.Circuit, outputs []string, insts []vinst, wire
 		if err := c.Validate(); err != nil {
 			p.semantic("", 0, 0, err.Error())
 		}
+	}
+}
+
+// reserve gives every gate an empty Fanin and Fanout with room for the
+// edges the connect pass can add to it, cut from one array each with
+// the capacity capped, so an edge added later never reaches into the
+// next gate's room.
+func (p *vparser) reserve(c *circuit.Circuit, insts []vinst, ids []circuit.GateID) {
+	edges := 0
+	for i, in := range insts {
+		if ids[i] == circuit.None {
+			continue
+		}
+		for _, s := range p.args[in.start+1 : in.end] {
+			if sym := &p.syms[s]; sym.gate != circuit.None {
+				sym.drive++
+				edges++
+			}
+		}
+	}
+	fanin := make([]circuit.GateID, edges)
+	off := 0
+	for i, in := range insts {
+		if ids[i] == circuit.None {
+			continue
+		}
+		n := 0
+		for _, s := range p.args[in.start+1 : in.end] {
+			if p.syms[s].gate != circuit.None {
+				n++
+			}
+		}
+		c.Gates[ids[i]].Fanin = fanin[off : off : off+n]
+		off += n
+	}
+	fanout := make([]circuit.GateID, edges)
+	off = 0
+	for i := range p.syms {
+		sym := &p.syms[i]
+		if sym.drive == 0 {
+			continue
+		}
+		n := int(sym.drive)
+		c.Gates[sym.gate].Fanout = fanout[off : off : off+n]
+		off += n
 	}
 }
