@@ -13,6 +13,7 @@ import (
 	"repro/internal/cells"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/dpdf"
 	"repro/internal/gen"
 	"repro/internal/montecarlo"
 	"repro/internal/ssta"
@@ -236,7 +237,8 @@ func (o RunOptions) ssta() ssta.Options {
 // pass. One from MonteCarloOpts or MonteCarloFromSamples runs the pass
 // on its first yield query, for the sizing the design had when the
 // Analysis was made; an Analysis that is never asked for a yield never
-// pays for it.
+// pays for it. Either way the Analysis keeps only a copy of the circuit
+// PDF, not the engine that computed it.
 type Analysis struct {
 	// Mean and Sigma are the first two moments of the circuit delay (the
 	// max over all primary outputs), in ps.
@@ -246,24 +248,26 @@ type Analysis struct {
 	// PDFX and PDFY sample the circuit-delay density for plotting.
 	PDFX, PDFY []float64
 
-	full *yieldBacking
+	backing *yieldBacking
 }
 
-// yieldBacking is the FULLSSTA result behind an Analysis's yield
-// queries: set up front, or made by build once, on first use.
+// yieldBacking is the FULLSSTA circuit-delay PDF behind an Analysis's
+// yield queries, detached from the engine's arena: set up front, or
+// made by build once, on first use.
 type yieldBacking struct {
 	once  sync.Once
-	build func() *ssta.Result
-	full  *ssta.Result
+	build func() dpdf.PDF
+	pdf   *dpdf.PDF
 }
 
-func (b *yieldBacking) result() *ssta.Result {
+func (b *yieldBacking) circuitPDF() dpdf.PDF {
 	b.once.Do(func() {
-		if b.full == nil {
-			b.full, b.build = b.build(), nil
+		if b.pdf == nil {
+			pdf := b.build()
+			b.pdf, b.build = &pdf, nil
 		}
 	})
-	return b.full
+	return *b.pdf
 }
 
 // lazyBacking defers the FULLSSTA pass behind a Monte-Carlo Analysis to
@@ -274,13 +278,13 @@ func (b *yieldBacking) result() *ssta.Result {
 func (d *Design) lazyBacking(opts RunOptions) *yieldBacking {
 	sizes := d.Sizes()
 	so := opts.ssta()
-	return &yieldBacking{build: func() *ssta.Result {
+	return &yieldBacking{build: func() dpdf.PDF {
 		at := d
 		if !slices.Equal(d.Sizes(), sizes) {
 			at = d.Clone()
 			at.d.Circuit.RestoreSizes(sizes)
 		}
-		return ssta.Analyze(at.d, at.vm, so)
+		return ssta.Analyze(at.d, at.vm, so).CircuitPDF.Clone()
 	}}
 }
 
@@ -294,13 +298,14 @@ func (d *Design) Analyze() *Analysis {
 func (d *Design) AnalyzeOpts(opts RunOptions) *Analysis {
 	full := ssta.Analyze(d.d, d.vm, opts.ssta())
 	xs, ps := full.CircuitPDF.Support()
+	pdf := full.CircuitPDF.Clone()
 	return &Analysis{
 		Mean:         full.Mean,
 		Sigma:        full.Sigma,
 		NominalDelay: full.STA.MaxArrival,
 		PDFX:         xs,
 		PDFY:         ps,
-		full:         &yieldBacking{full: full},
+		backing:      &yieldBacking{pdf: &pdf},
 	}
 }
 
@@ -327,13 +332,13 @@ func (d *Design) AnalyzeCtx(ctx context.Context, opts RunOptions) (*Analysis, er
 // Yield returns the probability that the circuit meets clock period T.
 // On a Monte-Carlo Analysis the first yield query runs FULLSSTA (see
 // Analysis).
-func (a *Analysis) Yield(T float64) float64 { return a.full.result().Yield(T) }
+func (a *Analysis) Yield(T float64) float64 { return a.backing.circuitPDF().CDF(T) }
 
 // PeriodForYield returns the smallest clock period achieving the target
 // yield. On a Monte-Carlo Analysis the first yield query runs FULLSSTA
 // (see Analysis).
 func (a *Analysis) PeriodForYield(target float64) (float64, error) {
-	return yield.PeriodFor(a.full.result().CircuitPDF, target)
+	return yield.PeriodFor(a.backing.circuitPDF(), target)
 }
 
 // MonteCarlo runs the golden-reference sampling engine with default
@@ -369,7 +374,7 @@ func (d *Design) monteCarloAnalysis(mc *montecarlo.Result, opts RunOptions) *Ana
 		Mean: mc.Mean, Sigma: mc.Sigma,
 		NominalDelay: sta.Analyze(d.d).MaxArrival,
 		PDFX:         xs, PDFY: ps,
-		full: d.lazyBacking(opts),
+		backing: d.lazyBacking(opts),
 	}
 }
 

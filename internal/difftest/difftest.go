@@ -54,8 +54,8 @@ func CompareSSTA(got, want *ssta.Result) error {
 	if err := CompareSTA(got.STA, want.STA); err != nil {
 		return err
 	}
-	for i := range want.Arrival {
-		if !got.Arrival[i].Equal(want.Arrival[i]) {
+	for i := range want.Node {
+		if id := circuit.GateID(i); !got.Arrival(id).Equal(want.Arrival(id)) {
 			return fmt.Errorf("ssta.Arrival[%d]: PDFs differ", i)
 		}
 		if got.Node[i] != want.Node[i] {

@@ -96,6 +96,12 @@ func New(xs, ps []float64) (PDF, error) {
 	return PDF{xs: append([]float64(nil), xs...), ps: append([]float64(nil), ps...)}, nil
 }
 
+// Clone returns a copy of p that shares no memory with it, so a PDF
+// viewed from an Arena can outlive the arena.
+func (p PDF) Clone() PDF {
+	return PDF{xs: append([]float64(nil), p.xs...), ps: append([]float64(nil), p.ps...)}
+}
+
 // Len returns the number of support points.
 func (p PDF) Len() int { return len(p.xs) }
 

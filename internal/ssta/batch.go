@@ -214,7 +214,6 @@ func (f *Flat) adopt(w *whatIfWorker) {
 		r.GateDelay[id] = v.gateDelay
 		r.Node[id] = w.over.Moments(s)
 		f.arena.Set(int(id), w.over.View(s))
-		r.Arrival[id] = f.arena.View(int(id))
 	}
 	if w.out.Changed {
 		top := c.NumGates()

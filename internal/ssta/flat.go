@@ -80,6 +80,7 @@ func NewFlat(d *synth.Design, vm *variation.Model, opts Options) *Flat {
 	c := d.Circuit
 	n := c.NumGates()
 	lv, depth := c.Levels()
+	arena := dpdf.NewArena(n+1, pts)
 	f := &Flat{
 		d:       d,
 		vm:      vm,
@@ -94,11 +95,11 @@ func NewFlat(d *synth.Design, vm *variation.Model, opts Options) *Flat {
 				InSlew:  make([]float64, n),
 				WorstPO: circuit.None,
 			},
-			Arrival:   make([]dpdf.PDF, n),
 			Node:      make([]normal.Moments, n),
 			GateDelay: make([]normal.Moments, n),
+			arena:     arena,
 		},
-		arena:   dpdf.NewArena(n+1, pts),
+		arena:   arena,
 		sizes:   make([]int, n),
 		level:   lv,
 		buckets: make([][]circuit.GateID, depth+1),
@@ -110,7 +111,6 @@ func NewFlat(d *synth.Design, vm *variation.Model, opts Options) *Flat {
 		if c.Gate(id).Fn == circuit.Input {
 			// The statistical arrival at a PI is Point(0), always.
 			f.arena.SetPoint(int(id), 0)
-			f.r.Arrival[id] = f.arena.View(int(id))
 		}
 	}
 	f.Recompute()
@@ -218,7 +218,6 @@ func (f *Flat) step(sc *flatScratch, id circuit.GateID) {
 	r.STA.Arrival[id] = e.arrival
 	r.GateDelay[id] = e.gateDelay
 	r.Node[id] = e.node
-	r.Arrival[id] = f.arena.View(int(id))
 }
 
 // gateEval is one logic gate's re-derived timing.

@@ -45,14 +45,14 @@ func requireSameResult(t *testing.T, ctx string, got, want *Result) {
 	if got.STA.MaxArrival != want.STA.MaxArrival || got.STA.WorstPO != want.STA.WorstPO {
 		t.Fatalf("%s: STA summary differs", ctx)
 	}
-	for i := range want.Arrival {
+	for i := range want.Node {
 		if got.STA.Arrival[i] != want.STA.Arrival[i] ||
 			got.STA.Slew[i] != want.STA.Slew[i] ||
 			got.STA.Delay[i] != want.STA.Delay[i] ||
 			got.STA.InSlew[i] != want.STA.InSlew[i] {
 			t.Fatalf("%s: STA node %d differs", ctx, i)
 		}
-		if !got.Arrival[i].Equal(want.Arrival[i]) {
+		if id := circuit.GateID(i); !got.Arrival(id).Equal(want.Arrival(id)) {
 			t.Fatalf("%s: arrival PDF at node %d differs", ctx, i)
 		}
 		if got.Node[i] != want.Node[i] || got.GateDelay[i] != want.GateDelay[i] {

@@ -183,7 +183,6 @@ func (f *Flat) Rollback() {
 		e := &f.journal[j]
 		id := e.id
 		f.arena.Set(int(id), f.jarena.View(j+1))
-		r.Arrival[id] = f.arena.View(int(id))
 		r.Node[id] = e.node
 		r.GateDelay[id] = e.gateDelay
 		r.STA.Arrival[id] = e.staArr

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cells"
+	"repro/internal/circuit"
 	"repro/internal/dpdf"
 	"repro/internal/gen"
 	"repro/internal/synth"
@@ -44,8 +45,8 @@ func TestParallelBitExact(t *testing.T) {
 				if par.GateDelay[id] != serial.GateDelay[id] {
 					t.Fatalf("%s workers=%d: gate %d delay moments differ", name, workers, id)
 				}
-				sx, sp := serial.Arrival[id].Support()
-				px, pp := par.Arrival[id].Support()
+				sx, sp := serial.Arrival(circuit.GateID(id)).Support()
+				px, pp := par.Arrival(circuit.GateID(id)).Support()
 				if len(sx) != len(px) {
 					t.Fatalf("%s workers=%d: node %d PDF size differs", name, workers, id)
 				}

@@ -54,16 +54,15 @@ func (o Options) points() int {
 
 // Result is one FULLSSTA analysis. Slices are indexed by GateID.
 //
-// Arrival and CircuitPDF are views into the engine's arena, not copies.
-// A Result from Analyze owns its arena and stays valid for its whole
-// life; the Result of a live engine (Flat.Result) is updated in place by
-// every resize, so callers must not keep its PDFs across mutating calls.
+// The PDFs that Arrival and CircuitPDF return are views into the
+// engine's arena, not copies. A Result from Analyze owns its arena and
+// stays valid for its whole life; the Result of a live engine
+// (Flat.Result) is updated in place by every resize, so callers must not
+// keep its PDFs across mutating calls.
 type Result struct {
 	// STA is the nominal deterministic analysis the statistical one is
 	// built on (frozen slews and mean delays).
 	STA *sta.Result
-	// Arrival holds the full arrival-time PDF at every node.
-	Arrival []dpdf.PDF
 	// Node holds the arrival moments at every node (mean/variance), the
 	// values FASSTA and the WNSS tracer read.
 	Node []normal.Moments
@@ -73,7 +72,13 @@ type Result struct {
 	CircuitPDF dpdf.PDF
 	// Mean and Sigma are the circuit-delay moments (of CircuitPDF).
 	Mean, Sigma float64
+
+	arena *dpdf.Arena // every node's arrival PDF, slot = GateID
 }
+
+// Arrival returns the full arrival-time PDF at node id, a view into the
+// engine's arena.
+func (r *Result) Arrival(id circuit.GateID) dpdf.PDF { return r.arena.View(int(id)) }
 
 // Analyze runs FULLSSTA over the design under the variation model: it
 // builds the engine and returns its Result, with no per-node copy.
@@ -90,7 +95,7 @@ type timingView interface {
 }
 
 func (r *Result) staArrival(id circuit.GateID) float64     { return r.STA.Arrival[id] }
-func (r *Result) arrival(id circuit.GateID) dpdf.PDF       { return r.Arrival[id] }
+func (r *Result) arrival(id circuit.GateID) dpdf.PDF       { return r.Arrival(id) }
 func (r *Result) moments(id circuit.GateID) normal.Moments { return r.Node[id] }
 
 // worstOutput scores every primary output by the paper's objective

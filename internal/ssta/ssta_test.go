@@ -77,7 +77,7 @@ func TestNodeMomentsMatchArrivalPDFs(t *testing.T) {
 		if d.Circuit.Gates[i].Fn == circuit.Input {
 			continue
 		}
-		m := r.Arrival[i].Moments()
+		m := r.Arrival(circuit.GateID(i)).Moments()
 		if math.Abs(m.Mean-r.Node[i].Mean) > 1e-9 || math.Abs(m.Var-r.Node[i].Var) > 1e-9 {
 			t.Fatalf("gate %d: Node moments diverge from Arrival PDF", i)
 		}

@@ -144,16 +144,16 @@ func TestMonteCarloBackingIsLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.full.full != nil {
+	if mc.backing.pdf != nil {
 		t.Fatal("Monte-Carlo Analysis holds a FULLSSTA result before any yield query")
 	}
 	if _, err := mc.PeriodForYield(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if mc.full.full == nil || mc.full.build != nil {
+	if mc.backing.pdf == nil || mc.backing.build != nil {
 		t.Fatal("first yield query did not build and keep the FULLSSTA result")
 	}
-	if a := d.Analyze(); a.full.full == nil {
+	if a := d.Analyze(); a.backing.pdf == nil {
 		t.Fatal("Analyze holds no FULLSSTA result")
 	}
 }
