@@ -65,10 +65,11 @@ cover-update:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) run ./cmd/covercheck -profile cover.out -update
 
-# Short fuzz pass (~75s) over the differential incremental-SSTA target,
+# Short fuzz pass (~95s) over the differential incremental-SSTA target,
 # the Max merge-walk oracle, the three format front doors (.bench,
-# Liberty, Verilog), the repro.Load door, and the crash-journal
-# replayer; run in CI on every push.
+# Liberty, Verilog), the window lexer against its byte-at-a-time
+# oracle, the repro.Load door, and the crash-journal replayer; run in
+# CI on every push.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzMaxMergeWalk -fuzztime 5s ./internal/dpdf
 	$(GO) test -run xxx -fuzz FuzzIncrementalResize -fuzztime 20s ./internal/difftest
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzJournalReplay -fuzztime 10s ./internal/journal
 	$(GO) test -run xxx -fuzz FuzzLiberty -fuzztime 10s ./internal/liberty
 	$(GO) test -run xxx -fuzz FuzzVerilog -fuzztime 10s ./internal/verilog
+	$(GO) test -run xxx -fuzz FuzzLexerMatchesOracle -fuzztime 10s ./internal/ingest
 
 # Ingestion memory-budget smoke: a generated ~500k-gate netlist must
 # stream through the governed Verilog parser under a 2 GiB GOMEMLIMIT

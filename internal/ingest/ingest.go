@@ -12,8 +12,14 @@
 //     so cancellation and deadlines bite mid-parse.
 //   - Reader: a counting, budget-enforcing byte source with line/column
 //     tracking, the only way the token-streaming parsers touch their
-//     input (no parser ever materializes the full text; the line-based
-//     .bench reader enforces MaxBytes on its own bounded line scan).
+//     input. It offers the input one buffered window at a time, never
+//     past MaxBytes, so no parser ever materializes the full text (the
+//     line-based .bench reader enforces MaxBytes on its own bounded line
+//     scan).
+//   - Lexer: the tokenizer over a Reader the Liberty and Verilog parsers
+//     share. It scans each window in place, charging MaxBytes by bytes
+//     consumed and the Meter per token, with the positions, budgets and
+//     errors of a byte-at-a-time scan.
 //   - Meter: the per-token budget/cancellation turnstile.
 //   - Diagnostic / Error: the machine-readable failure shape, matching
 //     internal/circuitlint's diagnostics (check name, severity, line,
@@ -238,7 +244,9 @@ func Budgetf(format string, args ...any) error {
 // reads it a buffered window at a time (window) and consumes a prefix
 // of each window (consume); the window never reaches past MaxBytes, so
 // the byte budget is enforced before a byte is surfaced, and memory
-// stays at one fixed-size buffer however large the input is.
+// stays at one fixed-size buffer however large the input is. Bytes a
+// window shows but the lexer does not consume come back at the head of
+// the next window: that is the Reader's only pushback.
 type Reader struct {
 	br        *bufio.Reader
 	maxBytes  int64

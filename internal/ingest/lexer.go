@@ -125,7 +125,7 @@ func (lx *Lexer) Ident() []byte {
 // Peek returns the next token without consuming it.
 func (lx *Lexer) Peek() (Token, error) {
 	if !lx.peeked {
-		lx.tok, lx.perr = lx.scan()
+		lx.perr = lx.scan()
 		lx.peeked = true
 	}
 	return lx.tok, lx.perr
@@ -134,18 +134,25 @@ func (lx *Lexer) Peek() (Token, error) {
 // Next consumes and returns the next token. EOF and errors are sticky
 // until ClearErr.
 func (lx *Lexer) Next() (Token, error) {
-	if lx.peeked {
-		if lx.tok.Kind != TokenEOF && lx.perr == nil {
-			lx.peeked = false
-		}
-		return lx.tok, lx.perr
-	}
-	t, err := lx.scan()
-	if t.Kind == TokenEOF || err != nil {
-		lx.tok, lx.perr, lx.peeked = t, err, true
-	}
-	return t, err
+	_, err := lx.Advance()
+	return lx.tok, err
 }
+
+// Advance consumes the next token, as Next does, but returns only its
+// kind; Last returns the token itself. A parser's hot loop that reads
+// identifiers through Ident uses it to skip copying each Token.
+func (lx *Lexer) Advance() (TokenKind, error) {
+	if !lx.peeked {
+		lx.perr = lx.scan()
+		lx.peeked = lx.perr != nil || lx.tok.Kind == TokenEOF
+	} else if lx.tok.Kind != TokenEOF && lx.perr == nil {
+		lx.peeked = false
+	}
+	return lx.tok.Kind, lx.perr
+}
+
+// Last returns the token that Next, Advance or Peek returned last.
+func (lx *Lexer) Last() Token { return lx.tok }
 
 // ClearErr drops a stored scan error so error recovery can resume
 // scanning after the offending bytes. Budget and context errors must not
@@ -155,19 +162,23 @@ func (lx *Lexer) ClearErr() {
 	lx.perr = nil
 }
 
-// scan skips whitespace and comments and returns the next token. A
-// token's first byte is consumed before the Meter is charged for it, so
-// a budget or context error reports the position just past that byte.
-func (lx *Lexer) scan() (Token, error) {
+// scan skips whitespace and comments and reads the next token into
+// lx.tok (the zero Token on an error). A token's first byte is consumed
+// before the Meter is charged for it, so a budget or context error
+// reports the position just past that byte. The token is written in
+// place rather than returned: passing a Token up through the scanners
+// by value cost more than scanning it.
+func (lx *Lexer) scan() error {
 	lx.identLo, lx.identHi, lx.identInBuf = 0, 0, false
 	for {
 		w, err := lx.r.window()
 		if err == io.EOF {
 			line, col := lx.r.Pos()
-			return Token{Kind: TokenEOF, Line: line, Col: col}, nil
+			lx.tok = Token{Kind: TokenEOF, Line: line, Col: col}
+			return nil
 		}
 		if err != nil {
-			return Token{}, err
+			return lx.fail(err)
 		}
 		i := 0
 		for i < len(w) && lx.class[w[i]] == classSpace {
@@ -184,20 +195,27 @@ func (lx *Lexer) scan() (Token, error) {
 		switch lx.class[w[i]] {
 		case classComment:
 			if err := lx.skipComment(); err != nil {
-				return Token{}, err
+				return lx.fail(err)
 			}
 		case classString:
 			return lx.scanString()
 		case classPunct:
 			if err := lx.m.Tick(); err != nil {
-				return Token{}, err
+				return lx.fail(err)
 			}
 			line, col := lx.r.Pos()
-			return Token{Kind: TokenPunct, Text: byteText[w[i]], Line: line, Col: col - 1}, nil
+			lx.tok = Token{Kind: TokenPunct, Text: byteText[w[i]], Line: line, Col: col - 1}
+			return nil
 		default:
 			return lx.scanIdent(w[i:])
 		}
 	}
+}
+
+// fail clears lx.tok and returns err.
+func (lx *Lexer) fail(err error) error {
+	lx.tok = Token{}
+	return err
 }
 
 // skipComment consumes a // or /* comment whose leading '/' has already
@@ -257,9 +275,9 @@ func (lx *Lexer) skipComment() error {
 }
 
 // scanString reads a string whose opening quote has been consumed.
-func (lx *Lexer) scanString() (Token, error) {
+func (lx *Lexer) scanString() error {
 	if err := lx.m.Tick(); err != nil {
-		return Token{}, err
+		return lx.fail(err)
 	}
 	line, col := lx.r.Pos()
 	col-- // position of the opening quote
@@ -269,10 +287,11 @@ func (lx *Lexer) scanString() (Token, error) {
 		if err == io.EOF {
 			// Unterminated string: surface what we have (the historical
 			// parsers behaved the same way).
-			return Token{Kind: TokenString, Text: string(lx.buf), Line: line, Col: col}, nil
+			lx.tok = Token{Kind: TokenString, Text: string(lx.buf), Line: line, Col: col}
+			return nil
 		}
 		if err != nil {
-			return Token{}, err
+			return lx.fail(err)
 		}
 		end := bytes.IndexByte(w, '"')
 		text := w
@@ -282,12 +301,13 @@ func (lx *Lexer) scanString() (Token, error) {
 		if room := lx.maxIdent - len(lx.buf); len(text) > room {
 			// The byte past the budget is read, then refused.
 			lx.r.consume(w[:room+1])
-			return Token{}, &PosError{Line: line, Col: col, Err: Budgetf("string exceeds the %d-byte identifier budget", lx.maxIdent)}
+			return lx.fail(&PosError{Line: line, Col: col, Err: Budgetf("string exceeds the %d-byte identifier budget", lx.maxIdent)})
 		}
 		lx.buf = append(lx.buf, text...)
 		if end >= 0 {
 			lx.r.consume(w[:end+1])
-			return Token{Kind: TokenString, Text: string(lx.buf), Line: line, Col: col}, nil
+			lx.tok = Token{Kind: TokenString, Text: string(lx.buf), Line: line, Col: col}
+			return nil
 		}
 		lx.r.consume(w)
 	}
@@ -295,9 +315,9 @@ func (lx *Lexer) scanString() (Token, error) {
 
 // scanIdent reads an identifier whose first byte, w[0], has been
 // consumed; w is the rest of the window it came in.
-func (lx *Lexer) scanIdent(w []byte) (Token, error) {
+func (lx *Lexer) scanIdent(w []byte) error {
 	if err := lx.m.Tick(); err != nil {
-		return Token{}, err
+		return lx.fail(err)
 	}
 	line, col := lx.r.Pos()
 	col-- // position of the first byte
@@ -322,7 +342,7 @@ func (lx *Lexer) scanIdent(w []byte) (Token, error) {
 				break
 			}
 			if err != nil {
-				return Token{}, err
+				return lx.fail(err)
 			}
 			j := lx.identEnd(w, 0)
 			if room := limit - len(lx.buf); j > room {
@@ -336,11 +356,12 @@ func (lx *Lexer) scanIdent(w []byte) (Token, error) {
 		}
 		lx.identInBuf = true
 	}
-	tok := Token{Kind: TokenIdent, Line: line, Col: col}
+	text := ""
 	if lx.strings {
-		tok.Text = string(lx.Ident())
+		text = string(lx.Ident())
 	}
-	return tok, nil
+	lx.tok = Token{Kind: TokenIdent, Text: text, Line: line, Col: col}
+	return nil
 }
 
 // identEnd returns the index of the first byte of w at or after i that
@@ -354,9 +375,9 @@ func (lx *Lexer) identEnd(w []byte, i int) int {
 
 // identTooLong consumes read, which ends with the first byte past the
 // identifier budget, and reports the overrun at the identifier's start.
-func (lx *Lexer) identTooLong(read []byte, line, col int) (Token, error) {
+func (lx *Lexer) identTooLong(read []byte, line, col int) error {
 	lx.r.advance(len(read))
-	return Token{}, &PosError{Line: line, Col: col, Err: Budgetf("identifier exceeds the %d-byte budget", lx.maxIdent)}
+	return lx.fail(&PosError{Line: line, Col: col, Err: Budgetf("identifier exceeds the %d-byte budget", lx.maxIdent)})
 }
 
 // byteText holds the one-byte string of every byte, the Text of a

@@ -181,10 +181,9 @@ type vparser struct {
 
 // symbol is one distinct net name and what the reader knows of it.
 type symbol struct {
-	name  string
-	gate  circuit.GateID // the gate driving it, None until one is added
-	wire  bool           // declared by a wire statement
-	drive int32          // fanin edges it drives, counted by link
+	name        string
+	gate        circuit.GateID // the gate driving it, None until link adds one
+	input, wire bool           // declared by an input / a wire statement
 }
 
 // intern returns the symbol of name, adding it on first sight. The map
@@ -279,23 +278,24 @@ func (p *vparser) expect(s string) error {
 // only counted.
 func (p *vparser) nameList(until string, dst []int32, keep bool) ([]int32, error) {
 	for {
-		tok, err := p.lx.Next()
+		kind, err := p.lx.Advance()
 		if err != nil {
 			return dst, err
 		}
-		switch {
-		case tok.Kind == ingest.TokenPunct && tok.Text == until:
-			return dst, nil
-		case tok.Kind == ingest.TokenIdent:
+		if kind == ingest.TokenIdent {
 			if err := p.addNet(); err != nil {
 				return dst, err
 			}
 			if keep {
 				dst = push(dst, p.intern(p.lx.Ident()))
 			}
-		default:
-			return dst, ingest.Errf(tok.Line, tok.Col, "unexpected %s in name list", tok)
+			continue
 		}
+		tok := p.lx.Last()
+		if kind == ingest.TokenPunct && tok.Text == until {
+			return dst, nil
+		}
+		return dst, ingest.Errf(tok.Line, tok.Col, "unexpected %s in name list", tok)
 	}
 }
 
@@ -338,6 +338,9 @@ type vinst struct {
 	line, col  int32
 }
 
+// terms returns the terminals of in: output first, then fanins.
+func (p *vparser) terms(in vinst) []int32 { return p.args[in.start:in.end] }
+
 func (p *vparser) module(fallbackName string) (*circuit.Circuit, error) {
 	// Header: module name ( ports ) ;  — port order is re-derived from
 	// the input/output declarations, as before. Header damage is not
@@ -374,10 +377,9 @@ func (p *vparser) module(fallbackName string) (*circuit.Circuit, error) {
 		return nil, p.diag.Err()
 	}
 
-	c := circuit.New(name)
 	var (
-		outputs, wires, list []int32
-		insts                []vinst
+		inputs, outputs, wires, list []int32
+		insts                        []vinst
 	)
 loop:
 	for {
@@ -412,19 +414,24 @@ loop:
 			}
 			switch kind {
 			case 'i':
+				// Input gates are added by link, first and in this
+				// order; a repeated name is refused here, in source
+				// order among the other diagnostics, as circuit.AddGate
+				// would refuse it.
 				for _, s := range list {
 					if err := p.addGate(); err != nil {
 						return nil, p.fail(err)
 					}
 					sym := &p.syms[s]
-					id, err := c.AddGate(sym.name, circuit.Input)
-					if err != nil {
-						if !p.semantic(sym.name, tok.Line, tok.Col, err.Error()) {
+					if sym.input {
+						msg := fmt.Sprintf("circuit %q: duplicate gate name %q", name, sym.name)
+						if !p.semantic(sym.name, tok.Line, tok.Col, msg) {
 							return nil, p.diag.Err()
 						}
 						continue
 					}
-					sym.gate = id
+					sym.input = true
+					inputs = push(inputs, s)
 				}
 			case 'o':
 				outputs = append(outputs, list...)
@@ -465,7 +472,8 @@ loop:
 			insts = push(insts, inst)
 		}
 	}
-	p.link(c, outputs, insts, wires)
+	c := circuit.New(name)
+	p.link(c, inputs, outputs, insts, wires)
 	if err := p.diag.Err(); err != nil {
 		return nil, err
 	}
@@ -505,16 +513,21 @@ func (p *vparser) instTail(fn circuit.Fn) error {
 	return p.expect(";")
 }
 
-// link materializes instances as gates (output terminal first, per the
-// Verilog primitive convention) and resolves output declarations.
-// Fanins resolve by symbol, and every gate's Fanin and Fanout get their
-// capacity up front, carved from two shared arrays. Failures are filed
-// as diagnostics so one bad net does not hide the rest of the report.
-func (p *vparser) link(c *circuit.Circuit, outputs []int32, insts []vinst, wires []int32) {
+// link materializes the inputs, then the instances as gates (output
+// terminal first, per the Verilog primitive convention), and resolves
+// output declarations. Fanins resolve by symbol, and every gate's Fanin
+// and Fanout get their capacity up front, carved from two shared
+// arrays. Failures are filed as diagnostics so one bad net does not
+// hide the rest of the report.
+func (p *vparser) link(c *circuit.Circuit, inputs, outputs []int32, insts []vinst, wires []int32) {
+	c.Grow(len(inputs) + len(insts))
+	for _, s := range inputs {
+		// The parse refused repeated names, so this cannot fail.
+		p.syms[s].gate = c.MustAddGate(p.syms[s].name, circuit.Input)
+	}
 	// Keep the ids returned by AddGate so the connect pass needs no
 	// panicking lookup (this path is reachable from user netlist files).
 	ids := make([]circuit.GateID, len(insts))
-	c.Grow(len(insts))
 	for i, in := range insts {
 		sym := &p.syms[p.args[in.start]]
 		id, err := c.AddGate(sym.name, in.fn)
@@ -532,7 +545,7 @@ func (p *vparser) link(c *circuit.Circuit, outputs []int32, insts []vinst, wires
 		if ids[i] == circuit.None {
 			continue
 		}
-		for _, s := range p.args[in.start+1 : in.end] {
+		for _, s := range p.terms(in)[1:] {
 			sym := &p.syms[s]
 			if sym.gate == circuit.None {
 				if !p.semantic(sym.name, int(in.line), int(in.col), fmt.Sprintf("net %q driven by nothing", sym.name)) {
@@ -582,14 +595,15 @@ func (p *vparser) link(c *circuit.Circuit, outputs []int32, insts []vinst, wires
 // the capacity capped, so an edge added later never reaches into the
 // next gate's room.
 func (p *vparser) reserve(c *circuit.Circuit, insts []vinst, ids []circuit.GateID) {
+	fanouts := make([]int32, c.NumGates())
 	edges := 0
 	for i, in := range insts {
 		if ids[i] == circuit.None {
 			continue
 		}
-		for _, s := range p.args[in.start+1 : in.end] {
-			if sym := &p.syms[s]; sym.gate != circuit.None {
-				sym.drive++
+		for _, s := range p.terms(in)[1:] {
+			if g := p.syms[s].gate; g != circuit.None {
+				fanouts[g]++
 				edges++
 			}
 		}
@@ -601,7 +615,7 @@ func (p *vparser) reserve(c *circuit.Circuit, insts []vinst, ids []circuit.GateI
 			continue
 		}
 		n := 0
-		for _, s := range p.args[in.start+1 : in.end] {
+		for _, s := range p.terms(in)[1:] {
 			if p.syms[s].gate != circuit.None {
 				n++
 			}
@@ -611,13 +625,10 @@ func (p *vparser) reserve(c *circuit.Circuit, insts []vinst, ids []circuit.GateI
 	}
 	fanout := make([]circuit.GateID, edges)
 	off = 0
-	for i := range p.syms {
-		sym := &p.syms[i]
-		if sym.drive == 0 {
-			continue
+	for id, n := range fanouts {
+		if n > 0 {
+			c.Gates[id].Fanout = fanout[off : off : off+int(n)]
+			off += int(n)
 		}
-		n := int(sym.drive)
-		c.Gates[sym.gate].Fanout = fanout[off : off : off+n]
-		off += n
 	}
 }
