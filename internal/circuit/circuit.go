@@ -153,8 +153,8 @@ func (f Fn) maxFanin() int {
 // mapping assigns CellKind.
 type Gate struct {
 	ID      GateID
+	Fn      Fn // next to ID, so the two share one word
 	Name    string
-	Fn      Fn
 	Fanin   []GateID
 	Fanout  []GateID
 	CellRef int // index into a cells.Library group list; -1 = unmapped

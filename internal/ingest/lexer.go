@@ -112,9 +112,9 @@ func NewViewLexer(r *Reader, m *Meter, lim Limits, spec LexSpec) *Lexer {
 // Pos reports the 1-based position of the next unread byte.
 func (lx *Lexer) Pos() (line, col int) { return lx.r.Pos() }
 
-// Ident returns the text of the identifier token Peek or Next returned
-// last. It is a view into the lexer's buffers, valid until the next
-// token is scanned; copy it to keep it.
+// Ident returns the text of the identifier token that Peek, Next or
+// Advance returned last. It is a view into the lexer's buffers, valid
+// until the next token is scanned; copy it to keep it.
 func (lx *Lexer) Ident() []byte {
 	if lx.identInBuf {
 		return lx.buf

@@ -163,10 +163,10 @@ func ParseOpts(r io.Reader, fallbackName string, lim ingest.Limits) (*circuit.Ci
 // vparser is the streaming statement-at-a-time reader. gates and nets
 // count every declaration against the budget envelope.
 //
-// Every net name the circuit keeps (ports, wires and instance
-// terminals) is interned once into syms; statements refer to nets by
-// symbol index from then on. Names the reader discards (the module's
-// port list and instance names) are never interned.
+// Every net name the circuit keeps (input, output and wire declarations
+// and instance terminals) is interned once into syms; statements refer
+// to nets by symbol index from then on. Names the reader discards (the
+// module's port list and instance names) are never interned.
 type vparser struct {
 	lx    *ingest.Lexer
 	lim   ingest.Limits
@@ -405,7 +405,7 @@ loop:
 		case string(word) == "endmodule":
 			break loop
 		case string(word) == "input", string(word) == "output", string(word) == "wire":
-			kind := word[0]
+			kind := word[0] // 'i', 'o' or 'w': word is gone after the next scan
 			if list, err = p.nameList(";", list[:0], true); err != nil {
 				if f := p.recover(err); f != nil {
 					return nil, f
