@@ -529,7 +529,7 @@ func (p *vparser) link(c *circuit.Circuit, inputs, outputs []int32, insts []vins
 	// panicking lookup (this path is reachable from user netlist files).
 	ids := make([]circuit.GateID, len(insts))
 	for i, in := range insts {
-		sym := &p.syms[p.args[in.start]]
+		sym := &p.syms[p.terms(in)[0]]
 		id, err := c.AddGate(sym.name, in.fn)
 		ids[i] = id
 		if err != nil {
