@@ -33,12 +33,13 @@ func oracleIdentStop(spec LexSpec, b byte) bool {
 }
 
 // TestByteClassesMatchOracle checks every byte 0-255 under the Verilog
-// and Liberty specs (copied from internal/verilog and internal/liberty),
-// a parens-only spec, specs whose sets overlap, and seeded random specs.
+// and Liberty specs (copied in oracle_test.go from internal/verilog and
+// internal/liberty), a parens-only spec, specs whose sets overlap, and
+// seeded random specs.
 func TestByteClassesMatchOracle(t *testing.T) {
 	specs := map[string]LexSpec{
-		"verilog": {Puncts: "();", Skip: ","},
-		"liberty": {Puncts: "(){}:;", Skip: ",\\"},
+		"verilog": verilogSpec,
+		"liberty": libertySpec,
 		"parens":  {Puncts: "()"},
 		"empty":   {},
 		// Every overlap the case order decides: Skip over Puncts,

@@ -204,7 +204,7 @@ func (lx *Lexer) scan() error {
 				return lx.fail(err)
 			}
 			line, col := lx.r.Pos()
-			lx.tok = Token{Kind: TokenPunct, Text: byteText[w[i]], Line: line, Col: col - 1}
+			lx.tok = Token{Kind: TokenPunct, Text: string(w[i : i+1]), Line: line, Col: col - 1}
 			return nil
 		default:
 			return lx.scanIdent(w[i:])
@@ -379,15 +379,6 @@ func (lx *Lexer) identTooLong(read []byte, line, col int) error {
 	lx.r.advance(len(read))
 	return lx.fail(&PosError{Line: line, Col: col, Err: Budgetf("identifier exceeds the %d-byte budget", lx.maxIdent)})
 }
-
-// byteText holds the one-byte string of every byte, the Text of a
-// punctuation token.
-var byteText = func() (t [256]string) {
-	for i := range t {
-		t[i] = string([]byte{byte(i)})
-	}
-	return t
-}()
 
 // PosError attaches a source position to a low-level parse error as
 // structured data, so diagnostics carry real line/col fields instead of

@@ -54,11 +54,11 @@ func (o Options) points() int {
 
 // Result is one FULLSSTA analysis. Slices are indexed by GateID.
 //
-// The PDFs that Arrival and CircuitPDF return are views into the
-// engine's arena, not copies. A Result from Analyze owns its arena and
-// stays valid for its whole life; the Result of a live engine
-// (Flat.Result) is updated in place by every resize, so callers must not
-// keep its PDFs across mutating calls.
+// CircuitPDF and the PDFs Arrival returns are views into the engine's
+// arena, not copies. A Result from Analyze owns its arena and stays
+// valid for its whole life; the Result of a live engine (Flat.Result)
+// is updated in place by every resize, so callers must not keep its
+// PDFs across mutating calls.
 type Result struct {
 	// STA is the nominal deterministic analysis the statistical one is
 	// built on (frozen slews and mean delays).
