@@ -94,7 +94,7 @@ bench:
 # included) run once: a smoke test that they still build and finish,
 # not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./...
 
 # Tests of the layered benchmark (cmd/sstabench): its output schema and
 # every workload at tiny scale. It is its own module, so `go test ./...`

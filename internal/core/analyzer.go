@@ -3,29 +3,30 @@ package core
 import (
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/ssta"
 	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/variation"
 )
 
-// analyzer hands the optimizers the up-to-date whole-circuit analysis
-// for the design's CURRENT sizes. Production runs use the incremental
+// analyzer hands the optimizers the whole-circuit analysis of the
+// design's sizing and moves it. Production runs use the incremental
 // engines: one ssta.Incremental (or sta.Incremental for the
-// deterministic optimizer) built on the first refresh; every later
-// refresh diffs the circuit's sizes against the engine's record and
-// repairs only the dirty cones, and a refresh that lands exactly on the
-// engine's pre-transaction sizing (the optimizers restore a snapshot
-// after every tentative move) is served by the engine's Rollback without
-// any re-analysis. The returned *Result is the engine's shared,
+// deterministic optimizer), built on the first call. The optimizers move
+// it only by change lists (apply), so the engine repairs only the cones
+// of the gates a move names: a move that lands exactly on the sizing
+// before the previous move is served by the engine's Rollback, and one
+// that a kept what-if candidate already scored adopts that candidate's
+// overlay. The returned *Result is the engine's shared,
 // in-place-updated object, which is why the optimizer loops capture
-// costs as scalars instead of retaining result pointers across
-// refreshes. The package tests run the same loops over a from-scratch
-// reference analyzer and demand bit-identical runs.
+// costs as scalars instead of retaining result pointers across moves.
+// The package tests run the same loops over a from-scratch reference
+// analyzer and demand bit-identical runs.
 type analyzer struct {
-	// current returns the analysis of the design's current sizes.
-	current func() *ssta.Result
+	// applyFn sets every listed gate to its size (in-place edits of those
+	// gates already made are fine) and returns the new analysis; the
+	// first call builds the engine at the design's sizing.
+	applyFn func(changes []ssta.SizeChange) *ssta.Result
 	// whatIfFn scores candidate sizings (changes against the design's
 	// current sizes) without moving the design or the engine; nil for the
 	// deterministic analyzer.
@@ -47,46 +48,26 @@ type analyzer struct {
 // newStatAnalyzer builds the FULLSSTA analyzer (the statistical
 // optimizers' outer engine). The engine and its initial full analysis
 // are built on the first refresh, so they are charged to the analyzer's
-// clock and see any sizing a resumed run restores first.
+// clock and see any sizing a resumed run restores first; every optimizer
+// refreshes before its first what-if.
 func newStatAnalyzer(d *synth.Design, vm *variation.Model, opts Options) *analyzer {
 	a := &analyzer{}
 	var inc *ssta.Incremental
-	// last is the sizing the engine currently holds; prev is the one its
-	// open transaction would restore. Refreshing back to prev is served by
-	// Rollback — a journal copy-back instead of a cone repair — which
-	// makes the optimizers' restore-after-tentative-move pattern a
-	// near-free revisit.
-	var last, prev []int
-	a.current = func() *ssta.Result {
+	a.applyFn = func(changes []ssta.SizeChange) *ssta.Result {
 		if inc == nil {
 			inc = ssta.NewIncremental(d, vm, opts.sstaOpts())
 			a.evals++
 			a.nodeEvals += int64(len(d.Circuit.Gates))
-			last = d.Circuit.SizeSnapshot()
-			return inc.Result()
 		}
-		cur := d.Circuit.SizeSnapshot()
-		switch {
-		case eqSizes(cur, last):
-			// Already up to date.
-		case prev != nil && eqSizes(cur, prev):
-			inc.Rollback()
-			last, prev = prev, nil
-		default:
-			// Sizes differ from the engine's record, so Sync is
-			// guaranteed to open a fresh transaction rolling back to
-			// what the engine held until now.
+		// A repair or an adoption is an analysis of a new sizing; a list
+		// that moves nothing or is served by Rollback is not.
+		if touched, opened := inc.ResizeAll(changes); opened {
 			a.evals++
-			a.nodeEvals += int64(inc.Sync())
-			prev, last = last, cur
+			a.nodeEvals += int64(touched)
 		}
 		return inc.Result()
 	}
 	a.whatIfFn = func(cands [][]ssta.SizeChange, lambda float64) []float64 {
-		// Align the engine with the circuit first (a no-op when the
-		// caller just refreshed, which is the optimizer's pattern), then
-		// score every candidate against that shared clean state.
-		a.current()
 		outs := inc.BatchWhatIf(cands, lambda, opts.sstaOpts().Workers)
 		costs := make([]float64, len(outs))
 		for i := range outs {
@@ -106,12 +87,13 @@ func newStatAnalyzer(d *synth.Design, vm *variation.Model, opts Options) *analyz
 func newDetAnalyzer(d *synth.Design) *analyzer {
 	a := &analyzer{}
 	var inc *sta.Incremental
-	a.current = func() *ssta.Result {
+	a.applyFn = func(changes []ssta.SizeChange) *ssta.Result {
 		if inc == nil {
 			inc = sta.NewIncremental(d)
 			a.evals++
 			a.nodeEvals += int64(len(d.Circuit.Gates))
-		} else if touched := inc.Sync(); touched > 0 {
+		}
+		if touched := inc.ResizeAll(changes); touched > 0 {
 			a.evals++
 			a.nodeEvals += int64(touched)
 		}
@@ -120,12 +102,20 @@ func newDetAnalyzer(d *synth.Design) *analyzer {
 	return a
 }
 
-// refresh returns the analysis of the design's current sizes. Wall time
-// accumulates on the analyzer's clock (reported as Result.AnalysisTime).
-func (a *analyzer) refresh() *ssta.Result {
+// refresh returns the analysis of the design's current sizes: apply of
+// an empty change list.
+func (a *analyzer) refresh() *ssta.Result { return a.apply(nil) }
+
+// apply moves the design by a change list — every listed gate to its
+// size, a gate listed twice to its last entry — and returns the analysis
+// of the new sizing. The listed gates may already hold their new sizes
+// (the optimizers edit in place while they score); no other gate may
+// have been edited. Wall time accumulates on the analyzer's clock
+// (reported as Result.AnalysisTime).
+func (a *analyzer) apply(changes []ssta.SizeChange) *ssta.Result {
 	t0 := time.Now()
 	defer func() { a.dur += time.Since(t0) }()
-	return a.current()
+	return a.applyFn(changes)
 }
 
 // whatIf returns the circuit cost of each candidate sizing — expressed
@@ -137,28 +127,4 @@ func (a *analyzer) whatIf(cands [][]ssta.SizeChange, lambda float64) []float64 {
 	t0 := time.Now()
 	defer func() { a.dur += time.Since(t0) }()
 	return a.whatIfFn(cands, lambda)
-}
-
-// changesBetween expresses a target sizing as the change list against a
-// base sizing — the candidate form whatIf consumes.
-func changesBetween(base, want []int) []ssta.SizeChange {
-	var ch []ssta.SizeChange
-	for i := range want {
-		if want[i] != base[i] {
-			ch = append(ch, ssta.SizeChange{Gate: circuit.GateID(i), Size: want[i]})
-		}
-	}
-	return ch
-}
-
-func eqSizes(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -255,5 +256,41 @@ func TestResumeValidation(t *testing.T) {
 	_, err = StatisticalGreedy(d, vm, Options{Resume: &Checkpoint{Op: "statistical", Sizes: sizes, Iter: -1}})
 	if err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Fatalf("negative-iter resume accepted: %v", err)
+	}
+	// A best-seen sizing of the wrong length.
+	_, err = StatisticalGreedy(d, vm, Options{Resume: &Checkpoint{Op: "statistical", Sizes: sizes, BestSizes: sizes[:2]}})
+	if err == nil || !strings.Contains(err.Error(), "best sizes") {
+		t.Fatalf("wrong-shape best sizes accepted: %v", err)
+	}
+	// A size index outside its gate's cell, in either sizing, and a
+	// negative one.
+	var logic int
+	for i := range d.Circuit.Gates {
+		if d.Circuit.Gates[i].Fn.IsLogic() {
+			logic = i
+			break
+		}
+	}
+	bad := slices.Clone(sizes)
+	bad[logic] = 99
+	neg := slices.Clone(sizes)
+	neg[logic] = -1
+	for _, cp := range []*Checkpoint{
+		{Op: "statistical", Sizes: bad},
+		{Op: "statistical", Sizes: sizes, BestSizes: bad},
+		{Op: "recover-area", Sizes: neg},
+	} {
+		run := StatisticalGreedy
+		if cp.Op == "recover-area" {
+			run = RecoverArea
+		}
+		_, err = run(d, vm, Options{Resume: cp})
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("out-of-range size accepted: %v", err)
+		}
+	}
+	// Every rejection happened before the design was touched.
+	if !slices.Equal(d.Circuit.SizeSnapshot(), sizes) {
+		t.Fatal("a rejected resume moved the design's sizes")
 	}
 }

@@ -21,11 +21,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cells"
 	"repro/internal/circuit"
-
 	"repro/internal/fassta"
 	"repro/internal/ssta"
 	"repro/internal/synth"
@@ -302,9 +302,11 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 
 			// Move A (the paper's inner loop): greedy per-gate resizing
 			// along the WNSS paths, each gate scored on its extracted
-			// subcircuit.
-			startSizes := d.Circuit.SizeSnapshot()
-			resized := 0
+			// subcircuit. Extract reads loads from the circuit, so each
+			// accepted resize is made in place before the next gate is
+			// scored, and undone (start) once the path is done.
+			start, moveB := pathMoves(d, path)
+			var moveA []ssta.SizeChange
 			bestSingleGain := 0.0
 			bestSingleGate, bestSingleSize := circuit.None, 0
 			for _, g := range path {
@@ -316,11 +318,13 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 						bestSingleGate, bestSingleSize = g, bestSize
 					}
 					d.Circuit.Gate(g).SizeIdx = bestSize
-					resized++
+					moveA = append(moveA, ssta.SizeChange{Gate: g, Size: bestSize})
 				}
 			}
 			az.evals += int64(len(path)) // one subcircuit scoring per path gate
-			sizesA := d.Circuit.SizeSnapshot()
+			for _, ch := range start {
+				d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
+			}
 
 			// Move B: a coordinated escape — one notch up on every path
 			// gate simultaneously. Single-gate moves can be individually
@@ -330,37 +334,29 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 			// lowers the statistical mean of the max). Trying the uniform
 			// move and keeping whichever of A/B wins globally escapes that
 			// coordination trap while staying greedy.
-			d.Circuit.RestoreSizes(startSizes)
-			bumped := bumpPath(d, path)
-			var sizesB []int
-			if bumped > 0 {
-				sizesB = d.Circuit.SizeSnapshot()
-			}
-
+			//
 			// Moves A and B are scored as one what-if batch against the
 			// start sizing, so their cones run on separate workers; each
 			// cost is bit-identical to applying the move and re-analyzing.
 			// The engine keeps A's overlay, and B's when their cones fit
-			// in the circuit, and the closing refresh adopts the winner's
-			// kept overlay instead of repairing its cone.
-			d.Circuit.RestoreSizes(startSizes)
-			cands := [][]ssta.SizeChange{changesBetween(startSizes, sizesA)}
-			if bumped > 0 {
-				cands = append(cands, changesBetween(startSizes, sizesB))
+			// in the circuit, and applying the winner adopts its kept
+			// overlay instead of repairing its cone.
+			cands := [][]ssta.SizeChange{moveA}
+			if len(moveB) > 0 {
+				cands = append(cands, moveB)
 			}
 			costs := az.whatIf(cands, opts.Lambda)
 			costA, costB := costs[0], math.Inf(1)
-			if bumped > 0 {
+			if len(moveB) > 0 {
 				costB = costs[1]
 			}
 
 			// Pick the winner by the scalar costs; it is applied once,
 			// after the move-C probe below has also been scored.
 			move := "per-gate"
-			chosenCost := costA
-			winnerSizes := sizesA
-			if bumped > 0 && costB < costA {
-				chosenCost, winnerSizes, resized, move = costB, sizesB, bumped, "path-bump"
+			chosenCost, winner, resized := costA, moveA, len(moveA)
+			if len(moveB) > 0 && costB < costA {
+				chosenCost, winner, resized, move = costB, moveB, len(moveB), "path-bump"
 			}
 			// Move C, the verified single-step fallback: when every batch
 			// move made the global cost worse, a whole first batch has
@@ -369,21 +365,15 @@ func statisticalGreedy(d *synth.Design, vm *variation.Model, opts Options, az *a
 			// globally, the iteration counts as non-improving and patience
 			// handles termination.
 			if chosenCost >= cur.Cost && bestSingleGate != circuit.None {
-				costC := az.whatIf([][]ssta.SizeChange{
-					{{Gate: bestSingleGate, Size: bestSingleSize}},
-				}, opts.Lambda)[0]
-				if costC < cur.Cost {
-					d.Circuit.Gate(bestSingleGate).SizeIdx = bestSingleSize
-					resized = 1
-					move = "single"
+				single := []ssta.SizeChange{{Gate: bestSingleGate, Size: bestSingleSize}}
+				if az.whatIf([][]ssta.SizeChange{single}, opts.Lambda)[0] < cur.Cost {
+					winner, resized, move = single, 1, "single"
 				} else {
 					// Keep the batch result anyway; best-restore protects us.
-					d.Circuit.RestoreSizes(sizesA)
+					winner = moveA
 				}
-			} else {
-				d.Circuit.RestoreSizes(winnerSizes)
 			}
-			return az.refresh(), IterStats{PathLen: len(path), Resized: resized, Move: move}, true
+			return az.apply(winner), IterStats{PathLen: len(path), Resized: resized, Move: move}, true
 		},
 	})
 }
@@ -411,49 +401,50 @@ func meanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options, az *ana
 			if len(path) == 0 {
 				return nil, IterStats{}, false
 			}
-			// Move A: greedy per-gate resizing along the WNS path.
-			startSizes := d.Circuit.SizeSnapshot()
-			resized := 0
+			// Move A: greedy per-gate resizing along the WNS path, made in
+			// place while scoring (Extract reads loads from the circuit).
+			start, moveB := pathMoves(d, path)
+			var moveA []ssta.SizeChange
 			for _, g := range path {
 				s := ex.Extract(nominal, vm, g, opts.SubcktDepth)
 				bestSize, bestCost, curCost := s.BestSizeDeterministic(maxStep)
 				if bestSize != d.Circuit.Gate(g).SizeIdx && bestCost < curCost-minGain {
 					d.Circuit.Gate(g).SizeIdx = bestSize
-					resized++
+					moveA = append(moveA, ssta.SizeChange{Gate: g, Size: bestSize})
 				}
 			}
 			az.evals += int64(len(path)) // one subcircuit scoring per path gate
-			costA := az.refresh().STA.MaxArrival
-			sizesA := d.Circuit.SizeSnapshot()
+			costA := az.apply(moveA).STA.MaxArrival
 
 			// Move B: uniform one-notch bump of the whole path (same
-			// coordination escape as the statistical optimizer).
-			d.Circuit.RestoreSizes(startSizes)
-			move := "per-gate"
-			if bumped := bumpPath(d, path); bumped > 0 && az.refresh().STA.MaxArrival < costA {
-				resized, move = bumped, "path-bump"
-			} else {
-				d.Circuit.RestoreSizes(sizesA)
+			// coordination escape as the statistical optimizer), applied
+			// over move A from the start sizing and taken back if it
+			// loses.
+			move, resized := "per-gate", len(moveA)
+			if len(moveB) > 0 {
+				if az.apply(slices.Concat(start, moveB)).STA.MaxArrival < costA {
+					resized, move = len(moveB), "path-bump"
+				} else {
+					az.apply(slices.Concat(start, moveA))
+				}
 			}
-			// A no-op repair when move A won and was never left.
 			return az.refresh(), IterStats{PathLen: len(path), Resized: resized, Move: move}, true
 		},
 	})
 }
 
-// bumpPath moves every gate on path one size up where its cell has a
-// larger size, and returns how many gates moved: the greedy backends'
-// coordinated path-bump move.
-func bumpPath(d *synth.Design, path []circuit.GateID) int {
-	bumped := 0
+// pathMoves returns the path's gates at their current sizes (the list
+// that restores them) and the greedy backends' coordinated path-bump
+// move: every path gate one size up where its cell has a larger size.
+func pathMoves(d *synth.Design, path []circuit.GateID) (start, bump []ssta.SizeChange) {
 	for _, g := range path {
 		gate := d.Circuit.Gate(g)
+		start = append(start, ssta.SizeChange{Gate: g, Size: gate.SizeIdx})
 		if gate.SizeIdx+1 < d.Lib.NumSizes(cells.Kind(gate.CellRef)) {
-			gate.SizeIdx++
-			bumped++
+			bump = append(bump, ssta.SizeChange{Gate: g, Size: gate.SizeIdx + 1})
 		}
 	}
-	return bumped
+	return start, bump
 }
 
 // RecoverArea downsizes gates whose size does not pay for itself,
@@ -503,13 +494,15 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, az *analyze
 	}
 
 	topo := d.Circuit.MustTopoOrder()
+	var batch []ssta.SizeChange
 	for pass := startPass; pass < opts.recoverPasses(); pass++ {
 		if err := opts.ctxErr(); err != nil {
 			return nil, err
 		}
 		res.Iterations = pass + 1
-		before := d.Circuit.SizeSnapshot()
-		changed := 0
+		// Each downsize is made in place, so later gates are scored
+		// against it, and recorded in the pass's batch.
+		batch = batch[:0]
 		for i := len(topo) - 1; i >= 0; i-- {
 			g := d.Circuit.Gate(topo[i])
 			if !g.Fn.IsLogic() || g.SizeIdx == 0 {
@@ -520,30 +513,30 @@ func recoverArea(d *synth.Design, vm *variation.Model, opts Options, az *analyze
 			curCost := s.Cost(g.SizeIdx, opts.Lambda)
 			if s.Cost(g.SizeIdx-1, opts.Lambda) <= curCost+localSlack {
 				g.SizeIdx--
-				changed++
+				batch = append(batch, ssta.SizeChange{Gate: g.ID, Size: g.SizeIdx})
 			}
 		}
-		if changed == 0 {
+		if len(batch) == 0 {
 			res.StoppedBy = "converged"
 			break
 		}
-		full = az.refresh()
+		full = az.apply(batch)
 		if full.Cost(d, opts.Lambda) > budget {
-			// Batch overshot the global budget: roll back and retry more
-			// conservatively, re-refreshing so `full` again reflects the
-			// pre-batch sizing (served by the engine's Rollback).
-			d.Circuit.RestoreSizes(before)
-			full = az.refresh()
+			// Batch overshot the global budget: take it back (served by
+			// the engine's Rollback) and retry more conservatively.
+			for i := range batch {
+				batch[i].Size++
+			}
+			full = az.apply(batch)
 			localSlack /= 2
 			if localSlack < 1e-6 {
 				res.StoppedBy = "converged"
 				break
 			}
 		}
-		opts.emit(Checkpoint{
+		opts.emit(d, Checkpoint{
 			Op: "recover-area", Iter: pass + 1, Cost: full.Cost(d, opts.Lambda),
-			Sizes: d.Circuit.SizeSnapshot(), Initial: res.Initial,
-			LocalSlack: localSlack, Budget: budget,
+			Initial: res.Initial, LocalSlack: localSlack, Budget: budget,
 		})
 	}
 	res.Final = snapshot(d, az.refresh(), opts.Lambda)

@@ -20,20 +20,21 @@ import (
 // refresh, a loop that reads a result after a later refresh has
 // retargeted it diverges here.
 
-// refStatAnalyzer is the reference FULLSSTA analyzer: every refresh is a
-// fresh ssta.Analyze of the current sizes, and every what-if candidate
-// is applied, analyzed and restored. Nothing is memoized or shared.
+// refStatAnalyzer is the reference FULLSSTA analyzer: every refresh and
+// every applied change list is a fresh ssta.Analyze of the current
+// sizes, and every what-if candidate is applied, analyzed and restored.
+// Nothing is memoized or shared.
 func refStatAnalyzer(d *synth.Design, vm *variation.Model, opts Options) *analyzer {
 	a := &analyzer{}
-	a.current = func() *ssta.Result { return ssta.Analyze(d, vm, opts.sstaOpts()) }
+	a.applyFn = func(changes []ssta.SizeChange) *ssta.Result {
+		setSizes(d, changes)
+		return ssta.Analyze(d, vm, opts.sstaOpts())
+	}
 	a.whatIfFn = func(cands [][]ssta.SizeChange, lambda float64) []float64 {
 		base := d.Circuit.SizeSnapshot()
 		costs := make([]float64, len(cands))
 		for i, ch := range cands {
-			for _, c := range ch {
-				d.Circuit.Gate(c.Gate).SizeIdx = c.Size
-			}
-			costs[i] = a.current().Cost(d, lambda)
+			costs[i] = a.applyFn(ch).Cost(d, lambda)
 			d.Circuit.RestoreSizes(base)
 		}
 		return costs
@@ -41,10 +42,21 @@ func refStatAnalyzer(d *synth.Design, vm *variation.Model, opts Options) *analyz
 	return a
 }
 
+// setSizes sets every listed gate to its size, in order, in the circuit
+// alone: the from-scratch form of a change list.
+func setSizes(d *synth.Design, changes []ssta.SizeChange) {
+	for _, ch := range changes {
+		d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
+	}
+}
+
 // refDetAnalyzer is the reference deterministic analyzer: a fresh
-// sta.Analyze per refresh.
+// sta.Analyze per refresh and per applied change list.
 func refDetAnalyzer(d *synth.Design) *analyzer {
-	return &analyzer{current: func() *ssta.Result { return &ssta.Result{STA: sta.Analyze(d)} }}
+	return &analyzer{applyFn: func(changes []ssta.SizeChange) *ssta.Result {
+		setSizes(d, changes)
+		return &ssta.Result{STA: sta.Analyze(d)}
+	}}
 }
 
 // statAnalyzer picks the reference or the production FULLSSTA analyzer.

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/cells"
 	"repro/internal/ssta"
 	"repro/internal/synth"
 )
@@ -42,12 +44,14 @@ func runGreedy(d *synth.Design, opts Options, az *analyzer, g greedy) (*Result, 
 	full := az.refresh()
 	cur := g.measure(full)
 	res.Initial = cur
+	// bestSizes is the best-seen sizing, copied into this one buffer at
+	// every improvement.
 	best, bestSizes, bad, startIter := cur, d.Circuit.SizeSnapshot(), 0, 0
 	if resume != nil {
 		// The loop-carried state exactly as the uninterrupted run held it
 		// at this iteration boundary.
 		res.Initial, best, bad, startIter = resume.Initial, resume.Best, resume.Bad, resume.Iter
-		bestSizes = append([]int(nil), resume.BestSizes...)
+		copy(bestSizes, resume.BestSizes)
 		res.Iterations = startIter
 	}
 
@@ -61,7 +65,10 @@ func runGreedy(d *synth.Design, opts Options, az *analyzer, g greedy) (*Result, 
 		// can never leave the final design with a worse sigma than an
 		// earlier iterate.
 		if cur.Cost < best.Cost-1e-9 || (cur.Cost < best.Cost+1e-9 && cur.Sigma < best.Sigma) {
-			best, bestSizes, bad = cur, d.Circuit.SizeSnapshot(), 0
+			best, bad = cur, 0
+			for i := range bestSizes {
+				bestSizes[i] = d.Circuit.Gates[i].SizeIdx
+			}
 		} else if iter > 0 {
 			if bad++; bad >= patience {
 				res.StoppedBy = "converged"
@@ -78,9 +85,8 @@ func runGreedy(d *synth.Design, opts Options, az *analyzer, g greedy) (*Result, 
 		res.History = append(res.History, it)
 		// This is the one per-iteration site: telemetry hooks go here.
 		full, cur = next, g.measure(next)
-		opts.emit(Checkpoint{
-			Op: g.op, Iter: iter + 1, Cost: cur.Cost,
-			Sizes: d.Circuit.SizeSnapshot(), BestSizes: bestSizes,
+		opts.emit(d, Checkpoint{
+			Op: g.op, Iter: iter + 1, Cost: cur.Cost, BestSizes: bestSizes,
 			Best: best, Bad: bad, Initial: res.Initial,
 		})
 		if it.Resized == 0 {
@@ -112,8 +118,11 @@ func (o Options) begin(op string, d *synth.Design) (*Checkpoint, error) {
 	if cp.Op != op {
 		return nil, fmt.Errorf("core: resume checkpoint is for %q, not %q", cp.Op, op)
 	}
-	if want := len(d.Circuit.SizeSnapshot()); len(cp.Sizes) != want {
-		return nil, fmt.Errorf("core: resume checkpoint has %d sizes, design has %d gates", len(cp.Sizes), want)
+	if err := checkSizes(d, "sizes", cp.Sizes, false); err != nil {
+		return nil, err
+	}
+	if err := checkSizes(d, "best sizes", cp.BestSizes, true); err != nil {
+		return nil, err
 	}
 	if cp.Iter < 0 {
 		return nil, fmt.Errorf("core: resume checkpoint has negative iteration %d", cp.Iter)
@@ -122,15 +131,37 @@ func (o Options) begin(op string, d *synth.Design) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// emit delivers a checkpoint to the Checkpoint callback, if any.
-func (o Options) emit(cp Checkpoint) {
+// checkSizes rejects a checkpoint sizing that is not one size per gate,
+// each within its gate's range: [0, NumSizes) for a mapped gate, just 0
+// for an unmapped one (a primary input), whose size nothing reads. An
+// optional sizing may instead be empty.
+func checkSizes(d *synth.Design, name string, sizes []int, optional bool) error {
+	if n := d.Circuit.NumGates(); len(sizes) != n && (len(sizes) > 0 || !optional) {
+		return fmt.Errorf("core: resume checkpoint has %d %s, design has %d gates", len(sizes), name, n)
+	}
+	for i, s := range sizes {
+		n := 1
+		if ref := d.Circuit.Gates[i].CellRef; ref >= 0 {
+			n = d.Lib.NumSizes(cells.Kind(ref))
+		}
+		if s < 0 || s >= n {
+			return fmt.Errorf("core: resume checkpoint %s: gate %q has size %d, outside [0,%d)",
+				name, d.Circuit.Gates[i].Name, s, n)
+		}
+	}
+	return nil
+}
+
+// emit delivers a checkpoint at the design's current sizing to the
+// Checkpoint callback, if any; without one nothing is built or copied.
+func (o Options) emit(d *synth.Design, cp Checkpoint) {
 	if o.Checkpoint == nil {
 		return
 	}
-	// Sizes is always a fresh snapshot; the copy guards the loop's
-	// retained best sizing from the callback's consumer (which typically
-	// serializes asynchronously).
-	cp.BestSizes = append([]int(nil), cp.BestSizes...)
+	cp.Sizes = d.Circuit.SizeSnapshot()
+	// The copy guards the loop's reused best-sizing buffer from the
+	// callback's consumer (which typically serializes asynchronously).
+	cp.BestSizes = slices.Clone(cp.BestSizes)
 	o.Checkpoint(cp)
 }
 

@@ -64,15 +64,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestEqSizes(t *testing.T) {
-	if !eqSizes([]int{1, 2}, []int{1, 2}) {
-		t.Error("equal vectors reported different")
-	}
-	if eqSizes([]int{1, 2}, []int{1, 3}) || eqSizes([]int{1}, []int{1, 2}) {
-		t.Error("different vectors reported equal")
-	}
-}
-
 // TestOptimizerTable pins the backend table's contract: names sorted and
 // unique, the empty name resolving to the default, and each entry
 // reporting its own name.

@@ -172,20 +172,21 @@ func sensitivitySizer(d *synth.Design, vm *variation.Model, opts Options, az *an
 				spent += m.dArea
 			}
 
-			startSizes := d.Circuit.SizeSnapshot()
-			for _, m := range chosen {
-				d.Circuit.Gate(m.gate).SizeIdx = m.size
+			set := make([]ssta.SizeChange, len(chosen))
+			undo := make([]ssta.SizeChange, len(chosen), len(chosen)+1)
+			for i, m := range chosen {
+				set[i] = ssta.SizeChange{Gate: m.gate, Size: m.size}
+				undo[i] = ssta.SizeChange{Gate: m.gate, Size: d.Circuit.Gate(m.gate).SizeIdx}
 			}
-			// Applying the set IS its analysis: the refresh repairs the
+			// Applying the set IS its analysis: the engine repairs the
 			// dirty cones and verifies the set globally in one shot.
-			full := az.refresh()
+			full := az.apply(set)
 			if len(chosen) > 1 && full.Cost(d, opts.Lambda) >= cur.Cost {
 				// The committed moves interacted badly. Fall back to the
 				// single highest-gain move, already proven improving by
-				// the batch pass.
-				d.Circuit.RestoreSizes(startSizes)
-				d.Circuit.Gate(singleGate).SizeIdx = singleSize
-				return az.refresh(), IterStats{PathLen: len(cands), Resized: 1, Move: "sens-single"}, true
+				// the batch pass: one move from the set's sizing.
+				single := ssta.SizeChange{Gate: singleGate, Size: singleSize}
+				return az.apply(append(undo, single)), IterStats{PathLen: len(cands), Resized: 1, Move: "sens-single"}, true
 			}
 			return full, IterStats{PathLen: len(cands), Resized: len(chosen), Move: "sens-batch"}, true
 		},

@@ -88,10 +88,11 @@ func eqFloats(what string, got, want []float64) error {
 }
 
 // mutator drives one seeded random resize sequence. Each step is one of
-// a single Resize, a ResizeAll batch, external size edits followed by a
-// Sync, a what-if step (whatIf), or a mutation immediately undone by
-// Rollback; the caller's verify hook runs after every step against a
-// from-scratch analysis.
+// a single resize, a ResizeAll change list, in-place size edits handed
+// to ResizeAll (the optimizers' pattern, on a journaled engine sometimes
+// followed by the list that reverts them), a what-if step (whatIf), or
+// a mutation immediately undone by Rollback; the caller's verify hook
+// runs after every step against a from-scratch analysis.
 type mutator struct {
 	d     *synth.Design
 	rng   *rand.Rand
@@ -119,82 +120,107 @@ func (m *mutator) pick() (circuit.GateID, int) {
 
 // engine abstracts the incremental engines for the shared driver.
 type engine interface {
-	Resize(g circuit.GateID, size int) int
-	Sync() int
+	ResizeAll(changes []ssta.SizeChange) int
 	Rollback()
-	ResizeBatch(changes []sizeChange) int
 	// Verify compares the engine's repaired state against a
 	// from-scratch analysis of the design's current sizes.
 	Verify() error
 }
 
-// whatIfEngine is an engine with what-if scoring. WhatIf scores the
-// candidates as one batch against the engine's current state, leaving
-// the engine and the design unmoved.
+// whatIfEngine is a journaled engine with what-if scoring. WhatIf scores
+// the candidates as one batch against the engine's current state,
+// leaving the engine and the design unmoved.
 type whatIfEngine interface {
 	engine
-	WhatIf(cands [][]sizeChange)
-}
-
-type sizeChange struct {
-	gate circuit.GateID
-	size int
+	WhatIf(cands [][]ssta.SizeChange)
 }
 
 // edits draws 1 to max random resizes; a gate may repeat.
-func (m *mutator) edits(max int) []sizeChange {
-	batch := make([]sizeChange, 1+m.rng.IntN(max))
+func (m *mutator) edits(max int) []ssta.SizeChange {
+	batch := make([]ssta.SizeChange, 1+m.rng.IntN(max))
 	for i := range batch {
 		g, s := m.pick()
-		batch[i] = sizeChange{gate: g, size: s}
+		batch[i] = ssta.SizeChange{Gate: g, Size: s}
 	}
 	return batch
 }
 
-// whatIf is the what-if step: score two candidates as one batch, then
-// Sync onto candidate 0, candidate 1, other edits, or candidate 0 after
-// an intervening Resize or Rollback. The engine keeps candidate 0, and
-// candidate 1 too when the pair's cones fit (conesFit). A Sync onto a
-// kept candidate that moves any size must adopt it (re-evaluate
-// nothing); a Sync onto other edits, onto an unkept candidate, or after
-// a call that moved the engine and so dropped the kept candidates, must
-// repair. Half the time the step verifies and then rolls the Sync back.
+// applied returns the design's sizing with list applied in order: the
+// sizing a ResizeAll of list must leave.
+func (m *mutator) applied(list []ssta.SizeChange) []int {
+	s := m.d.Circuit.SizeSnapshot()
+	for _, ch := range list {
+		s[ch.Gate] = ch.Size
+	}
+	return s
+}
+
+// disguised returns a change list that takes the design to sizing want
+// in an unnatural form: the changed gates in descending ID order, the
+// first of them listed once before at a random size (its later entry
+// wins), and a no-op entry for a random unchanged gate.
+func (m *mutator) disguised(want []int) []ssta.SizeChange {
+	c := m.d.Circuit
+	var out []ssta.SizeChange
+	for id := len(want) - 1; id >= 0; id-- {
+		if g := circuit.GateID(id); c.Gate(g).SizeIdx != want[id] {
+			out = append(out, ssta.SizeChange{Gate: g, Size: want[id]})
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	g, s := m.pick()
+	out = append([]ssta.SizeChange{{Gate: out[0].Gate, Size: s}}, out...)
+	if c.Gate(g).SizeIdx == want[g] {
+		out = append(out, ssta.SizeChange{Gate: g, Size: want[g]})
+	}
+	return out
+}
+
+// whatIf is the what-if step. It first rolls back any open transaction,
+// so only a move made inside the step can be reverted. It then scores
+// two candidates as one batch and applies by ResizeAll candidate 0,
+// candidate 1 disguised, other edits, or candidate 0 after an
+// intervening Resize, which may itself be rolled back. The engine keeps
+// candidate 0, and candidate 1 too when the pair's cones fit (conesFit).
+// A ResizeAll onto a kept candidate that moves any size must adopt it
+// (re-evaluate nothing), as must one that exactly reverts the
+// intervening Resize (the engine's Rollback). One onto other edits, onto
+// an unkept candidate, or after a call that moved the engine and so
+// dropped the kept candidates, must repair. Half the time the step
+// verifies and then rolls the ResizeAll back.
 func (m *mutator) whatIf(eng whatIfEngine, step int) error {
 	c := m.d.Circuit
-	cands := [][]sizeChange{m.edits(4), m.edits(4)}
+	eng.Rollback()
+	cands := [][]ssta.SizeChange{m.edits(4), m.edits(4)}
 	eng.WhatIf(cands)
 	kept := true
-	var target []sizeChange
-	switch pick := m.rng.IntN(4); pick {
-	case 0:
-		target = cands[0]
+	var undo []int // the sizing a revert of the open transaction lands on
+	target := cands[0]
+	switch m.rng.IntN(4) {
 	case 1:
-		target, kept = cands[1], conesFit(c, cands)
+		target, kept = m.disguised(m.applied(cands[1])), conesFit(c, cands)
 	case 2:
 		target, kept = m.edits(4), false
-	default:
-		// A Resize or Rollback that moves any size moves the engine.
+	case 3:
+		// A resize that moves any size moves the engine.
 		was := c.SizeSnapshot()
-		if m.rng.IntN(2) == 0 {
-			g, s := m.pick()
-			eng.Resize(g, s)
-		} else {
+		eng.ResizeAll(m.edits(1))
+		if kept = slices.Equal(was, c.SizeSnapshot()); !kept && m.rng.IntN(2) == 0 {
 			eng.Rollback()
+		} else if !kept {
+			undo = was
 		}
-		kept = slices.Equal(was, c.SizeSnapshot())
-		target = cands[0]
 	}
-	before := c.SizeSnapshot()
-	for _, ch := range target {
-		c.Gate(ch.gate).SizeIdx = ch.size
-	}
-	moved := !slices.Equal(before, c.SizeSnapshot())
-	touched := eng.Sync()
+	want := m.applied(target)
+	moved, reverted := !slices.Equal(c.SizeSnapshot(), want), slices.Equal(want, undo)
+	touched := eng.ResizeAll(target)
 	switch {
-	case moved && kept && touched != 0:
-		return fmt.Errorf("step %d: Sync onto a kept candidate repaired %d gates instead of adopting", step, touched)
-	case moved && !kept && touched == 0:
-		return fmt.Errorf("step %d: Sync onto a sizing no kept candidate proposes re-evaluated nothing", step)
+	case moved && (kept || reverted) && touched != 0:
+		return fmt.Errorf("step %d: ResizeAll onto a kept candidate or a revert re-evaluated %d gates", step, touched)
+	case moved && !kept && !reverted && touched == 0:
+		return fmt.Errorf("step %d: ResizeAll onto a sizing no kept candidate proposes re-evaluated nothing", step)
 	}
 	if m.rng.IntN(2) == 0 {
 		if err := eng.Verify(); err != nil {
@@ -208,13 +234,13 @@ func (m *mutator) whatIf(eng whatIfEngine, step int) error {
 // conesFit reports whether the candidates' cones — each listed gate, its
 // drivers and their transitive fanout — number at most the circuit's
 // gates in total: when the engine keeps both candidates of a pair.
-func conesFit(c *circuit.Circuit, cands [][]sizeChange) bool {
+func conesFit(c *circuit.Circuit, cands [][]ssta.SizeChange) bool {
 	total := 0
 	for _, ch := range cands {
 		var seeds []circuit.GateID
 		for _, x := range ch {
-			seeds = append(seeds, x.gate)
-			seeds = append(seeds, c.Gate(x.gate).Fanin...)
+			seeds = append(seeds, x.Gate)
+			seeds = append(seeds, c.Gate(x.Gate).Fanin...)
 		}
 		total += len(c.TransitiveFanout(seeds, -1))
 	}
@@ -223,32 +249,51 @@ func conesFit(c *circuit.Circuit, cands [][]sizeChange) bool {
 
 // Drive runs steps random mutations on eng, verifying after every step.
 // It returns the first verification error, annotated with the step.
-// Engines without what-if scoring take an external-edit Sync step where
-// the what-if step would go.
+// Engines without what-if scoring (and without a journal) skip the
+// what-if step and the revert check.
 func (m *mutator) drive(eng engine, steps int) error {
+	c := m.d.Circuit
 	for step := 0; step < steps; step++ {
 		op := m.rng.IntN(100)
-		wi, canWhatIf := eng.(whatIfEngine)
+		wi, journaled := eng.(whatIfEngine)
 		switch {
 		case op < 45: // single resize
-			g, s := m.pick()
-			eng.Resize(g, s)
-		case op < 62: // batched resize
-			eng.ResizeBatch(m.edits(5))
-		case op < 75 && canWhatIf:
+			eng.ResizeAll(m.edits(1))
+		case op < 62: // a change list; a repeated gate ends at its last entry
+			list := m.edits(5)
+			want := m.applied(list)
+			if eng.ResizeAll(list); !slices.Equal(c.SizeSnapshot(), want) {
+				return fmt.Errorf("step %d: ResizeAll did not leave each listed gate at its last entry", step)
+			}
+		case op < 75 && journaled:
 			if err := m.whatIf(wi, step); err != nil {
 				return err
 			}
-		case op < 85: // external edits + Sync (the optimizer's pattern)
-			for i := 0; i < 1+m.rng.IntN(4); i++ {
-				g, s := m.pick()
-				m.d.Circuit.Gate(g).SizeIdx = s
+		case op < 85: // in-place edits handed to ResizeAll; on a journaled
+			// engine, half the time followed by a disguised list that
+			// reverts them, which must be served by Rollback: nothing
+			// re-evaluated, and a further Rollback has nothing to undo.
+			revert := journaled && m.rng.IntN(2) == 0
+			if revert {
+				eng.Rollback() // so the edits' own transaction is the open one
 			}
-			eng.Sync()
+			before := c.SizeSnapshot()
+			list := m.edits(4)
+			for _, ch := range list {
+				c.Gate(ch.Gate).SizeIdx = ch.Size
+			}
+			if eng.ResizeAll(list); !revert {
+				break
+			}
+			if n := eng.ResizeAll(m.disguised(before)); n != 0 {
+				return fmt.Errorf("step %d: a ResizeAll reverting the open transaction re-evaluated %d gates", step, n)
+			}
+			if eng.Rollback(); !slices.Equal(before, c.SizeSnapshot()) {
+				return fmt.Errorf("step %d: a reverting ResizeAll and a Rollback did not leave the prior sizes", step)
+			}
 		default: // mutate, verify, then roll back; the post-step verify
 			// below then proves Rollback restored the exact prior state.
-			g, s := m.pick()
-			eng.Resize(g, s)
+			eng.ResizeAll(m.edits(1))
 			if err := eng.Verify(); err != nil {
 				return fmt.Errorf("step %d (pre-rollback): %w", step, err)
 			}
@@ -269,58 +314,40 @@ type sstaEngine struct {
 	inc  *ssta.Incremental
 }
 
-func (e *sstaEngine) Resize(g circuit.GateID, size int) int { return e.inc.Resize(g, size) }
-func (e *sstaEngine) Sync() int                             { return e.inc.Sync() }
-func (e *sstaEngine) Rollback()                             { e.inc.Rollback() }
-func (e *sstaEngine) ResizeBatch(changes []sizeChange) int {
-	batch := make([]ssta.SizeChange, len(changes))
-	for i, ch := range changes {
-		batch[i] = ssta.SizeChange{Gate: ch.gate, Size: ch.size}
-	}
-	return e.inc.ResizeAll(batch)
+func (e *sstaEngine) Rollback() { e.inc.Rollback() }
+func (e *sstaEngine) ResizeAll(changes []ssta.SizeChange) int {
+	n, _ := e.inc.ResizeAll(changes)
+	return n
 }
 func (e *sstaEngine) Verify() error {
 	return CompareSSTA(e.inc.Result(), ssta.Analyze(e.d, e.vm, e.opts))
 }
-func (e *sstaEngine) WhatIf(cands [][]sizeChange) { e.batch(cands) }
+
+func (e *sstaEngine) WhatIf(cands [][]ssta.SizeChange) { e.batch(cands) }
 
 // batch runs BatchWhatIf at lambda 3 on the engine's worker count.
-func (e *sstaEngine) batch(cands [][]sizeChange) []ssta.WhatIfOutcome {
-	sc := make([][]ssta.SizeChange, len(cands))
-	for i, ch := range cands {
-		for _, c := range ch {
-			sc[i] = append(sc[i], ssta.SizeChange{Gate: c.gate, Size: c.size})
-		}
-	}
-	return e.inc.BatchWhatIf(sc, 3, e.opts.Workers)
+func (e *sstaEngine) batch(cands [][]ssta.SizeChange) []ssta.WhatIfOutcome {
+	return e.inc.BatchWhatIf(cands, 3, e.opts.Workers)
 }
 
 // staEngine adapts the deterministic sta.Incremental. It has
 // no transactional Rollback; the driver's rollback step is emulated by
-// resizing back, which must land on the identical state.
+// resizing the last list's gates back, which must land on the identical
+// state.
 type staEngine struct {
-	d        *synth.Design
-	inc      *sta.Incremental
-	lastGate circuit.GateID
-	lastOld  int
+	d    *synth.Design
+	inc  *sta.Incremental
+	undo []ssta.SizeChange
 }
 
-func (e *staEngine) Resize(g circuit.GateID, size int) int {
-	e.lastGate = g
-	e.lastOld = e.d.Circuit.Gate(g).SizeIdx
-	return e.inc.Resize(g, size)
-}
-func (e *staEngine) Sync() int { return e.inc.Sync() }
-func (e *staEngine) Rollback() {
-	e.inc.Resize(e.lastGate, e.lastOld)
-}
-func (e *staEngine) ResizeBatch(changes []sizeChange) int {
-	n := 0
+func (e *staEngine) ResizeAll(changes []ssta.SizeChange) int {
+	e.undo = e.undo[:0]
 	for _, ch := range changes {
-		n += e.inc.Resize(ch.gate, ch.size)
+		e.undo = append(e.undo, ssta.SizeChange{Gate: ch.Gate, Size: e.d.Circuit.Gate(ch.Gate).SizeIdx})
 	}
-	return n
+	return e.inc.ResizeAll(changes)
 }
+func (e *staEngine) Rollback() { e.inc.ResizeAll(e.undo) }
 func (e *staEngine) Verify() error {
 	return CompareSTA(e.inc.Result(), sta.Analyze(e.d))
 }
@@ -344,9 +371,9 @@ func DriveSTA(d *synth.Design, steps int, seed uint64) error {
 // lockstep, each on its own copy of the design, and demands that they
 // agree exactly after every call: the touched count each call returns,
 // every node of the analysis, Evals() and NodeEvals(g) for every gate.
-// Engine 0 runs on the mutator's design; external size edits reach the
-// others through Sync, which first copies engine 0's sizes over. A
-// touched-count mismatch is held in err until the next Verify.
+// Engine 0 runs on the mutator's design, so in-place edits reach only
+// it; every engine then takes the same change list. A touched-count
+// mismatch is held in err until the next Verify.
 type lockstepEngine struct {
 	engines []*sstaEngine
 	workers []int
@@ -364,16 +391,8 @@ func (l *lockstepEngine) each(what string, call func(e *sstaEngine) int) int {
 	return want
 }
 
-func (l *lockstepEngine) Resize(g circuit.GateID, size int) int {
-	return l.each("Resize", func(e *sstaEngine) int { return e.Resize(g, size) })
-}
-
-func (l *lockstepEngine) Sync() int {
-	sizes := l.engines[0].d.Circuit.SizeSnapshot()
-	return l.each("Sync", func(e *sstaEngine) int {
-		e.d.Circuit.RestoreSizes(sizes)
-		return e.Sync()
-	})
+func (l *lockstepEngine) ResizeAll(changes []ssta.SizeChange) int {
+	return l.each("ResizeAll", func(e *sstaEngine) int { return e.ResizeAll(changes) })
 }
 
 func (l *lockstepEngine) Rollback() {
@@ -382,7 +401,7 @@ func (l *lockstepEngine) Rollback() {
 	}
 }
 
-func (l *lockstepEngine) WhatIf(cands [][]sizeChange) {
+func (l *lockstepEngine) WhatIf(cands [][]ssta.SizeChange) {
 	want := l.engines[0].batch(cands)
 	for k, e := range l.engines[1:] {
 		if got := e.batch(cands); !slices.Equal(got, want) && l.err == nil {
@@ -390,10 +409,6 @@ func (l *lockstepEngine) WhatIf(cands [][]sizeChange) {
 				l.workers[k+1], l.workers[0], got, want)
 		}
 	}
-}
-
-func (l *lockstepEngine) ResizeBatch(changes []sizeChange) int {
-	return l.each("ResizeAll", func(e *sstaEngine) int { return e.ResizeBatch(changes) })
 }
 
 func (l *lockstepEngine) Verify() error {

@@ -122,7 +122,7 @@ func TestRollbackRestoresExactState(t *testing.T) {
 			batch = append(batch, ssta.SizeChange{Gate: g, Size: gate.SizeIdx + 1})
 		}
 	}
-	if inc.ResizeAll(batch) == 0 {
+	if n, _ := inc.ResizeAll(batch); n == 0 {
 		t.Fatal("batch resize touched nothing")
 	}
 	if err := CompareSSTA(inc.Result(), before); err == nil {

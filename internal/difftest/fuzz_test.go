@@ -20,6 +20,14 @@ import (
 // the load path rejects (the cyclic and undriven lint fixtures below
 // seed that side of the corpus) must be rejected before an engine is
 // ever built — the same gate the sstad service enforces.
+//
+// Ops are byte pairs (gate, size); the size byte's top two bits pick
+// the op. 0 and 3 resize, every third op rolling straight back. 1 scores
+// the pair's change and one on the next gate as a two-candidate
+// BatchWhatIf, then applies the first by ResizeAll, which must adopt the
+// kept candidate and re-evaluate nothing. 2 makes the change after
+// closing any open transaction and then hands ResizeAll the list that
+// reverts it, which the engine must serve by Rollback.
 func FuzzIncrementalResize(f *testing.F) {
 	valid := "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n" +
 		"g1 = NAND(a, b)\ng2 = NOT(g1)\ng3 = AND(g1, g2)\ny = OR(g2, g3)\nz = NOT(g3)\n"
@@ -31,6 +39,10 @@ func FuzzIncrementalResize(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(y)\ng1 = AND(a, g2)\ng2 = NOT(g1)\ny = NOT(a)\n", []byte{1, 2})
 	f.Add("INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n", []byte{3})
 	f.Add("", []byte(nil))
+	// The adopt path (op 1) and the revert path (op 2), each after a
+	// plain resize.
+	f.Add(valid, []byte{2, 1, 0, 0x40 | 3, 1, 0x40 | 2})
+	f.Add(valid, []byte{2, 1, 0, 0x80 | 3, 3, 0x80 | 1})
 	f.Fuzz(func(t *testing.T, src string, ops []byte) {
 		c, err := benchfmt.Parse(strings.NewReader(src), "fuzz")
 		if err != nil {
@@ -60,14 +72,37 @@ func FuzzIncrementalResize(f *testing.F) {
 			ops = ops[:48]
 		}
 
+		change := func(gate, size byte) ssta.SizeChange {
+			g := logic[int(gate)%len(logic)]
+			return ssta.SizeChange{Gate: g, Size: int(size) % d.Lib.NumSizes(cells.Kind(c.Gate(g).CellRef))}
+		}
 		sinc := ssta.NewIncremental(d, vm, ssta.Options{Points: 8})
 		for i := 0; i+1 < len(ops); i += 2 {
-			g := logic[int(ops[i])%len(logic)]
-			size := int(ops[i+1]) % d.Lib.NumSizes(cells.Kind(c.Gate(g).CellRef))
-			// Every third op rolls straight back, exercising the journal.
-			sinc.Resize(g, size)
-			if i%6 == 4 {
+			ch := change(ops[i], ops[i+1])
+			old := c.Gate(ch.Gate).SizeIdx
+			switch ops[i+1] >> 6 {
+			case 1:
+				other := change(ops[i]+1, ops[i+1]+1)
+				sinc.BatchWhatIf([][]ssta.SizeChange{{ch}, {other}}, 3, 1)
+				if n, _ := sinc.ResizeAll([]ssta.SizeChange{ch}); ch.Size != old && n != 0 {
+					t.Fatalf("op %d: ResizeAll onto the kept candidate re-evaluated %d gates", i, n)
+				}
+			case 2:
 				sinc.Rollback()
+				sinc.Resize(ch.Gate, ch.Size)
+				n, opened := sinc.ResizeAll([]ssta.SizeChange{{Gate: ch.Gate, Size: old}})
+				if n != 0 || opened {
+					t.Fatalf("op %d: reverting ResizeAll re-evaluated %d gates (opened %v)", i, n, opened)
+				}
+				if sinc.Rollback(); c.Gate(ch.Gate).SizeIdx != old {
+					t.Fatalf("op %d: Rollback after a revert moved the size", i)
+				}
+			default:
+				// Every third op rolls straight back, exercising the journal.
+				sinc.Resize(ch.Gate, ch.Size)
+				if i%6 == 4 {
+					sinc.Rollback()
+				}
 			}
 			if err := CompareSSTA(sinc.Result(), ssta.Analyze(d, vm, ssta.Options{Points: 8})); err != nil {
 				t.Fatalf("ssta diverged at op %d: %v\nsrc:\n%s", i, err, src)

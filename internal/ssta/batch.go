@@ -28,7 +28,7 @@ type WhatIfOutcome struct {
 }
 
 // keepMax is the largest batch whose candidates BatchWhatIf keeps for
-// adoption by the next Sync: the optimizer's move pair.
+// adoption by the next ResizeAll: the optimizer's move pair.
 const keepMax = 2
 
 // BatchWhatIf evaluates K candidate sizings against the engine's current
@@ -37,15 +37,15 @@ const keepMax = 2
 // engine-owned overlay, and neither the circuit nor the engine moves.
 // Outcome summaries are bit-identical to applying each candidate via
 // ResizeAll and reading Result (the differential tests pin this).
-// Sizes in each candidate are absolute target size indices; gates
-// already at the target are ignored. workers <= 0 means one per CPU;
-// results do not depend on the worker count.
+// Sizes in each candidate are absolute target size indices against the
+// engine's sizing; gates already at the target are ignored. workers <= 0
+// means one per CPU; results do not depend on the worker count.
 //
 // A batch of at most two candidates (the optimizer's move pair or a
-// single probe) keeps its overlays populated: the next Sync whose size
-// diff equals a kept candidate's changes adopts that overlay instead of
-// repairing the cone again, and any other state-changing call (Resize,
-// ResizeAll, a Sync to any other sizing, Rollback, Recompute, the next
+// single probe) keeps its overlays populated: the next ResizeAll whose
+// effective changes equal a kept candidate's adopts that overlay instead
+// of repairing the cone again, and any other state-changing call (a
+// ResizeAll to any other sizing, Rollback, Recompute, the next
 // BatchWhatIf) drops the kept overlays. A single candidate fans its wide
 // levels out across all workers. A pair whose cones (each listed gate,
 // its drivers and their transitive fanout) together fit within the
@@ -58,15 +58,15 @@ const keepMax = 2
 // sharded across workers, one overlay each, and otherwise they run one
 // at a time through one overlay with each wide level fanned out.
 //
-// The circuit's sizes must match the engine state (call Sync first if
-// they were edited externally); BatchWhatIf panics otherwise, because the
-// clean analysis it shares would silently be stale.
+// The circuit's sizes must match the engine's record (in-place edits go
+// to ResizeAll first); BatchWhatIf panics otherwise, because the clean
+// analysis it shares would silently be stale.
 func (f *Flat) BatchWhatIf(cands [][]SizeChange, lambda float64, workers int) []WhatIfOutcome {
 	f.checkRev()
 	c := f.d.Circuit
 	for id := range f.sizes {
 		if c.Gate(circuit.GateID(id)).SizeIdx != f.sizes[id] {
-			panic("ssta: circuit sizes diverge from engine state; Sync before BatchWhatIf")
+			panic("ssta: circuit sizes diverge from engine state; ResizeAll before BatchWhatIf")
 		}
 	}
 	f.dropKept()
@@ -172,22 +172,10 @@ func (f *Flat) dropKept() {
 	}
 }
 
-// keptFor returns the kept overlay whose candidate changes exactly the
-// ndiff gates at which the circuit's sizes differ from the engine's
-// record, or nil.
-func (f *Flat) keptFor(ndiff int) *whatIfWorker {
-	for _, w := range f.overlays {
-		if w != nil && w.kept && w.proposes(ndiff) {
-			return w
-		}
-	}
-	return nil
-}
-
 // adopt commits kept overlay w into the engine's analysis — every node
 // its candidate re-evaluated, then the circuit summary — journaling each
 // node first, inside the transaction the caller opened. The overlay
-// holds exactly the values a repair of the same diff would compute.
+// holds exactly the values a repair of the same changes would compute.
 func (f *Flat) adopt(w *whatIfWorker) {
 	c := f.d.Circuit
 	r := f.r
@@ -301,23 +289,23 @@ func (w *whatIfWorker) reset() {
 	w.kept = false
 }
 
-// proposes reports whether the overlay's candidate changes exactly
-// ndiff gates, each to the size the circuit now holds — that is,
-// whether the circuit's diff against the engine is this candidate.
-func (w *whatIfWorker) proposes(ndiff int) bool {
-	c := w.f.d.Circuit
-	n := 0
+// proposes reports whether the overlay's candidate sizing is the one a
+// ResizeAll has staged in the engine's record: every override sits at
+// the record's new size, and every staged gate has an override. An
+// override of a gate not staged must then equal its unchanged size, so
+// candidate no-op entries do not stop an adoption.
+func (w *whatIfWorker) proposes(staged []sizeSave) bool {
 	for _, g := range w.sizeTouched {
-		s := int(w.sizeOv[g])
-		if s == w.f.sizes[g] {
-			continue
-		}
-		if c.Gate(g).SizeIdx != s {
+		if int(w.sizeOv[g]) != w.f.sizes[g] {
 			return false
 		}
-		n++
 	}
-	return n == ndiff
+	for _, s := range staged {
+		if w.sizeOv[s.id] < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (w *whatIfWorker) staArrival(id circuit.GateID) float64 {
@@ -352,7 +340,7 @@ func (w *whatIfWorker) size(id circuit.GateID) int {
 	if s := w.sizeOv[id]; s >= 0 {
 		return int(s)
 	}
-	return w.f.d.Circuit.Gate(id).SizeIdx
+	return w.f.sizes[id]
 }
 
 // load mirrors synth.Design.Load under the candidate's size overrides:
@@ -382,7 +370,7 @@ func (w *whatIfWorker) evaluate(changes []SizeChange, lambda float64, clean What
 	nominal := f.r.STA
 	w.sc = sc
 	for _, ch := range changes {
-		if c.Gate(ch.Gate).SizeIdx == ch.Size && w.sizeOv[ch.Gate] < 0 {
+		if f.sizes[ch.Gate] == ch.Size && w.sizeOv[ch.Gate] < 0 {
 			continue
 		}
 		if w.sizeOv[ch.Gate] < 0 {

@@ -18,7 +18,7 @@ import (
 // analysis walks precomputed level buckets front to back — no per-gate
 // PDF allocation, no pointer chasing through heap-scattered slices. One
 // per-gate step (step, eval) serves the full recompute, the dirty-cone
-// repair of Resize/ResizeAll/Sync with its Rollback journal
+// repair of Resize/ResizeAll with its Rollback journal
 // (incremental.go), and the what-if overlays of BatchWhatIf (batch.go).
 //
 // A Flat is bound to the circuit structure at construction and panics
@@ -50,20 +50,20 @@ type Flat struct {
 
 	// What-if overlays, created lazily by BatchWhatIf: one per worker
 	// and at least two, each reset in O(touched) after its candidate or,
-	// for a batch of at most two, kept until the next Sync adopts one or
-	// another state-changing call drops them.
+	// for a batch of at most two, kept until the next ResizeAll adopts one
+	// or another state-changing call drops them.
 	overlays []*whatIfWorker
 	inCone   []bool           // pairFits' visit marks, all false between calls
 	cone     []circuit.GateID // pairFits' visit list
 
 	// Transaction journal: every repaired node's prior state, in repair
 	// order, with its arrival PDF in jarena slot index+1 (slot 0 holds
-	// the circuit PDF), plus the size edits and the circuit summary.
+	// the circuit PDF), plus the size edits, one per gate, and the
+	// circuit summary. A transaction is open while sizeLog is non-empty.
 	journal []nodeSave
 	jarena  *dpdf.Arena
 	sizeLog []sizeSave
 	summary summarySave
-	hasTxn  bool
 }
 
 // flatScratch is one worker's reusable state: kernel buffers plus a

@@ -139,7 +139,7 @@ func randomCandidates(rng *rand.Rand, d *synth.Design, k int) [][]SizeChange {
 // by actually resizing through the incremental engine and rolling back.
 func applySequentially(d *synth.Design, inc *Incremental, lambda float64, ch []SizeChange) WhatIfOutcome {
 	before := inc.Evals()
-	n := inc.ResizeAll(ch)
+	n, _ := inc.ResizeAll(ch)
 	r := inc.Result()
 	out := WhatIfOutcome{
 		Mean:       r.Mean,
@@ -270,14 +270,16 @@ func TestBatchWhatIfWorkersAgree(t *testing.T) {
 	}
 }
 
-// TestSyncAdoptsKeptCandidate pins adoption: after a two-candidate
-// batch, a Sync onto a kept candidate re-evaluates nothing yet leaves
-// the analysis bit-identical to a fresh one, a Rollback restores the
-// pre-Sync analysis exactly, and a Sync onto edits that match neither
-// candidate repairs. Candidate 0 is always kept; candidate 1 only when
-// the pair's cones fit in the circuit, which random single-gate pairs
-// on c880 do and a pair of input-side gates on c6288 does not.
-func TestSyncAdoptsKeptCandidate(t *testing.T) {
+// TestResizeAllAdoptsKeptCandidate pins adoption: after a two-candidate
+// batch, a ResizeAll onto a kept candidate re-evaluates nothing yet
+// leaves the analysis bit-identical to a fresh one, also when the list
+// names the candidate's changes in another order or with no-op entries;
+// a Rollback restores the prior analysis exactly, and a ResizeAll onto
+// changes that match neither candidate repairs. Candidate 0 is always
+// kept; candidate 1 only when the pair's cones fit in the circuit, which
+// random single-gate pairs on c880 do and a pair of input-side gates on
+// c6288 does not.
+func TestResizeAllAdoptsKeptCandidate(t *testing.T) {
 	c880, vm := setupISCAS(t, "c880")
 	c6288, _ := setupISCAS(t, "c6288")
 	rng := rand.New(rand.NewSource(5))
@@ -299,39 +301,86 @@ func TestSyncAdoptsKeptCandidate(t *testing.T) {
 			t.Fatalf("%s: cones fit = %v, want %v; the test is vacuous", d.Circuit.Name, got, tc.fits)
 		}
 		before := oracle(d, vm, 12)
+		// The same changes reversed, after a no-op entry for a gate the
+		// candidates do not name.
+		noop := logicGates(d)[len(logicGates(d))-1]
+		for _, ch := range cands {
+			for _, x := range ch {
+				if x.Gate == noop {
+					t.Fatal("the no-op gate is a candidate's; the test is vacuous")
+				}
+			}
+		}
 		for _, workers := range []int{1, 2} {
 			f := NewFlat(d, vm, Options{Workers: workers})
 			for k := range cands {
-				f.BatchWhatIf(cands, 3, workers)
-				start := d.Circuit.SizeSnapshot()
-				for _, ch := range cands[k] {
-					d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
+				for _, list := range [][]SizeChange{
+					cands[k],
+					append([]SizeChange{{Gate: noop, Size: d.Circuit.Gate(noop).SizeIdx}}, reversed(cands[k])...),
+				} {
+					f.BatchWhatIf(cands, 3, workers)
+					evals := f.Evals()
+					n, opened := f.ResizeAll(list)
+					if !opened {
+						t.Fatalf("candidate %d moves no size; the test is vacuous", k)
+					}
+					if kept := k == 0 || tc.fits; kept != (n == 0 && f.Evals() == evals) {
+						t.Fatalf("%s workers=%d: ResizeAll onto candidate %d re-evaluated %d gates, kept %v",
+							d.Circuit.Name, workers, k, n, kept)
+					}
+					requireSameResult(t, "applied", f.Result(), oracle(d, vm, 12))
+					f.Rollback()
+					requireSameResult(t, "rolled back", f.Result(), before)
 				}
-				if slices.Equal(start, d.Circuit.SizeSnapshot()) {
-					t.Fatalf("candidate %d moves no size; the test is vacuous", k)
-				}
-				evals := f.Evals()
-				n := f.Sync()
-				if kept := k == 0 || tc.fits; kept != (n == 0 && f.Evals() == evals) {
-					t.Fatalf("%s workers=%d: Sync onto candidate %d re-evaluated %d gates, kept %v",
-						d.Circuit.Name, workers, k, n, kept)
-				}
-				requireSameResult(t, "synced", f.Result(), oracle(d, vm, 12))
-				f.Rollback()
-				requireSameResult(t, "rolled back", f.Result(), before)
 
 				f.BatchWhatIf(cands, 3, workers)
-				for _, ch := range append(cands[0], cands[1]...) {
-					d.Circuit.Gate(ch.Gate).SizeIdx = ch.Size
-				}
-				if n := f.Sync(); n == 0 {
-					t.Fatalf("workers=%d: Sync onto both candidates' edits did not repair", workers)
+				if n, _ := f.ResizeAll(slices.Concat(cands[0], cands[1])); n == 0 {
+					t.Fatalf("workers=%d: ResizeAll onto both candidates' changes did not repair", workers)
 				}
 				requireSameResult(t, "repaired", f.Result(), oracle(d, vm, 12))
 				f.Rollback()
 			}
 		}
 	}
+}
+
+// TestResizeAllRevertIsRollback pins the revert path: a change list that
+// exactly restores what the open transaction changed — here in reverse
+// order, with a repeated gate — re-evaluates nothing, closes the
+// transaction (a further Rollback moves nothing) and leaves the analysis
+// bit-identical to the state before the move.
+func TestResizeAllRevertIsRollback(t *testing.T) {
+	d, vm := setupISCAS(t, "c880")
+	before := oracle(d, vm, 12)
+	sizes := d.Circuit.SizeSnapshot()
+	f := NewFlat(d, vm, Options{Workers: 1})
+	var move, back []SizeChange
+	for _, g := range logicGates(d)[10:14] {
+		s := d.Circuit.Gate(g).SizeIdx
+		move = append(move, SizeChange{Gate: g, Size: (s + 1) % d.Lib.NumSizes(d.Kind(g))})
+		back = append(back, SizeChange{Gate: g, Size: s})
+	}
+	back = append([]SizeChange{{Gate: back[3].Gate, Size: move[3].Size}}, reversed(back)...)
+	if n, _ := f.ResizeAll(move); n == 0 {
+		t.Fatal("the move re-evaluated nothing; the test is vacuous")
+	}
+	evals := f.Evals()
+	if n, opened := f.ResizeAll(back); n != 0 || opened || f.Evals() != evals {
+		t.Fatalf("reverting ResizeAll re-evaluated %d gates (opened %v)", n, opened)
+	}
+	requireSameResult(t, "reverted", f.Result(), before)
+	f.Rollback()
+	if !slices.Equal(d.Circuit.SizeSnapshot(), sizes) {
+		t.Fatal("Rollback after a revert moved sizes")
+	}
+	requireSameResult(t, "rolled back after revert", f.Result(), before)
+}
+
+// reversed returns a reversed copy of list.
+func reversed(list []SizeChange) []SizeChange {
+	r := slices.Clone(list)
+	slices.Reverse(r)
+	return r
 }
 
 // conesFit is the reference for when BatchWhatIf keeps both candidates

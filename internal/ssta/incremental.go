@@ -4,16 +4,14 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dpdf"
 	"repro/internal/normal"
+	"repro/internal/sta"
 	"repro/internal/synth"
 	"repro/internal/variation"
 )
 
-// SizeChange is one gate resize in a ResizeAll batch or a BatchWhatIf
-// candidate.
-type SizeChange struct {
-	Gate circuit.GateID
-	Size int
-}
+// SizeChange is one gate resize in a ResizeAll change list or a
+// BatchWhatIf candidate: the deterministic engine's change type.
+type SizeChange = sta.SizeChange
 
 // Incremental is the engine under the name of its resize API: the same
 // type as Flat.
@@ -30,13 +28,13 @@ type SizeChange struct {
 // The differential harness in internal/difftest asserts this
 // bit-for-bit on every node after every step.
 //
-// Each state-changing call (Resize, ResizeAll, Sync) implicitly commits
-// the previous transaction and opens a new one; Rollback undoes the
-// most recent state-changing call — sizes and analysis both — without
-// re-analysis, whether that call repaired a cone or Sync adopted a kept
-// what-if overlay (see BatchWhatIf). Calls that change nothing (resize
-// to the current size, Sync with no diffs) leave the open transaction
-// untouched.
+// The one state-changing entry point is ResizeAll (Resize is a list of
+// one). Each call that moves a size commits the previous transaction and
+// opens a new one, which Rollback undoes — sizes and analysis both —
+// without re-analysis, whether the call repaired a cone or adopted a
+// kept what-if overlay (see BatchWhatIf). A list that changes nothing
+// leaves the open transaction untouched, and a list that exactly
+// restores what the open transaction changed is served by Rollback.
 type Incremental = Flat
 
 // NewIncremental builds the engine and runs the first full analysis;
@@ -82,84 +80,84 @@ func (f *Flat) NodeEvals(g circuit.GateID) int64 {
 }
 
 // Resize sets gate g to sizeIdx and repairs the analysis, returning the
-// number of gates re-evaluated. Resizing to the current size is a no-op
-// and does not open a new transaction.
+// number of gates re-evaluated: ResizeAll of one change.
 func (f *Flat) Resize(g circuit.GateID, sizeIdx int) int {
-	return f.ResizeAll([]SizeChange{{Gate: g, Size: sizeIdx}})
+	n, _ := f.ResizeAll([]SizeChange{{Gate: g, Size: sizeIdx}})
+	return n
 }
 
-// ResizeAll applies a batch of resizes as ONE transaction (the
-// optimizer's path-step) and repairs the union cone in a single
-// level-ordered pass, returning the number of gates re-evaluated.
-func (f *Flat) ResizeAll(changes []SizeChange) int {
+// ResizeAll sets every listed gate to its size (a gate listed twice ends
+// at its last entry) and brings the analysis up to date, returning the
+// number of gates re-evaluated and whether it opened a transaction. Its
+// effective changes are the listed gates whose size differs from the
+// engine's record — not the circuit's, so the listed gates may already
+// have been edited in place; no other gate may have been. With none,
+// nothing moves. If they exactly restore what the open transaction
+// changed, the call is that transaction's Rollback. If they equal a
+// candidate the last BatchWhatIf kept, it adopts that candidate's
+// overlay, re-evaluating nothing; otherwise it repairs the union cone in
+// one level-ordered pass. Only these two open a transaction.
+func (f *Flat) ResizeAll(changes []SizeChange) (touched int, opened bool) {
 	f.checkRev()
 	c := f.d.Circuit
-	dirty := false
 	for _, ch := range changes {
-		if c.Gate(ch.Gate).SizeIdx != ch.Size {
-			dirty = true
+		c.Gate(ch.Gate).SizeIdx = ch.Size
+	}
+	// Stage the effective changes after the open transaction's size log,
+	// each gate once with its recorded size, and move the record to the
+	// new sizes.
+	open := len(f.sizeLog)
+	for _, ch := range changes {
+		if s := c.Gate(ch.Gate).SizeIdx; s != f.sizes[ch.Gate] {
+			f.sizeLog = append(f.sizeLog, sizeSave{id: ch.Gate, oldSize: f.sizes[ch.Gate]})
+			f.sizes[ch.Gate] = s
+		}
+	}
+	staged := f.sizeLog[open:]
+	switch {
+	case len(staged) == 0:
+		return 0, false
+	case f.reverts(open):
+		f.sizeLog = f.sizeLog[:open]
+		f.Rollback()
+		return 0, false
+	}
+	var kept *whatIfWorker
+	for _, w := range f.overlays {
+		if w != nil && w.kept && w.proposes(staged) {
+			kept = w
 			break
 		}
 	}
-	if !dirty {
-		return 0
+	f.sizeLog = append(f.sizeLog[:0], staged...)
+	f.begin()
+	if kept != nil {
+		f.adopt(kept)
+	} else {
+		for _, s := range f.sizeLog {
+			f.seed(s.id)
+		}
+		touched = f.repair()
 	}
 	f.dropKept()
-	f.begin()
-	for _, ch := range changes {
-		gate := c.Gate(ch.Gate)
-		if gate.SizeIdx == ch.Size {
-			continue
-		}
-		f.sizeLog = append(f.sizeLog, sizeSave{id: ch.Gate, oldSize: gate.SizeIdx})
-		gate.SizeIdx = ch.Size
-		f.sizes[ch.Gate] = ch.Size
-		f.seed(ch.Gate)
-	}
-	return f.repair()
+	return touched, true
 }
 
-// Sync diffs the circuit's current sizes against the engine's record
-// and brings the analysis up to date as one transaction, returning the
-// number of gates re-evaluated. It is the catch-all entry point for
-// callers that mutate SizeIdx directly (the optimizers do, in batches).
-// When the diff is exactly a candidate the last BatchWhatIf kept (see
-// BatchWhatIf), Sync adopts that candidate's overlay — it journals and
-// copies the nodes the what-if already re-evaluated, re-evaluating none
-// (and returning 0) — and otherwise it repairs every externally-edited
-// gate's cone. Either way the analysis is bit-identical, and a later
-// Rollback restores the pre-Sync sizes, undoing the external edits too.
-func (f *Flat) Sync() int {
-	f.checkRev()
-	c := f.d.Circuit
-	ndiff := 0
-	for id := range f.sizes {
-		if c.Gate(circuit.GateID(id)).SizeIdx != f.sizes[id] {
-			ndiff++
+// reverts reports whether the changes staged at f.sizeLog[open:] restore
+// exactly the sizes the open transaction (f.sizeLog[:open]) changed. Both
+// lists name each gate once, and every gate the open transaction changed
+// that is back at its old size was staged, so equal lengths make the two
+// sets equal.
+func (f *Flat) reverts(open int) bool {
+	if len(f.sizeLog)-open != open {
+		return false
+	}
+	for _, s := range f.sizeLog[:open] {
+		if f.sizes[s.id] != s.oldSize {
+			return false
 		}
 	}
-	if ndiff == 0 {
-		return 0
-	}
-	w := f.keptFor(ndiff)
-	f.begin()
-	for id := range f.sizes {
-		g := circuit.GateID(id)
-		if s := c.Gate(g).SizeIdx; s != f.sizes[id] {
-			f.sizeLog = append(f.sizeLog, sizeSave{id: g, oldSize: f.sizes[id]})
-			f.sizes[id] = s
-			if w == nil {
-				f.seed(g)
-			}
-		}
-	}
-	if w != nil {
-		f.adopt(w)
-		f.dropKept()
-		return 0
-	}
-	f.dropKept()
-	return f.repair()
+	return true
 }
 
 // Rollback undoes the most recent state-changing call: circuit sizes
@@ -167,7 +165,7 @@ func (f *Flat) Sync() int {
 // re-analysis. A second Rollback (or one before any change) is a no-op.
 func (f *Flat) Rollback() {
 	f.checkRev()
-	if !f.hasTxn {
+	if len(f.sizeLog) == 0 {
 		return
 	}
 	f.dropKept()
@@ -202,13 +200,13 @@ func (f *Flat) Rollback() {
 func (f *Flat) commit() {
 	f.journal = f.journal[:0]
 	f.sizeLog = f.sizeLog[:0]
-	f.hasTxn = false
 }
 
-// begin commits the previous transaction and opens a new one,
-// snapshotting the circuit-level summary.
+// begin commits the previous transaction's node journal and opens a new
+// transaction over the size edits in f.sizeLog, snapshotting the
+// circuit-level summary.
 func (f *Flat) begin() {
-	f.commit()
+	f.journal = f.journal[:0]
 	n := f.d.Circuit.NumGates()
 	if f.queue == nil {
 		f.queue = circuit.NewLevelQueue(n)
@@ -223,7 +221,6 @@ func (f *Flat) begin() {
 		worstPO:    r.STA.WorstPO,
 	}
 	f.jarena.Set(0, f.arena.View(n))
-	f.hasTxn = true
 }
 
 // seed dirties the resized gate (its cell changed) and its drivers

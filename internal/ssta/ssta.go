@@ -36,7 +36,7 @@ type Options struct {
 	Points int
 	// Workers is the number of goroutines propagating PDFs within each
 	// topological level — in the full analysis, in the dirty-cone repair
-	// of Resize/ResizeAll/Sync, and inside each BatchWhatIf candidate
+	// of Resize/ResizeAll, and inside each BatchWhatIf candidate
 	// that has more than one worker to itself (levels narrower than a
 	// small fixed cutoff always run serially). 0 means one per
 	// available CPU (runtime.GOMAXPROCS), 1 forces fully serial

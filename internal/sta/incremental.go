@@ -26,13 +26,20 @@ type Incremental struct {
 	queue *circuit.LevelQueue
 	rev   int
 	// sizes is the engine's record of every gate's size as of the last
-	// repair, diffed by Sync after external batch edits.
+	// repair: ResizeAll compares a change list against it, not against
+	// the circuit.
 	sizes []int
+}
+
+// SizeChange is one gate resize: the gate and its target size index.
+type SizeChange struct {
+	Gate circuit.GateID
+	Size int
 }
 
 // NewIncremental runs one full analysis and prepares the incremental
 // state. The returned Result is owned by the Incremental and updated in
-// place by Resize and Sync; callers must not retain stale copies of its
+// place by ResizeAll; callers must not retain stale copies of its
 // fields.
 func NewIncremental(d *synth.Design) *Incremental {
 	lv, _ := d.Circuit.Levels()
@@ -49,33 +56,24 @@ func NewIncremental(d *synth.Design) *Incremental {
 // Result returns the up-to-date analysis.
 func (inc *Incremental) Result() *Result { return inc.r }
 
-// Resize sets gate g to sizeIdx and repairs the analysis. It returns the
-// number of gates re-evaluated (a measure of the dirty region).
-func (inc *Incremental) Resize(g circuit.GateID, sizeIdx int) int {
+// ResizeAll sets every listed gate to its size (a gate listed twice ends
+// at its last entry) and repairs, in one pass, the cones of the gates
+// whose size now differs from the engine's record. It returns the number
+// of gates re-evaluated. The previous sizes come from the record, so the
+// listed gates may already hold their new sizes in the circuit (an
+// optimizer edits in place while it scores); gates not listed must not
+// have been edited.
+func (inc *Incremental) ResizeAll(changes []SizeChange) int {
 	inc.checkRev()
 	c := inc.d.Circuit
-	gate := c.Gate(g)
-	if gate.SizeIdx == sizeIdx {
-		return 0
+	for _, ch := range changes {
+		c.Gate(ch.Gate).SizeIdx = ch.Size
 	}
-	gate.SizeIdx = sizeIdx
-	inc.sizes[g] = sizeIdx
-	inc.seed(g)
-	return inc.propagate()
-}
-
-// Sync diffs the circuit's current sizes against the engine's record
-// and repairs every externally-edited gate's cone. It is the catch-all
-// entry point for callers that mutate SizeIdx directly (the optimizers
-// do, in batches) and returns the number of gates re-evaluated.
-func (inc *Incremental) Sync() int {
-	inc.checkRev()
-	c := inc.d.Circuit
 	dirty := false
-	for id := 0; id < c.NumGates(); id++ {
-		if s := c.Gate(circuit.GateID(id)).SizeIdx; s != inc.sizes[id] {
-			inc.sizes[id] = s
-			inc.seed(circuit.GateID(id))
+	for _, ch := range changes {
+		if s := c.Gate(ch.Gate).SizeIdx; s != inc.sizes[ch.Gate] {
+			inc.sizes[ch.Gate] = s
+			inc.seed(ch.Gate)
 			dirty = true
 		}
 	}

@@ -52,7 +52,7 @@ func TestIncrementalSingleResizeMatchesFull(t *testing.T) {
 	if target == circuit.None {
 		t.Fatal("no target")
 	}
-	touched := inc.Resize(target, 5)
+	touched := inc.ResizeAll([]SizeChange{{Gate: target, Size: 5}})
 	if touched == 0 {
 		t.Fatal("no gates touched")
 	}
@@ -72,7 +72,7 @@ func TestIncrementalRandomSequenceMatchesFull(t *testing.T) {
 	for step := 0; step < 60; step++ {
 		g := logic[rng.Intn(len(logic))]
 		size := rng.Intn(d.Lib.NumSizes(d.Kind(g)))
-		inc.Resize(g, size)
+		inc.ResizeAll([]SizeChange{{Gate: g, Size: size}})
 	}
 	assertMatchesFull(t, inc, d)
 }
@@ -87,7 +87,7 @@ func TestIncrementalNoopResize(t *testing.T) {
 			break
 		}
 	}
-	if touched := inc.Resize(g, d.Circuit.Gate(g).SizeIdx); touched != 0 {
+	if touched := inc.ResizeAll([]SizeChange{{Gate: g, Size: d.Circuit.Gate(g).SizeIdx}}); touched != 0 {
 		t.Fatalf("no-op resize touched %d gates", touched)
 	}
 }
@@ -111,7 +111,7 @@ func TestIncrementalDirtyRegionIsLocal(t *testing.T) {
 			target = circuit.GateID(i)
 		}
 	}
-	touched := inc.Resize(target, 4)
+	touched := inc.ResizeAll([]SizeChange{{Gate: target, Size: 4}})
 	if touched == 0 || touched > d.Circuit.NumGates()/10 {
 		t.Fatalf("dirty region %d of %d gates", touched, d.Circuit.NumGates())
 	}
@@ -121,18 +121,29 @@ func TestIncrementalDirtyRegionIsLocal(t *testing.T) {
 func TestIncrementalRefreshAfterBatch(t *testing.T) {
 	d := mapped(t, gen.Comparator("cmp", 8))
 	inc := NewIncremental(d)
-	// Apply edits behind the Incremental's back, then Sync.
-	n := 0
+	// Edit sizes in place, as the optimizers do while they score, then
+	// hand the same edits to ResizeAll: it must diff them against its own
+	// record, not the already-edited circuit. The last gate is listed
+	// twice and must end at its second size.
+	var batch []SizeChange
 	for i := range d.Circuit.Gates {
-		if d.Circuit.Gates[i].Fn.IsLogic() && n < 5 {
+		if d.Circuit.Gates[i].Fn.IsLogic() && len(batch) < 5 {
 			d.Circuit.Gates[i].SizeIdx = 3
-			n++
+			batch = append(batch, SizeChange{Gate: circuit.GateID(i), Size: 3})
 		}
 	}
-	if touched := inc.Sync(); touched == 0 {
-		t.Fatal("Sync after a batch of edits touched no gates")
+	last := batch[len(batch)-1].Gate
+	batch = append(batch, SizeChange{Gate: last, Size: 2})
+	if touched := inc.ResizeAll(batch); touched == 0 {
+		t.Fatal("ResizeAll after a batch of in-place edits touched no gates")
+	}
+	if got := d.Circuit.Gate(last).SizeIdx; got != 2 {
+		t.Fatalf("gate listed twice ended at size %d, want its last entry's 2", got)
 	}
 	assertMatchesFull(t, inc, d)
+	if touched := inc.ResizeAll(batch); touched != 0 {
+		t.Fatalf("repeating the same list re-evaluated %d gates", touched)
+	}
 }
 
 func TestIncrementalPanicsOnStructuralChange(t *testing.T) {
@@ -144,5 +155,5 @@ func TestIncrementalPanicsOnStructuralChange(t *testing.T) {
 			t.Fatal("expected panic after structural mutation")
 		}
 	}()
-	inc.Resize(d.Circuit.Outputs[0], 3)
+	inc.ResizeAll([]SizeChange{{Gate: d.Circuit.Outputs[0], Size: 3}})
 }
