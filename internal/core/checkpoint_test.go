@@ -257,10 +257,12 @@ func TestResumeValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Fatalf("negative-iter resume accepted: %v", err)
 	}
-	// A best-seen sizing of the wrong length.
-	_, err = StatisticalGreedy(d, vm, Options{Resume: &Checkpoint{Op: "statistical", Sizes: sizes, BestSizes: sizes[:2]}})
-	if err == nil || !strings.Contains(err.Error(), "best sizes") {
-		t.Fatalf("wrong-shape best sizes accepted: %v", err)
+	// A best-seen sizing of the wrong length, or none for a greedy op.
+	for _, best := range [][]int{sizes[:2], nil} {
+		_, err = StatisticalGreedy(d, vm, Options{Resume: &Checkpoint{Op: "statistical", Sizes: sizes, BestSizes: best}})
+		if err == nil || !strings.Contains(err.Error(), "best sizes") {
+			t.Fatalf("best sizes of length %d accepted: %v", len(best), err)
+		}
 	}
 	// A size index outside its gate's cell, in either sizing, and a
 	// negative one.
@@ -276,7 +278,7 @@ func TestResumeValidation(t *testing.T) {
 	neg := slices.Clone(sizes)
 	neg[logic] = -1
 	for _, cp := range []*Checkpoint{
-		{Op: "statistical", Sizes: bad},
+		{Op: "statistical", Sizes: bad, BestSizes: sizes},
 		{Op: "statistical", Sizes: sizes, BestSizes: bad},
 		{Op: "recover-area", Sizes: neg},
 	} {

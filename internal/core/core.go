@@ -71,7 +71,8 @@ type Options struct {
 	// Resume, when non-nil, restarts the optimizer from a previously
 	// emitted checkpoint instead of the design's current sizing. The
 	// checkpoint must come from the same operation on the same design
-	// (Op and sizing-vector length are validated).
+	// (Op, the sizing vectors' lengths and every size index are
+	// validated before the design is touched).
 	Resume *Checkpoint
 	// SlackFrac is the area-recovery pass's cost slack: a recovered
 	// sizing is kept only while the verified cost stays within SlackFrac
@@ -437,6 +438,7 @@ func meanDelayGreedy(d *synth.Design, vm *variation.Model, opts Options, az *ana
 // that restores them) and the greedy backends' coordinated path-bump
 // move: every path gate one size up where its cell has a larger size.
 func pathMoves(d *synth.Design, path []circuit.GateID) (start, bump []ssta.SizeChange) {
+	start, bump = make([]ssta.SizeChange, 0, len(path)), make([]ssta.SizeChange, 0, len(path))
 	for _, g := range path {
 		gate := d.Circuit.Gate(g)
 		start = append(start, ssta.SizeChange{Gate: g, Size: gate.SizeIdx})

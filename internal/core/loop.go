@@ -118,14 +118,15 @@ func (o Options) begin(op string, d *synth.Design) (*Checkpoint, error) {
 	if cp.Op != op {
 		return nil, fmt.Errorf("core: resume checkpoint is for %q, not %q", cp.Op, op)
 	}
+	if cp.Iter < 0 {
+		return nil, fmt.Errorf("core: resume checkpoint has negative iteration %d", cp.Iter)
+	}
 	if err := checkSizes(d, "sizes", cp.Sizes, false); err != nil {
 		return nil, err
 	}
-	if err := checkSizes(d, "best sizes", cp.BestSizes, true); err != nil {
+	// Only the greedy backends track a best-seen sizing.
+	if err := checkSizes(d, "best sizes", cp.BestSizes, op == "recover-area"); err != nil {
 		return nil, err
-	}
-	if cp.Iter < 0 {
-		return nil, fmt.Errorf("core: resume checkpoint has negative iteration %d", cp.Iter)
 	}
 	d.Circuit.RestoreSizes(cp.Sizes)
 	return cp, nil
